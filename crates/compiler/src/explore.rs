@@ -324,6 +324,125 @@ fn explore_chain_from(
     }
 }
 
+/// Route facts of one `(source, destination)` tile pair, as the cost
+/// model reads them. They depend on the pair alone, so each is worked
+/// out once per chain and every later move reuses it.
+#[derive(Clone, Copy, Debug, Default)]
+struct PairPath {
+    /// Offset of the pair's XY directed links in [`PairTable::links`];
+    /// there are `hops` of them.
+    link_start: u32,
+    /// Offset of the pair's flaky-link extras in [`PairTable::extras`].
+    extra_start: u32,
+    /// Manhattan distance, which is also the XY link count.
+    hops: u16,
+    /// Flaky links on the XY route (each a [`crate::cost::flaky_extra`]).
+    extra_len: u16,
+    /// Neither the XY nor the YX route is fault-free.
+    unroutable: bool,
+    filled: bool,
+}
+
+impl PairPath {
+    /// Whether the pair carries any fault surcharge at all.
+    fn penalized(&self) -> bool {
+        self.extra_len > 0 || self.unroutable
+    }
+}
+
+/// Per-tile-pair route table, filled lazily: the hops, XY link sequence
+/// (CSR into `links`) and fault surcharges the annealer would otherwise
+/// recompute by walking the mesh for every incident edge of every move.
+struct PairTable<'a> {
+    mesh: Mesh,
+    faults: &'a FaultSet,
+    link_latency: f64,
+    /// `paths[src * tiles + dst]`.
+    paths: Vec<PairPath>,
+    links: Vec<u32>,
+    extras: Vec<f64>,
+}
+
+impl<'a> PairTable<'a> {
+    fn new(mesh: Mesh, faults: &'a FaultSet, link_latency: f64) -> Self {
+        let n = mesh.pe_count();
+        PairTable {
+            mesh,
+            faults,
+            link_latency,
+            paths: vec![PairPath::default(); n * n],
+            links: Vec::new(),
+            extras: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, ta: usize, tb: usize) -> PairPath {
+        let p = self.paths[ta * self.mesh.pe_count() + tb];
+        if p.filled {
+            p
+        } else {
+            self.fill(ta, tb)
+        }
+    }
+
+    #[cold]
+    fn fill(&mut self, ta: usize, tb: usize) -> PairPath {
+        let (mesh, faults, link_latency) = (self.mesh, self.faults, self.link_latency);
+        let (link_start, extra_start) = (self.links.len(), self.extras.len());
+        let (links, extras) = (&mut self.links, &mut self.extras);
+        let mut xy_dead = false;
+        mesh.for_each_xy_link(ta, tb, |l| {
+            links.push(l.0);
+            let lid = l.0 as usize;
+            if faults.link_dead(lid) {
+                xy_dead = true;
+            } else {
+                let m = faults.link_mult(lid);
+                if m > 1 {
+                    extras.push(crate::cost::flaky_extra(link_latency, m));
+                }
+            }
+        });
+        let mut yx_dead = false;
+        if xy_dead {
+            mesh.for_each_yx_link(ta, tb, |l| yx_dead |= faults.link_dead(l.0 as usize));
+        }
+        let p = PairPath {
+            link_start: link_start as u32,
+            extra_start: extra_start as u32,
+            hops: (self.links.len() - link_start) as u16,
+            extra_len: (self.extras.len() - extra_start) as u16,
+            unroutable: yx_dead,
+            filled: true,
+        };
+        self.paths[ta * mesh.pe_count() + tb] = p;
+        p
+    }
+
+    fn links(&self, p: PairPath) -> &[u32] {
+        let s = p.link_start as usize;
+        &self.links[s..s + usize::from(p.hops)]
+    }
+
+    /// Deterministic fault surcharge of an edge with congestion weight
+    /// `w_cong` over pair `p`: the simulator's extra flaky-link stall
+    /// cycles along the XY route, summed link by link, plus
+    /// [`UNROUTABLE_PENALTY`] when no dimension order avoids the dead
+    /// links (the rip-up router would fail outright).
+    fn penalty(&self, p: PairPath, w_cong: f64) -> f64 {
+        let s = p.extra_start as usize;
+        let mut pen = 0.0;
+        for &x in &self.extras[s..s + usize::from(p.extra_len)] {
+            pen += w_cong * x;
+        }
+        if p.unroutable {
+            pen += UNROUTABLE_PENALTY;
+        }
+        pen
+    }
+}
+
 /// An undoable move.
 enum Undo {
     Relocate { movable: usize, old_pe: u16 },
@@ -334,11 +453,8 @@ enum Undo {
 /// Incremental cost evaluator over a candidate placement.
 struct Evaluator<'a> {
     cm: &'a CostModel,
-    /// Injected fabric faults; empty set adds no penalty terms.
-    faults: &'a FaultSet,
-    /// Fast-path gate: the fault-free evaluator never touches `faults`.
-    have_faults: bool,
-    mesh: Mesh,
+    /// Route facts per tile pair under the injected faults.
+    pairs: PairTable<'a>,
     /// Current tile per node (for fixed nodes: their fixed tile).
     tiles: Vec<u16>,
     /// Movable operators.
@@ -373,6 +489,10 @@ struct Evaluator<'a> {
     edge_mark: Vec<u32>,
     edge_epoch: u32,
     scratch_edges: Vec<u32>,
+    /// Tile translation of a cluster swap: identity outside one.
+    xlate: Vec<u16>,
+    /// Scratch `(node, new tile)` list of a cluster swap.
+    scratch_moves: Vec<(u32, u16)>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -524,9 +644,7 @@ impl<'a> Evaluator<'a> {
 
         let mut ev = Evaluator {
             cm,
-            faults,
-            have_faults: !faults.is_empty(),
-            mesh,
+            pairs: PairTable::new(mesh, faults, cm.link_latency),
             tiles,
             movables,
             regions,
@@ -547,6 +665,8 @@ impl<'a> Evaluator<'a> {
             edge_mark: Vec::new(),
             edge_epoch: 0,
             scratch_edges: Vec::new(),
+            xlate: (0..mesh.pe_count() as u16).collect(),
+            scratch_moves: Vec::new(),
         };
         ev.edge_mark = vec![0; ev.edges.len()];
         ev.recompute();
@@ -584,6 +704,10 @@ impl<'a> Evaluator<'a> {
         self.pressure_sum = self.group_peak.iter().sum();
     }
 
+    // `add_edge` and `remove_edge` must keep this floating-point order —
+    // hops term, then the fault surcharge summed link by link, then
+    // congestion link by link — which the searched-mapping pins
+    // (`crates/core/tests/mapping_search.rs`) hold bit for bit.
     fn add_edge(&mut self, ei: u32) {
         let e = self.edges[ei as usize];
         let (ta, tb) = (
@@ -599,54 +723,19 @@ impl<'a> Evaluator<'a> {
         if e.w_cong == 0.0 && e.w_lat == 0.0 {
             return;
         }
-        let mesh = self.mesh;
-        self.lat_sum += e.w_lat * mesh.hops(ta, tb) as f64;
-        if self.have_faults {
-            self.lat_sum += self.fault_penalty(ta, tb, &e);
+        let p = self.pairs.get(ta, tb);
+        self.lat_sum += e.w_lat * f64::from(p.hops);
+        if p.penalized() {
+            self.lat_sum += self.pairs.penalty(p, e.w_cong);
         }
         let w = e.w_cong;
         if w > 0.0 {
-            let (loads, sumsq) = (&mut self.link_load, &mut self.cong_sumsq);
-            mesh.for_each_xy_link(ta, tb, |l| {
-                let v = &mut loads[l.0 as usize];
-                *sumsq += (*v + w) * (*v + w) - *v * *v;
+            for &l in self.pairs.links(p) {
+                let v = &mut self.link_load[l as usize];
+                self.cong_sumsq += (*v + w) * (*v + w) - *v * *v;
                 *v += w;
-            });
-        }
-    }
-
-    /// Deterministic fault surcharge for an edge between tiles `ta` and
-    /// `tb`: the simulator's extra flaky-link stall cycles along the XY
-    /// path, plus [`UNROUTABLE_PENALTY`] when *neither* dimension order
-    /// avoids the dead links (the rip-up router would fail outright).
-    fn fault_penalty(&self, ta: usize, tb: usize, e: &XEdge) -> f64 {
-        let mesh = self.mesh;
-        let faults = self.faults;
-        let mut pen = 0.0;
-        let mut xy_dead = false;
-        mesh.for_each_xy_link(ta, tb, |l| {
-            let lid = l.0 as usize;
-            if faults.link_dead(lid) {
-                xy_dead = true;
-            } else {
-                let m = faults.link_mult(lid);
-                if m > 1 {
-                    pen += e.w_cong * crate::cost::flaky_extra(self.cm.link_latency, m);
-                }
-            }
-        });
-        if xy_dead {
-            let mut yx_dead = false;
-            mesh.for_each_yx_link(ta, tb, |l| {
-                if faults.link_dead(l.0 as usize) {
-                    yx_dead = true;
-                }
-            });
-            if yx_dead {
-                pen += UNROUTABLE_PENALTY;
             }
         }
-        pen
     }
 
     fn remove_edge(&mut self, ei: u32) {
@@ -664,28 +753,27 @@ impl<'a> Evaluator<'a> {
         if e.w_cong == 0.0 && e.w_lat == 0.0 {
             return;
         }
-        let mesh = self.mesh;
-        self.lat_sum -= e.w_lat * mesh.hops(ta, tb) as f64;
-        if self.have_faults {
-            self.lat_sum -= self.fault_penalty(ta, tb, &e);
+        let p = self.pairs.get(ta, tb);
+        self.lat_sum -= e.w_lat * f64::from(p.hops);
+        if p.penalized() {
+            self.lat_sum -= self.pairs.penalty(p, e.w_cong);
         }
         let w = e.w_cong;
         if w > 0.0 {
-            let (loads, sumsq) = (&mut self.link_load, &mut self.cong_sumsq);
-            mesh.for_each_xy_link(ta, tb, |l| {
-                let v = &mut loads[l.0 as usize];
-                *sumsq += (*v - w) * (*v - w) - *v * *v;
+            for &l in self.pairs.links(p) {
+                let v = &mut self.link_load[l as usize];
+                self.cong_sumsq += (*v - w) * (*v - w) - *v * *v;
                 *v -= w;
-            });
+            }
         }
     }
 
-    /// Collects the deduplicated incident-edge set of `nodes` into
-    /// `scratch_edges`.
-    fn collect_incident(&mut self, nodes: &[u32]) {
+    /// Collects the deduplicated incident-edge set of the nodes of
+    /// `moves` into `scratch_edges`.
+    fn collect_incident(&mut self, moves: &[(u32, u16)]) {
         self.edge_epoch += 1;
         self.scratch_edges.clear();
-        for &n in nodes {
+        for &(n, _) in moves {
             let (s, e) = (
                 self.inc_base[n as usize] as usize,
                 self.inc_base[n as usize + 1] as usize,
@@ -699,15 +787,15 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Moves the tiles of `nodes` via `f`, keeping edge terms coherent.
-    fn retile(&mut self, nodes: &[u32], f: impl Fn(u32) -> u16) {
-        self.collect_incident(nodes);
+    /// Applies `moves` (`(node, new tile)`), keeping edge terms coherent.
+    fn retile(&mut self, moves: &[(u32, u16)]) {
+        self.collect_incident(moves);
         let touched = std::mem::take(&mut self.scratch_edges);
         for &ei in &touched {
             self.remove_edge(ei);
         }
-        for &n in nodes {
-            self.tiles[n as usize] = f(n);
+        for &(n, t) in moves {
+            self.tiles[n as usize] = t;
         }
         for &ei in &touched {
             self.add_edge(ei);
@@ -740,7 +828,7 @@ impl<'a> Evaluator<'a> {
         if m.lane == Lane::Data {
             self.refresh_peak(gi);
         }
-        self.retile(&[m.node], |_| pe);
+        self.retile(&[(m.node, pe)]);
     }
 
     fn try_relocate(&mut self, rng: &mut StdRng) -> Option<Undo> {
@@ -799,8 +887,7 @@ impl<'a> Evaluator<'a> {
         if m1.lane == Lane::Data {
             self.refresh_peak(gi);
         }
-        let (n1, n2) = (m1.node, m2.node);
-        self.retile(&[n1, n2], |n| if n == n1 { t2 } else { t1 });
+        self.retile(&[(m1.node, t2), (m2.node, t1)]);
         Some(Undo::Swap { m1: mi, m2: mj })
     }
 
@@ -814,55 +901,35 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Exchanges the regions of groups `ga` and `gb` position-wise,
-    /// carrying every movable occupant along. Self-inverse.
+    /// carrying every movable occupant along. Self-inverse. Cluster-swap
+    /// regions are disjoint and hold distinct tiles, so the translation
+    /// is a tile-indexed array and the loads permute by swaps.
     fn do_cluster_swap(&mut self, ga: usize, gb: usize) {
-        let ra = self.regions[ga].clone();
-        let rb = self.regions[gb].clone();
-        // Tile translation map, defined on both regions.
-        let map_tile = |t: u16| -> u16 {
-            if let Some(i) = ra.iter().position(|&x| x == t) {
-                rb[i]
-            } else if let Some(i) = rb.iter().position(|&x| x == t) {
-                ra[i]
-            } else {
-                t
-            }
-        };
-        let mut nodes: Vec<u32> = Vec::new();
+        let (ra, rb) = (&self.regions[ga], &self.regions[gb]);
+        for (&ta, &tb) in ra.iter().zip(rb) {
+            self.xlate[ta as usize] = tb;
+            self.xlate[tb as usize] = ta;
+        }
+        let mut moves = std::mem::take(&mut self.scratch_moves);
+        moves.clear();
         for gi in [ga, gb] {
             for &mi in self.buckets[gi * 2].iter().chain(&self.buckets[gi * 2 + 1]) {
-                nodes.push(self.movables[mi as usize].node);
+                let n = self.movables[mi as usize].node;
+                moves.push((n, self.xlate[self.tiles[n as usize] as usize]));
             }
         }
-        let tiles_ref = &self.tiles;
-        let mapped: Vec<(u32, u16)> = nodes
-            .iter()
-            .map(|&n| (n, map_tile(tiles_ref[n as usize])))
-            .collect();
-        self.retile(&nodes, |n| {
-            mapped
-                .iter()
-                .find(|&&(m, _)| m == n)
-                .map(|&(_, t)| t)
-                .expect("mapped node")
-        });
-        // Permute loads alongside (per-group loads move with the region).
-        for gi in [ga, gb] {
-            for lane in [Lane::Data, Lane::Ctrl] {
-                let loads = self.load_of(gi, lane);
-                let mut fresh = vec![0.0; loads.len()];
-                for i in 0..ra.len() {
-                    let (ta, tb) = (ra[i] as usize, rb[i] as usize);
-                    fresh[tb] = loads[ta];
-                    fresh[ta] = loads[tb];
-                }
-                for (t, v) in loads.iter().enumerate() {
-                    if !ra.contains(&(t as u16)) && !rb.contains(&(t as u16)) {
-                        fresh[t] = *v;
-                    }
-                }
-                *loads = fresh;
+        self.retile(&moves);
+        self.scratch_moves = moves;
+        // Per-group loads move with the region, and the translation goes
+        // back to the identity.
+        for i in 0..self.regions[ga].len() {
+            let (ta, tb) = (self.regions[ga][i] as usize, self.regions[gb][i] as usize);
+            for gi in [ga, gb] {
+                self.dload[gi].swap(ta, tb);
+                self.cload[gi].swap(ta, tb);
             }
+            self.xlate[ta] = ta as u16;
+            self.xlate[tb] = tb as u16;
         }
         self.regions.swap(ga, gb);
         // Peaks are permutation-invariant; pressure unchanged.
@@ -883,8 +950,7 @@ impl<'a> Evaluator<'a> {
                 if a.lane == Lane::Data {
                     self.refresh_peak(gi);
                 }
-                let (n1, n2) = (a.node, b.node);
-                self.retile(&[n1, n2], |n| if n == n1 { t2 } else { t1 });
+                self.retile(&[(a.node, t2), (b.node, t1)]);
             }
             Undo::ClusterSwap { ga, gb } => self.do_cluster_swap(ga, gb),
         }
@@ -1048,6 +1114,75 @@ mod tests {
         let best = select_best(vec![a.clone(), b]);
         assert_eq!(best.report.seed, 7);
         let _ = a;
+    }
+
+    type Walk = (Vec<u32>, f64, bool);
+
+    /// The mesh walk the pair table replaces: XY links, the flaky-link
+    /// surcharge of an edge of weight `w` summed along them, and whether
+    /// both XY and YX cross a dead link.
+    fn walk(mesh: Mesh, faults: &FaultSet, ll: f64, ta: usize, tb: usize, w: f64) -> Walk {
+        let (mut links, mut pen, mut xy_dead, mut yx_dead) = (Vec::new(), 0.0, false, false);
+        mesh.for_each_xy_link(ta, tb, |l| {
+            links.push(l.0);
+            let lid = l.0 as usize;
+            if faults.link_dead(lid) {
+                xy_dead = true;
+            } else if faults.link_mult(lid) > 1 {
+                pen += w * crate::cost::flaky_extra(ll, faults.link_mult(lid));
+            }
+        });
+        if xy_dead {
+            mesh.for_each_yx_link(ta, tb, |l| yx_dead |= faults.link_dead(l.0 as usize));
+        }
+        if yx_dead {
+            pen += UNROUTABLE_PENALTY;
+        }
+        (links, pen, yx_dead)
+    }
+
+    #[test]
+    fn pair_table_matches_the_mesh_walk() {
+        // Pinned dead links make unroutable pairs, pinned flaky links
+        // make surcharges, and four seeded-random faults ride on top.
+        let cases: [(usize, usize, &[&str]); 2] = [
+            (4, 4, &["link:1,1-1,2", "link:1,1-2,1", "flaky:0,1-0,2@3"]),
+            (6, 6, &["link:2,3-2,4", "link:2,3-3,3", "flaky:4,1-4,2@5"]),
+        ];
+        for (rows, cols, spec) in cases {
+            let specs: Vec<String> = spec.iter().map(|s| s.to_string()).collect();
+            let faults = FaultSet::from_cli(rows, cols, &specs, 4, 9).unwrap();
+            let mesh = Mesh::new(rows, cols);
+            let link_latency = 1.5;
+            let mut table = PairTable::new(mesh, &faults, link_latency);
+            let (mut flaky, mut unroutable) = (0, 0);
+            for ta in 0..mesh.pe_count() {
+                for tb in 0..mesh.pe_count() {
+                    let p = table.get(ta, tb);
+                    let (links, pen, dead) = walk(mesh, &faults, link_latency, ta, tb, 0.75);
+                    let what = format!("{rows}x{cols} {ta}->{tb}");
+                    assert_eq!(usize::from(p.hops), mesh.hops(ta, tb), "{what} hops");
+                    assert_eq!(table.links(p), &links[..], "{what} links");
+                    assert_eq!(
+                        table.penalty(p, 0.75).to_bits(),
+                        pen.to_bits(),
+                        "{what} penalty"
+                    );
+                    assert_eq!(p.unroutable, dead, "{what} unroutable");
+                    assert_eq!(p.penalized(), pen != 0.0, "{what} penalized");
+                    flaky += usize::from(p.extra_len > 0);
+                    unroutable += usize::from(p.unroutable);
+                }
+            }
+            assert!(
+                flaky > 0 && unroutable > 0,
+                "{rows}x{cols}: faults must bite"
+            );
+            // A second lookup reads the filled entry.
+            let links = table.links.len();
+            table.get(0, mesh.pe_count() - 1);
+            assert_eq!(table.links.len(), links);
+        }
     }
 
     #[test]

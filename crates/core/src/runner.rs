@@ -14,6 +14,7 @@ use marionette_compiler::{
     compile_with_timing_and_faults, explore_chain_with_faults, finalize_explored_with_faults,
     select_best, CompileReport, CostModel, PartitionMap, PlaceError, SearchBudget,
 };
+use marionette_isa::bitstream::{self, BitstreamError};
 use marionette_isa::MachineProgram;
 use marionette_kernels::traits::{Golden, Kernel, KernelError, Scale};
 use marionette_kernels::verify::check_vs_golden;
@@ -51,6 +52,8 @@ pub enum RunnerError {
     Kernel(KernelError),
     /// Compilation failed.
     Compile(PlaceError),
+    /// The configuration bitstream did not decode back into a program.
+    Bitstream(BitstreamError),
     /// Simulation failed.
     Sim(SimError),
     /// Outputs diverged from the golden reference.
@@ -78,6 +81,7 @@ impl fmt::Display for RunnerError {
         match self {
             RunnerError::Kernel(e) => write!(f, "kernel: {e}"),
             RunnerError::Compile(e) => write!(f, "compile: {e}"),
+            RunnerError::Bitstream(e) => write!(f, "bitstream: {e}"),
             RunnerError::Sim(e) => write!(f, "simulate: {e}"),
             RunnerError::Verification { what, first, count } => {
                 write!(f, "{what}: {count} mismatches, first: {first}")
@@ -104,6 +108,12 @@ impl From<KernelError> for RunnerError {
 impl From<PlaceError> for RunnerError {
     fn from(e: PlaceError) -> Self {
         RunnerError::Compile(e)
+    }
+}
+
+impl From<BitstreamError> for RunnerError {
+    fn from(e: BitstreamError) -> Self {
+        RunnerError::Bitstream(e)
     }
 }
 
@@ -220,10 +230,7 @@ pub fn run_kernel_with_engine(
     let golden = kernel.golden(&wl)?;
     let g = kernel.build(&wl)?;
     let (prog, report) = compile_for_arch(&g, arch)?;
-    // Full-stack fidelity: serialize to the configuration bitstream and
-    // run the decoded program.
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
+    let prog = roundtrip(&prog)?;
     let inputs: Vec<(String, Vec<Value>)> = g
         .arrays
         .iter()
@@ -263,8 +270,7 @@ pub fn run_kernel_traced(
     let golden = kernel.golden(&wl)?;
     let g = kernel.build(&wl)?;
     let (prog, report) = compile_for_arch(&g, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
+    let prog = roundtrip(&prog)?;
     let inputs: Vec<(String, Vec<Value>)> = g
         .arrays
         .iter()
@@ -346,7 +352,7 @@ pub fn run_kernel_lanes_with_engine(
         per_seed.push((g, golden));
     }
     let (prog, report) = compile_for_arch(&per_seed[0].0, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
+    let bytes = bitstream::encode(&prog);
     // All lanes execute lane 0's bitstream, so every other lane's graph
     // must compile to the very same bytes. Kernels that unroll workload
     // values into immediates (e.g. Conv-1d's filter taps) fail this for
@@ -357,14 +363,14 @@ pub fn run_kernel_lanes_with_engine(
             continue; // identical workload, identical program
         }
         let (pi, _) = compile_for_arch(g, arch)?;
-        if marionette_isa::bitstream::encode(&pi) != bytes {
+        if bitstream::encode(&pi) != bytes {
             return Err(RunnerError::NotBatchable {
                 what: format!("{} on {}", kernel.name(), arch.name),
                 lane,
             });
         }
     }
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
+    let prog = bitstream::decode(&bytes)?;
     let lanes: Vec<LaneSpec> = per_seed
         .iter()
         .map(|(g, _)| LaneSpec {
@@ -400,6 +406,12 @@ pub fn run_kernel_lanes_with_engine(
             })
         })
         .collect())
+}
+
+/// Full-stack fidelity: serializes `prog` to the configuration bitstream
+/// and decodes it back, so the simulator always runs the decoded program.
+fn roundtrip(prog: &MachineProgram) -> Result<MachineProgram, RunnerError> {
+    Ok(bitstream::decode(&bitstream::encode(prog))?)
 }
 
 /// Bit-compares one run against the kernel's golden reference (arrays,
@@ -501,8 +513,7 @@ pub fn run_kernel_faulted_with_engine(
     let golden = kernel.golden(&wl)?;
     let g = kernel.build(&wl)?;
     let (prog, report) = compile_for_arch(&g, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
+    let prog = roundtrip(&prog)?;
     let inputs: Vec<(String, Vec<Value>)> = g
         .arrays
         .iter()
@@ -535,8 +546,7 @@ pub fn run_kernel_faulted_with_engine(
         healed.opts.search = SearchBudget::default_on();
     }
     let (prog, report) = compile_for_arch_with_faults(&g, &healed, faults)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
+    let prog = roundtrip(&prog)?;
     let r = run_full(&prog, &arch.tm, faults, engine, &inputs, &[], max_cycles)?;
     verify_golden(kernel, arch, &g, &golden, &r)?;
     Ok(FaultKernelRun {
@@ -576,8 +586,7 @@ pub fn run_kernel_faulted_traced(
     let golden = kernel.golden(&wl)?;
     let g = kernel.build(&wl)?;
     let (prog, report) = compile_for_arch(&g, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
+    let prog = roundtrip(&prog)?;
     let inputs: Vec<(String, Vec<Value>)> = g
         .arrays
         .iter()
@@ -617,8 +626,7 @@ pub fn run_kernel_faulted_traced(
         healed.opts.search = SearchBudget::default_on();
     }
     let (prog, report) = compile_for_arch_with_faults(&g, &healed, faults)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
+    let prog = roundtrip(&prog)?;
     let r = run_full_traced(
         &prog,
         &arch.tm,

@@ -26,13 +26,7 @@ fn searched(mut a: Architecture, moves: u32, restarts: u32) -> Architecture {
 /// FNV-1a over the canonical bitstream serialization: placements, routes
 /// (including every path tile) and configs all land in the hash.
 fn mapping_hash(prog: &marionette::isa::MachineProgram) -> u64 {
-    let bytes = marionette::isa::bitstream::encode(prog);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv(FNV_OFFSET, &marionette::isa::bitstream::encode(prog))
 }
 
 #[test]
@@ -151,3 +145,111 @@ const PIN_GEMM_M: u64 = 0x0b19d9e4158c3fc1;
 const PIN_FFT_M: u64 = 0x57121eb24e70a3e8;
 const PIN_LDPC_RT: u64 = 0x0bd38adf00ba9bf1;
 const PIN_ADPCM_SB: u64 = 0xf5cddd6a1d917c45;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a continued from state `h` over `bytes`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+#[test]
+fn searched_and_faulted_mappings_are_pinned() {
+    // The annealer under the default search budget, across the fault
+    // shapes its cost model distinguishes: healthy, a dead PE, a dead
+    // link with fault-free YX detours, pairs with no fault-free
+    // dimension-ordered route at all, flaky links, and a partition
+    // exclusion mask. Each pin covers the bitstream plus the winning
+    // chain's `best_total` bits, so drift in the annealer's
+    // floating-point accounting trips it even when the mapping holds.
+    // Where the winner leaves an edge unroutable the compile fails, and
+    // the pin covers the winner's placement and total instead.
+    // Regenerate with
+    // `cargo test -p marionette searched_and_faulted -- --nocapture`
+    // only for an intended change to the explorer's search.
+    use marionette::arch::presets_by_tags_on;
+    use marionette::compiler::{
+        explore_chain_with_faults, select_best, CostModel, FabricDims, Partition, PartitionMap,
+    };
+    use marionette::runner::compile_for_arch_with_faults;
+    use marionette::sim::FaultSet;
+
+    let scenarios: &[(&str, &[&str])] = &[
+        ("none", &[]),
+        ("dead-pe", &["pe:1,1"]),
+        ("dead-link", &["link:1,1-1,2"]),
+        ("unroutable", &["link:1,2-1,1", "link:2,2-2,1"]),
+        (
+            "flaky",
+            &[
+                "flaky:1,1-1,2@4",
+                "flaky:2,2-2,1@3",
+                "flaky:1,2-2,2@5",
+                "flaky:0,1-1,1@2",
+            ],
+        ),
+    ];
+    let mut got = Vec::new();
+    for &(dims, tag, arch_tag) in &[
+        (FabricDims::new(4, 4), "CRC", "M"),
+        (FabricDims::new(4, 4), "MS", "DF"),
+        (FabricDims::new(4, 4), "FFT", "M-CN"),
+        (FabricDims::new(6, 6), "GEMM", "M"),
+    ] {
+        let mut arch = presets_by_tags_on(dims, arch_tag).unwrap().remove(0);
+        arch.opts.search = SearchBudget::default_on();
+        let g = build(tag, Scale::Tiny);
+        let mut masks: Vec<(&str, FaultSet)> = scenarios
+            .iter()
+            .map(|&(what, specs)| {
+                let specs: Vec<String> = specs.iter().map(|s| s.to_string()).collect();
+                let fs = FaultSet::from_cli(dims.rows, dims.cols, &specs, 0, 0).unwrap();
+                (what, fs)
+            })
+            .collect();
+        // Region scoping rides the same machinery as an exclusion mask:
+        // the top half of the host fabric.
+        let half = Partition::new(dims.rows / 2, dims.cols, 0, 0);
+        masks.push((
+            "region",
+            PartitionMap::new(dims, vec![half])
+                .unwrap()
+                .exclusion_mask(0),
+        ));
+        for (what, faults) in &masks {
+            let h = match compile_for_arch_with_faults(&g, &arch, faults) {
+                Ok((prog, report)) => fnv(
+                    mapping_hash(&prog),
+                    &report.search.unwrap().best_total.to_bits().to_le_bytes(),
+                ),
+                Err(_) => {
+                    let cm = CostModel::from_timing(&arch.tm);
+                    let chains = arch.opts.search.chain_seeds().into_iter().map(|s| {
+                        explore_chain_with_faults(&g, &arch.opts, &cm, s, faults).unwrap()
+                    });
+                    let best = select_best(chains.collect());
+                    let placed = format!("{:?}", best.placement.places);
+                    let h = fnv(FNV_OFFSET, placed.as_bytes());
+                    fnv(h, &best.total.to_bits().to_le_bytes())
+                }
+            };
+            println!("pin {tag} {arch_tag} {dims} {what}: {h:#018x}");
+            got.push(h);
+        }
+    }
+    assert_eq!(got, SEARCHED_PINS, "searched/faulted mapping drifted");
+}
+
+/// Row per kernel x preset pair, column per scenario: none, dead-pe,
+/// dead-link, unroutable, flaky, region.
+#[rustfmt::skip]
+const SEARCHED_PINS: &[u64] = &[
+    0xc8fed29c4318a0de, 0xa543428925c46295, 0xd9d5791916960a40, 0x242ecabd4b1ad381, 0xc8fed29c4318a0de, 0x7e3f309c486677b0,
+    0xa917a982a83a164e, 0xd44243c88efdb426, 0xb8fbc5bd3cbe94f0, 0xdf08bbcb85d3afb3, 0x99ec4700110ae4d8, 0x116504cca93d95fc,
+    0x26894da5716c63a6, 0x48e7e296b167f66d, 0x1977214c9f9fa16c, 0x412d4d82d908d3e5, 0x6df9df03f70a0b8c, 0xa64ad65ef9274431,
+    0xfe1af74a924a24ef, 0xecdcf1b49393b62f, 0x83ad457cef72fc60, 0x445e1363d6793018, 0x8b4972e8cca59f62, 0xd02e1d5fa8cf47ad,
+];

@@ -81,3 +81,14 @@ fn intact_workload_runs_end_to_end() {
     .expect("runs");
     assert!(run.verified);
 }
+
+#[test]
+fn bitstream_decode_failure_is_a_typed_runner_error() {
+    use marionette::isa::bitstream::BitstreamError;
+    let err = RunnerError::from(BitstreamError::Truncated);
+    assert!(matches!(
+        err,
+        RunnerError::Bitstream(BitstreamError::Truncated)
+    ));
+    assert_eq!(err.to_string(), "bitstream: truncated bitstream");
+}

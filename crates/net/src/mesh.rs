@@ -138,9 +138,9 @@ impl Mesh {
     }
 
     /// Calls `f` for every directed link of the XY route from `src` to
-    /// `dst`, without allocating. This is the hot-path query of the
-    /// mapping explorer's cost model: per-candidate-placement link loads
-    /// are accumulated by walking millions of these routes.
+    /// `dst`, without allocating. The mapping explorer's cost model
+    /// tabulates these routes once per tile pair, and the router walks
+    /// route legs with it.
     pub fn for_each_xy_link(&self, src: usize, dst: usize, mut f: impl FnMut(LinkId)) {
         let (mut r, mut c) = (src / self.cols, src % self.cols);
         let (r1, c1) = (dst / self.cols, dst % self.cols);

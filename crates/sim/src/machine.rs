@@ -464,9 +464,16 @@ struct Machine<'p> {
     unit_free_at: Vec<u64>,
     unit_candidates: Vec<VecDeque<u32>>,
     in_candidates: Vec<bool>,
-    /// Units that currently hold at least one candidate, in insertion
-    /// order (sorted on use). `unit_queued` mirrors membership.
-    active_units: Vec<u32>,
+    /// Bitmap of units registered for the next issue pass: they hold at
+    /// least one candidate. `unit_queued` mirrors membership of this map
+    /// and `unit_work` together.
+    unit_next: Vec<u64>,
+    /// Bitmap of units still ahead of the cursor in the running issue
+    /// pass (empty outside it).
+    unit_work: Vec<u64>,
+    /// Lowest unit index that may still join the running issue pass;
+    /// `usize::MAX` outside it.
+    issue_floor: usize,
     unit_queued: Vec<bool>,
     /// Total candidates across all units (== sum of deque lengths).
     cand_count: usize,
@@ -482,7 +489,7 @@ struct Machine<'p> {
     track_groups: bool,
     /// Units holding at least one candidate of *any* group, with a
     /// membership flag (exclusive-group models only). Unlike
-    /// `active_units` this keeps parked-backlog units reachable: the
+    /// the issue bitmaps this keeps parked-backlog units reachable: the
     /// issue pass deregisters a unit whose whole backlog belongs to a
     /// parked group (so idle cycles stop re-walking it), and the group
     /// switch re-registers the new group's units from this list.
@@ -572,10 +579,6 @@ struct Machine<'p> {
     /// delivery pass never rescans queues that stayed full.
     waked_queues: Vec<u32>,
     queue_waked: Vec<bool>,
-    /// Reusable scratch for the issue pass (the sorted unit worklist and
-    /// the carried-over registrations), kept to avoid per-cycle allocs.
-    issue_work: Vec<u32>,
-    issue_leftover: Vec<u32>,
     // events
     events: EventQueue,
     // Hot timing-model scalars, hoisted out of the `&TimingModel` so the
@@ -1126,7 +1129,9 @@ impl<'p> Machine<'p> {
             unit_free_at: vec![0; nunits],
             unit_candidates: vec![VecDeque::new(); nunits],
             in_candidates: vec![false; prog.nodes.len()],
-            active_units: Vec::with_capacity(nunits),
+            unit_next: vec![0; nunits.div_ceil(64)],
+            unit_work: vec![0; nunits.div_ceil(64)],
+            issue_floor: usize::MAX,
             unit_queued: vec![false; nunits],
             cand_count: 0,
             unit_grp_cands: vec![0; nunits],
@@ -1170,8 +1175,6 @@ impl<'p> Machine<'p> {
             deliver_buf: Vec::new(),
             waked_queues: Vec::new(),
             queue_waked: vec![false; total],
-            issue_work: Vec::new(),
-            issue_leftover: Vec::new(),
             events: EventQueue::new(engine),
             fire_occ: tm.issue_occupancy(),
             qcap: tm.queue_capacity,
@@ -1248,7 +1251,9 @@ impl<'p> Machine<'p> {
             q.clear();
         }
         self.in_candidates.fill(false);
-        self.active_units.clear();
+        self.unit_next.fill(0);
+        self.unit_work.fill(0);
+        self.issue_floor = usize::MAX;
         self.unit_queued.fill(false);
         self.cand_count = 0;
         self.unit_grp_cands.fill(0);
@@ -1281,8 +1286,6 @@ impl<'p> Machine<'p> {
         self.deliver_buf.clear();
         self.waked_queues.clear();
         self.queue_waked.fill(false);
-        self.issue_work.clear();
-        self.issue_leftover.clear();
         self.events.clear();
         self.seq_state.fill(SeqState::Fresh);
         self.params.clear();
@@ -1367,10 +1370,22 @@ impl<'p> Machine<'p> {
                 }
             }
             self.unit_candidates[u].push_back(node);
-            if !self.unit_queued[u] {
-                self.unit_queued[u] = true;
-                self.active_units.push(u as u32);
-            }
+            self.register_unit(u);
+        }
+    }
+
+    /// Registers unit `u` for issue unless it already is: into the
+    /// running pass when its index is still ahead of the cursor (as a
+    /// linear scan would reach it), else for the next pass.
+    fn register_unit(&mut self, u: usize) {
+        if !self.unit_queued[u] {
+            self.unit_queued[u] = true;
+            let map = if u >= self.issue_floor {
+                &mut self.unit_work
+            } else {
+                &mut self.unit_next
+            };
+            map[u / 64] |= 1 << (u % 64);
         }
     }
 
@@ -1388,7 +1403,7 @@ impl<'p> Machine<'p> {
 
     /// Rebuilds `unit_grp_cands` / `grp_cand_total` after the active
     /// group changed. Outside the issue pass every unit holding a
-    /// candidate is registered in `active_units`, so the scan covers all
+    /// candidate is registered in `unit_next`, so the scan covers all
     /// candidates; switches are rare, so the O(candidates) cost is cold.
     fn recompute_group_counts(&mut self) {
         if !self.track_groups {
@@ -1412,9 +1427,8 @@ impl<'p> Machine<'p> {
             self.grp_cand_total += c as usize;
             // Units parked until now hold backlog for the incoming group:
             // put them back on the walk.
-            if c > 0 && !self.unit_queued[u] {
-                self.unit_queued[u] = true;
-                self.active_units.push(uu);
+            if c > 0 {
+                self.register_unit(u);
             }
             true
         });
@@ -2298,7 +2312,7 @@ impl<'p> Machine<'p> {
 
     /// Units holding candidates, in ascending unit order (issue priority
     /// is by unit index, exactly like the old full-array scan). Source is
-    /// `cand_units`, which — unlike `active_units` — still contains the
+    /// `cand_units`, which — unlike the issue bitmaps — still contains the
     /// parked-backlog units the issue pass deregistered.
     fn sorted_cand_units(&self) -> Vec<u32> {
         let mut units = self.cand_units.clone();
@@ -2410,47 +2424,29 @@ impl<'p> Machine<'p> {
         // the same priority as the old 0..nunits scan. A unit activated
         // *during* the pass (e.g. a producer unblocked by a queue pop)
         // joins this cycle's walk iff its index is still ahead of the
-        // cursor, exactly as the linear scan would have reached it.
-        // The worklist is a sorted scratch vec walked by cursor:
-        // mid-pass activations are inserted at their sorted position past
-        // the cursor, so `work[i]` is always the minimum of the remaining
-        // set — the same total order a min-heap would yield, without the
-        // per-pop sift (active-unit counts are tiny). Scratch buffers
-        // persist: the pass runs every active cycle and must not allocate.
-        let mut work = std::mem::take(&mut self.issue_work);
-        debug_assert!(work.is_empty());
-        std::mem::swap(&mut work, &mut self.active_units);
-        work.sort_unstable();
-        let mut leftover = std::mem::take(&mut self.issue_leftover);
-        let mut i = 0usize;
-        let mut last: Option<u32> = None;
+        // cursor, exactly as the linear scan would have reached it:
+        // `register_unit` sets it in `unit_work`, which the walk drains
+        // lowest bit first, and anything at or behind the cursor waits in
+        // `unit_next` for the next pass.
+        debug_assert!(self.unit_work.iter().all(|&w| w == 0));
+        std::mem::swap(&mut self.unit_work, &mut self.unit_next);
+        self.issue_floor = 0;
+        let mut wi = 0usize;
         loop {
-            // Absorb activations that appeared while processing.
-            if !self.active_units.is_empty() {
-                for k in 0..self.active_units.len() {
-                    let u = self.active_units[k];
-                    if last.is_none_or(|l| u > l) {
-                        let pos = i + work[i..].partition_point(|&w| w < u);
-                        work.insert(pos, u);
-                    } else {
-                        leftover.push(u);
-                    }
-                }
-                self.active_units.clear();
+            while wi < self.unit_work.len() && self.unit_work[wi] == 0 {
+                wi += 1;
             }
-            if i >= work.len() {
+            let Some(word) = self.unit_work.get_mut(wi) else {
                 break;
-            }
-            let u = work[i];
-            i += 1;
-            last = Some(u);
-            let ui = u as usize;
-            // Leaving the active list; firing/requeueing below re-adds.
+            };
+            let ui = wi * 64 + word.trailing_zeros() as usize;
+            *word &= *word - 1;
+            self.issue_floor = ui + 1;
+            // Leaving the active set; firing/requeueing below re-adds.
             self.unit_queued[ui] = false;
             if self.unit_free_at[ui] > self.cycle {
                 // Busy until a future cycle: stay registered, skip work.
-                self.unit_queued[ui] = true;
-                self.active_units.push(u);
+                self.register_unit(ui);
                 continue;
             }
             if self.unit_candidates[ui].is_empty() {
@@ -2489,15 +2485,11 @@ impl<'p> Machine<'p> {
                     tried += 1;
                 }
             }
-            if !self.unit_candidates[ui].is_empty() && !self.unit_queued[ui] {
-                self.unit_queued[ui] = true;
-                self.active_units.push(u);
+            if !self.unit_candidates[ui].is_empty() {
+                self.register_unit(ui);
             }
         }
-        work.clear();
-        self.issue_work = work; // empty; buffer reused next cycle
-        std::mem::swap(&mut self.active_units, &mut leftover);
-        self.issue_leftover = leftover; // now empty; buffer reused next cycle
+        self.issue_floor = usize::MAX;
     }
 
     fn pending_work(&self) -> bool {
@@ -2533,8 +2525,8 @@ impl<'p> Machine<'p> {
                 continue;
             }
             // Nothing happened: fast-forward to the next interesting cycle.
-            // All scans below touch only the active-unit list, so an idle
-            // machine costs O(active units), not O(all units).
+            // All scans below touch only the registered-unit bitmap, so an
+            // idle machine costs O(units / 64 + active units).
             let mut next: Option<u64> = self.events.next_at();
             if !self.flits.is_empty() || self.link_wait_count > 0 {
                 // In-transit and link-blocked flits arbitrate every cycle.
@@ -2559,11 +2551,15 @@ impl<'p> Machine<'p> {
                 }
             }
             // Units busy in the future holding candidates.
-            for &u in &self.active_units {
-                let ui = u as usize;
-                if !self.unit_candidates[ui].is_empty() && self.unit_free_at[ui] > self.cycle {
-                    let t = self.unit_free_at[ui];
-                    next = Some(next.map_or(t, |n| n.min(t)));
+            for (wi, &word) in self.unit_next.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let ui = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if !self.unit_candidates[ui].is_empty() && self.unit_free_at[ui] > self.cycle {
+                        let t = self.unit_free_at[ui];
+                        next = Some(next.map_or(t, |n| n.min(t)));
+                    }
                 }
             }
             match next {
