@@ -59,10 +59,9 @@ use marionette::compiler::SearchBudget;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::runner::{
-    run_kernel, run_kernel_faulted, run_kernel_faulted_traced, run_kernel_lanes_with_engine,
-    run_kernel_traced, run_kernel_with_engine, DEFAULT_MAX_CYCLES,
+    run_kernel, run_kernel_lanes, run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES,
 };
-use marionette::sim::{EngineKind, FaultSet, Tracer};
+use marionette::sim::{EngineKind, FaultSet, RunSpec, Tracer};
 use marionette_bench::snapshot;
 use std::time::Instant;
 
@@ -106,6 +105,15 @@ fn points(fabric: FabricDims) -> Vec<Point> {
         .collect()
 }
 
+/// `KERNEL on PRESET`, plus the injected faults when there are any.
+fn what(kernel: &str, preset: &str, faults: &FaultSet) -> String {
+    if faults.is_empty() {
+        format!("{kernel} on {preset}")
+    } else {
+        format!("{kernel} on {preset} with [{faults}]")
+    }
+}
+
 fn sweep(
     scale: Scale,
     threads: usize,
@@ -135,7 +143,7 @@ fn sweep(
             // lanes still pin machine-reset isolation — any cross-lane
             // state leak shows up as a lane-i verification mismatch.
             let seeds: Vec<u64> = vec![SEED; lanes];
-            let runs = run_kernel_lanes_with_engine(
+            let runs = run_kernel_lanes(
                 k.as_ref(),
                 &p.arch,
                 scale,
@@ -153,30 +161,21 @@ fn sweep(
                 }
             }
             (first.expect("lanes >= 1"), false)
-        } else if faults.is_empty() {
-            let r = run_kernel_with_engine(
-                k.as_ref(),
-                &p.arch,
-                scale,
-                SEED,
-                DEFAULT_MAX_CYCLES,
-                engine,
-            )
-            .map_err(|e| format!("{} on {}: {e}", p.kernel, p.arch.short))?;
-            (r, false)
         } else {
-            match run_kernel_faulted(k.as_ref(), &p.arch, scale, SEED, DEFAULT_MAX_CYCLES, faults) {
+            let mut spec = RunSpec {
+                faults,
+                engine,
+                max_cycles: DEFAULT_MAX_CYCLES,
+                tracer: None,
+            };
+            match run_kernel_with(k.as_ref(), &p.arch, scale, SEED, &mut spec) {
                 Ok(fr) => (fr.run, fr.remapped),
                 // The healthy compile of every shipped point succeeds,
-                // so a compile error is the typed remap-infeasible
-                // outcome: the point is skipped, not a sweep failure.
-                Err(marionette::runner::RunnerError::Compile(_)) => return Ok(None),
-                Err(e) => {
-                    return Err(format!(
-                        "{} on {} with [{faults}]: {e}",
-                        p.kernel, p.arch.short
-                    ))
-                }
+                // so a compile error under faults is the typed
+                // remap-infeasible outcome: the point is skipped, not a
+                // sweep failure.
+                Err(RunnerError::Compile(_)) if !faults.is_empty() => return Ok(None),
+                Err(e) => return Err(format!("{}: {e}", what(&p.kernel, p.arch.short, faults))),
             }
         };
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -579,32 +578,15 @@ fn run(flags: Flags) -> Result<(), String> {
         let k = marionette::kernels::by_short(&tag).expect("tag from the registry");
         let mut tracer = Tracer::new();
         let t = Instant::now();
-        let (r, remapped) = if faults.is_empty() {
-            let r = run_kernel_traced(
-                k.as_ref(),
-                &arch,
-                scale,
-                SEED,
-                DEFAULT_MAX_CYCLES,
-                engine,
-                &mut tracer,
-            )
-            .map_err(|e| format!("{tag} on {}: {e}", arch.short))?;
-            (r, false)
-        } else {
-            let fr = run_kernel_faulted_traced(
-                k.as_ref(),
-                &arch,
-                scale,
-                SEED,
-                DEFAULT_MAX_CYCLES,
-                &faults,
-                engine,
-                &mut tracer,
-            )
-            .map_err(|e| format!("{tag} on {} with [{faults}]: {e}", arch.short))?;
-            (fr.run, fr.remapped)
+        let mut spec = RunSpec {
+            faults: &faults,
+            engine,
+            max_cycles: DEFAULT_MAX_CYCLES,
+            tracer: Some(&mut tracer),
         };
+        let fr = run_kernel_with(k.as_ref(), &arch, scale, SEED, &mut spec)
+            .map_err(|e| format!("{}: {e}", what(&tag, arch.short, &faults)))?;
+        let (r, remapped) = (fr.run, fr.remapped);
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         std::fs::write(path, tracer.to_chrome_json())
             .map_err(|e| format!("writing {path}: {e}"))?;

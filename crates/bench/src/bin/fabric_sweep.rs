@@ -44,6 +44,7 @@ use marionette::experiments::geomean;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::report::json_escape;
+use marionette::sim::RunSpec;
 use marionette_lang::driver::{reference, run_preset, Reference, INTERP_BUDGET};
 use marionette_lang::tenancy::{run_tenancy, TenantJob};
 use std::time::Instant;
@@ -315,14 +316,16 @@ fn tenancy_experiment(
                 let mut arch = preset_for_partition(part, &ptag)?;
                 apply_search(&mut arch);
                 let (g, r) = &kernels_ref[i];
-                let solo = run_preset(g, r, &arch, &[], args.max_cycles, false).map_err(|e| {
-                    format!(
-                        "{} solo on {} at {}: {e}",
-                        tags_ref[i],
-                        arch.short,
-                        part.dims()
-                    )
-                })?;
+                let solo = run_preset(g, r, &arch, &[], &mut RunSpec::new(args.max_cycles))
+                    .map_err(|e| {
+                        format!(
+                            "{} solo on {} at {}: {e}",
+                            tags_ref[i],
+                            arch.short,
+                            part.dims()
+                        )
+                    })?
+                    .run;
                 archs.push(arch);
                 solos.push(solo);
             }
@@ -373,9 +376,11 @@ fn tenancy_experiment(
             apply_search(&mut mono);
             let mut monolith_serial_cycles = 0u64;
             for (i, (g, r)) in kernels_ref.iter().enumerate() {
-                let m = run_preset(g, r, &mono, &[], args.max_cycles, false).map_err(|e| {
-                    format!("{} monolith on {} at {host}: {e}", tags_ref[i], mono.short)
-                })?;
+                let m = run_preset(g, r, &mono, &[], &mut RunSpec::new(args.max_cycles))
+                    .map_err(|e| {
+                        format!("{} monolith on {} at {host}: {e}", tags_ref[i], mono.short)
+                    })?
+                    .run;
                 monolith_serial_cycles += m.cycles;
             }
             Ok(TenancyPreset {
@@ -472,8 +477,10 @@ fn run(
         |(ki, dims, arch)| -> Result<Measured, String> {
             let (tag, g, reference) = &kernels_ref[ki];
             let what = || format!("{tag} on {} at {dims}", arch.short);
-            let run = run_preset(g, reference, &arch, &[], args.max_cycles, false)
-                .map_err(|e| format!("{}: {e}", what()))?;
+            let mut spec = RunSpec::new(args.max_cycles);
+            let run = run_preset(g, reference, &arch, &[], &mut spec)
+                .map_err(|e| format!("{}: {e}", what()))?
+                .run;
             let cycles_search = match args.search {
                 None => None,
                 Some((moves, restarts)) => {
@@ -483,8 +490,9 @@ fn run(
                         restarts,
                         base_seed: 0xA11E,
                     };
-                    let rs = run_preset(g, reference, &searched, &[], args.max_cycles, false)
-                        .map_err(|e| format!("{} (search): {e}", what()))?;
+                    let rs = run_preset(g, reference, &searched, &[], &mut spec)
+                        .map_err(|e| format!("{} (search): {e}", what()))?
+                        .run;
                     Some(rs.cycles)
                 }
             };

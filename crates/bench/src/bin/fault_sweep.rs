@@ -5,7 +5,7 @@
 //! (dead PEs, dead mesh links, flaky links) into the full compile →
 //! bitstream → simulate stack. A fault-oblivious bitstream that touches
 //! a dead resource is wedged with a typed fault; the self-healing loop
-//! (`marionette::runner::run_kernel_faulted`) then re-runs the annealing
+//! (`marionette::runner::self_heal`) then re-runs the annealing
 //! placer with the faulty resources masked and bit-verifies the remap
 //! against the golden reference. The sweep reports, per preset, the
 //! cycles-vs-#faults degradation curve and the remap success rate.
@@ -48,10 +48,8 @@ use marionette::experiments::geomean;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::report::json_escape;
-use marionette::runner::{
-    run_kernel_faulted_traced, run_kernel_faulted_with_engine, RunnerError, DEFAULT_MAX_CYCLES,
-};
-use marionette::sim::{EngineKind, FaultSet, Tracer};
+use marionette::runner::{run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES};
+use marionette::sim::{EngineKind, FaultSet, RunSpec, Tracer};
 use marionette_bench::snapshot;
 use std::time::Instant;
 
@@ -317,53 +315,31 @@ fn measure(
         .map(|s| s.to_string())
         .collect::<Vec<_>>()
         .join("+");
-    let outcome = match tracer {
-        None => run_kernel_faulted_with_engine(
-            k.as_ref(),
-            arch,
-            args.scale,
-            SEED,
-            args.max_cycles,
-            &faults,
-            args.engine,
-        ),
-        Some(t) => run_kernel_faulted_traced(
-            k.as_ref(),
-            arch,
-            args.scale,
-            SEED,
-            args.max_cycles,
-            &faults,
-            args.engine,
-            t,
-        ),
+    let mut spec = RunSpec {
+        faults: &faults,
+        engine: args.engine,
+        max_cycles: args.max_cycles,
+        tracer,
     };
-    match outcome {
-        Ok(fr) => Ok(Measured {
-            kernel: tag,
-            arch: arch.short.to_string(),
-            faults: n,
-            fault_seed: fseed,
-            specs,
-            wedged: fr.wedged,
-            remapped: fr.remapped,
-            cycles: Some(fr.run.cycles),
-        }),
-        // The healthy compile of every shipped kernel × preset
-        // succeeds (the 0-fault sweep proves it), so a compile
-        // error here is the typed remap-infeasible outcome.
-        Err(RunnerError::Compile(e)) => Ok(Measured {
-            kernel: tag,
-            arch: arch.short.to_string(),
-            faults: n,
-            fault_seed: fseed,
-            specs,
-            wedged: Some(e.to_string()),
-            remapped: false,
-            cycles: None,
-        }),
-        Err(e) => Err(format!("{tag} on {} with [{specs}]: {e}", arch.short)),
-    }
+    let (wedged, remapped, cycles) =
+        match run_kernel_with(k.as_ref(), arch, args.scale, SEED, &mut spec) {
+            Ok(fr) => (fr.wedged, fr.remapped, Some(fr.run.cycles)),
+            // The healthy compile of every shipped kernel × preset
+            // succeeds (the 0-fault sweep proves it), so a compile
+            // error here is the typed remap-infeasible outcome.
+            Err(RunnerError::Compile(e)) => (Some(e.to_string()), false, None),
+            Err(e) => return Err(format!("{tag} on {} with [{specs}]: {e}", arch.short)),
+        };
+    Ok(Measured {
+        kernel: tag,
+        arch: arch.short.to_string(),
+        faults: n,
+        fault_seed: fseed,
+        specs,
+        wedged,
+        remapped,
+        cycles,
+    })
 }
 
 fn run(args: &Args, tags: Vec<String>, archs: Vec<Architecture>) -> Result<(), String> {

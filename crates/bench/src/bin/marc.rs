@@ -32,10 +32,9 @@
 use marionette::arch::{Architecture, FabricDims};
 use marionette::cdfg::value::Value;
 use marionette::compiler::SearchBudget;
-use marionette::sim::{EngineKind, FaultSet};
+use marionette::sim::{EngineKind, FaultSet, RunSpec};
 use marionette_lang::driver::{
-    frontend, reference, run_preset_engine, run_preset_engine_traced, run_preset_faulted_engine,
-    run_preset_faulted_engine_traced, DriverError, PresetRun, DEFAULT_MAX_CYCLES, INTERP_BUDGET,
+    frontend, reference, run_preset, DriverError, FaultRun, DEFAULT_MAX_CYCLES, INTERP_BUDGET,
 };
 
 struct Args {
@@ -236,8 +235,8 @@ fn json_report(
     search: Option<(u32, u32)>,
     fabric: FabricDims,
     faults: &FaultSet,
-    fault_info: &[(Option<String>, bool)],
-    runs: &[PresetRun],
+    runs: &[FaultRun],
+    disasm: bool,
 ) -> String {
     let mut j = String::new();
     j.push_str("{\n");
@@ -276,7 +275,8 @@ fn json_report(
     }
     j.push_str("},\n");
     j.push_str("  \"presets\": [\n");
-    for (i, r) in runs.iter().enumerate() {
+    for (i, fr) in runs.iter().enumerate() {
+        let r = &fr.run;
         let mut line = format!(
             "    {{\"preset\": \"{}\", \"cycles\": {}, \"fires\": {}, \
              \"link_stall_cycles\": {}, \"switch_stall_cycles\": {}, \"group_switches\": {}, \
@@ -290,12 +290,12 @@ fn json_report(
             r.routes,
             r.mean_data_hops
         );
-        if let Some((wedged, remapped)) = fault_info.get(i) {
-            match wedged {
+        if !faults.is_empty() {
+            match &fr.wedged {
                 Some(w) => line.push_str(&format!(", \"wedged\": \"{}\"", json_escape(w))),
                 None => line.push_str(", \"wedged\": null"),
             }
-            line.push_str(&format!(", \"remapped\": {remapped}"));
+            line.push_str(&format!(", \"remapped\": {}", fr.remapped));
         }
         if let Some(sr) = &r.search {
             line.push_str(&format!(
@@ -303,8 +303,9 @@ fn json_report(
                 sr.best_total, sr.accepted, sr.attempted, sr.seed
             ));
         }
-        if let Some(d) = &r.disasm {
-            line.push_str(&format!(", \"disasm\": \"{}\"", json_escape(d)));
+        if disasm {
+            let d = marionette::isa::disasm::disassemble(&fr.compiled.prog);
+            line.push_str(&format!(", \"disasm\": \"{}\"", json_escape(&d)));
         }
         line.push('}');
         line.push_str(if i + 1 == runs.len() { "\n" } else { ",\n" });
@@ -344,11 +345,6 @@ fn run() -> Result<(), i32> {
         args.fault_seed,
     )
     .map_err(fail2)?;
-    if !faults.is_empty() && args.disasm {
-        return Err(fail2(
-            "--disasm needs a healthy fabric (drop the fault flags)".to_string(),
-        ));
-    }
     let src = std::fs::read_to_string(&args.file).map_err(|e| {
         eprintln!("marc: reading {}: {e}", args.file);
         1
@@ -388,7 +384,6 @@ fn run() -> Result<(), i32> {
         println!("marc: injecting {faults}");
     }
     let mut runs = Vec::new();
-    let mut fault_info: Vec<(Option<String>, bool)> = Vec::new();
     let mut tracer = args.trace.as_ref().map(|_| marionette::sim::Tracer::new());
     for arch in &presets {
         let mut arch = arch.clone();
@@ -399,71 +394,26 @@ fn run() -> Result<(), i32> {
                 base_seed: 0xA11E,
             };
         }
-        let fail1 = |e: DriverError| {
+        let mut spec = RunSpec {
+            faults: &faults,
+            engine: args.engine,
+            max_cycles: args.max_cycles,
+            tracer: tracer.as_mut(),
+        };
+        let fr = run_preset(&g, &r, &arch, &overrides, &mut spec).map_err(|e| {
             eprintln!("marc: {e}");
             1
+        })?;
+        let note = match &fr.wedged {
+            Some(w) => format!("  (wedged by {w}, remapped)"),
+            None => String::new(),
         };
-        let (run, note) = if faults.is_empty() {
-            let run = match tracer.as_mut() {
-                None => run_preset_engine(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    args.disasm,
-                    args.engine,
-                )
-                .map_err(fail1)?,
-                Some(t) => run_preset_engine_traced(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    args.disasm,
-                    args.engine,
-                    t,
-                )
-                .map_err(fail1)?,
-            };
-            (run, String::new())
-        } else {
-            let fr = match tracer.as_mut() {
-                None => run_preset_faulted_engine(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    &faults,
-                    args.engine,
-                )
-                .map_err(fail1)?,
-                Some(t) => run_preset_faulted_engine_traced(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    &faults,
-                    args.engine,
-                    t,
-                )
-                .map_err(fail1)?,
-            };
-            let note = match &fr.wedged {
-                Some(w) => format!("  (wedged by {w}, remapped)"),
-                None => String::new(),
-            };
-            fault_info.push((fr.wedged.clone(), fr.remapped));
-            (fr.run, note)
-        };
+        let run = &fr.run;
         println!(
             "marc: {:>5}  {:>10} cycles  {:>9} fires  {:>7} link-stall  {:>5} switch-stall  verified{note}",
             run.preset, run.cycles, run.fires, run.link_stall_cycles, run.switch_stall_cycles
         );
-        runs.push(run);
+        runs.push(fr);
     }
 
     let report = json_report(
@@ -475,8 +425,8 @@ fn run() -> Result<(), i32> {
         args.search,
         args.fabric,
         &faults,
-        &fault_info,
         &runs,
+        args.disasm,
     );
     match &args.json {
         Some(path) if path != "-" => std::fs::write(path, &report).map_err(|e| {

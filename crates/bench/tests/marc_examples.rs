@@ -8,6 +8,7 @@
 
 use marionette::cdfg::value::Value;
 use marionette::kernels::crc::crc32_reference;
+use marionette::sim::RunSpec;
 use marionette_lang::driver::{frontend, reference, run_preset, Reference, INTERP_BUDGET};
 use marionette_lang::Diagnostic;
 
@@ -38,8 +39,9 @@ fn run_everywhere(name: &str) -> (marionette::cdfg::Cdfg, Reference) {
     let presets = marionette::arch::all_presets();
     assert_eq!(presets.len(), 9);
     for arch in &presets {
-        let run = run_preset(&g, &r, arch, &[], MAX_CYCLES, false)
-            .unwrap_or_else(|e| panic!("{name} on {}: {e}", arch.short));
+        let run = run_preset(&g, &r, arch, &[], &mut RunSpec::new(MAX_CYCLES))
+            .unwrap_or_else(|e| panic!("{name} on {}: {e}", arch.short))
+            .run;
         assert!(run.cycles > 0, "{name} on {}: empty run", arch.short);
     }
     (g, r)
@@ -102,6 +104,8 @@ fn examples_survive_the_mapping_explorer() {
         restarts: 1,
         base_seed: 7,
     };
-    let run = run_preset(&g, &r, &arch, &[], MAX_CYCLES, false).unwrap();
+    let run = run_preset(&g, &r, &arch, &[], &mut RunSpec::new(MAX_CYCLES))
+        .unwrap()
+        .run;
     assert!(run.search.is_some(), "search report missing");
 }

@@ -255,6 +255,15 @@ impl Cdfg {
             .map(|(i, n)| (NodeId(i as u32), n))
     }
 
+    /// Every array by name with its initial contents: the workload a
+    /// simulation of this graph starts from.
+    pub fn array_inputs(&self) -> Vec<(String, Vec<Value>)> {
+        self.arrays
+            .iter()
+            .map(|a| (a.name.clone(), a.init.clone()))
+            .collect()
+    }
+
     /// Looks up an array by name.
     pub fn array_by_name(&self, name: &str) -> Option<ArrayId> {
         self.arrays

@@ -64,26 +64,10 @@ pub fn compile(
     g: &Cdfg,
     opts: &CompileOptions,
 ) -> Result<(MachineProgram, CompileReport), PlaceError> {
-    compile_with_faults(g, opts, &FaultSet::none())
-}
-
-/// Fault-aware variant of [`compile`]: placement avoids dead PEs,
-/// routing detours around dead links (failing with
-/// [`PlaceError::Unroutable`] when no dimension order works), and the
-/// explorer's cost penalizes flaky links. An empty fault set is
-/// bit-identical to [`compile`].
-///
-/// # Errors
-/// Returns [`PlaceError`] when the program cannot fit on, or be routed
-/// across, the live fabric.
-pub fn compile_with_faults(
-    g: &Cdfg,
-    opts: &CompileOptions,
-    faults: &FaultSet,
-) -> Result<(MachineProgram, CompileReport), PlaceError> {
+    let none = FaultSet::none();
     match opts.search {
-        SearchBudget::Off => compile_greedy(g, opts, faults),
-        _ => compile_with_cost(g, opts, &CostModel::neutral(), faults),
+        SearchBudget::Off => compile_greedy(g, opts, &none),
+        _ => compile_with_cost(g, opts, &CostModel::neutral(), &none),
     }
 }
 
@@ -100,9 +84,11 @@ pub fn compile_with_timing(
     compile_with_timing_and_faults(g, opts, tm, &FaultSet::none())
 }
 
-/// Fault-aware variant of [`compile_with_timing`] (see
-/// [`compile_with_faults`] for the fault semantics). An empty fault set
-/// is bit-identical to [`compile_with_timing`].
+/// Fault-aware variant of [`compile_with_timing`]: placement avoids
+/// dead PEs, routing detours around dead links (failing with
+/// [`PlaceError::Unroutable`] when no dimension order works), and the
+/// explorer's cost penalizes flaky links. An empty fault set is
+/// bit-identical to [`compile_with_timing`].
 ///
 /// # Errors
 /// Returns [`PlaceError`] when the program cannot fit on, or be routed
@@ -182,21 +168,9 @@ fn compile_with_cost(
 }
 
 /// Routes an explorer-chosen placement with the congestion-aware router
-/// and generates the configuration. Exposed so the runner can fan the
+/// and generates the configuration: the rip-up router refuses dead
+/// links and penalizes flaky ones. Exposed so the runner can fan the
 /// annealing chains out across threads and finalize the winner itself.
-pub fn finalize_explored(
-    g: &Cdfg,
-    opts: &CompileOptions,
-    cm: &CostModel,
-    ex: ExploreResult,
-) -> (MachineProgram, CompileReport) {
-    finalize_explored_with_faults(g, opts, cm, ex, &FaultSet::none())
-        .expect("routing is infallible without faults")
-}
-
-/// Fault-aware variant of [`finalize_explored`]: the rip-up router
-/// refuses dead links and penalizes flaky ones. An empty fault set is
-/// bit-identical to [`finalize_explored`].
 ///
 /// # Errors
 /// Returns [`PlaceError::Unroutable`] when some placed edge has no

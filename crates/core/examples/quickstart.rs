@@ -56,11 +56,7 @@ fn main() {
     let prog = marionette::isa::bitstream::decode(&bytes).unwrap();
 
     // 4. Simulate.
-    let inputs: Vec<(String, Vec<marionette::cdfg::Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     let tm = TimingModel::ideal("marionette");
     let r = run(&prog, &tm, &inputs, &[], 10_000_000).expect("runs");
     let expected: i64 = a_data

@@ -12,15 +12,15 @@ use marionette_cdfg::value::Value;
 use marionette_cdfg::Cdfg;
 use marionette_compiler::{
     compile_with_timing_and_faults, explore_chain_with_faults, finalize_explored_with_faults,
-    select_best, CompileReport, CostModel, PartitionMap, PlaceError, SearchBudget,
+    select_best, CompileReport, CostModel, PlaceError, SearchBudget,
 };
 use marionette_isa::bitstream::{self, BitstreamError};
 use marionette_isa::MachineProgram;
 use marionette_kernels::traits::{Golden, Kernel, KernelError, Scale};
 use marionette_kernels::verify::check_vs_golden;
 use marionette_sim::{
-    run_full, run_full_traced, run_lanes_full, run_with_engine, EngineKind, FaultSet, LaneSpec,
-    RunResult, RunStats, SimError, Tracer,
+    run_lanes_full, run_with, EngineKind, FaultSet, LaneSpec, RunResult, RunSpec, RunStats,
+    SimError,
 };
 use std::fmt;
 
@@ -170,28 +170,6 @@ pub fn compile_for_arch_with_faults(
     finalize_explored_with_faults(g, &arch.opts, &cm, select_best(ok), faults)
 }
 
-/// Region-scoped variant of [`compile_for_arch`]: placement and routing
-/// are confined to partition `idx` of `map`, with the rest of the host
-/// fabric rendered as an exclusion mask over the fault-avoidance
-/// machinery ([`PartitionMap::exclusion_mask`]) — the explorer's
-/// legality caps and the rip-up router treat out-of-region tiles and
-/// boundary-crossing links exactly like dead resources. `arch` must be
-/// instantiated on the **host** fabric dims (this is the fabric-view
-/// compile path; tenancy's solo-equivalent path instead compiles on the
-/// partition's own dims, see `marionette_lang`'s tenancy driver).
-///
-/// # Errors
-/// Returns [`PlaceError`] when the program cannot fit inside, or be
-/// routed within, the region.
-pub fn compile_for_arch_in_region(
-    g: &Cdfg,
-    arch: &Architecture,
-    map: &PartitionMap,
-    idx: usize,
-) -> Result<(MachineProgram, CompileReport), PlaceError> {
-    compile_for_arch_with_faults(g, arch, &map.exclusion_mask(idx))
-}
-
 /// Compiles and simulates `kernel` on `arch`, verifying outputs against
 /// the golden reference. The ISA bitstream round-trip is exercised on
 /// every call: the simulator runs the *decoded* program.
@@ -206,134 +184,141 @@ pub fn run_kernel(
     seed: u64,
     max_cycles: u64,
 ) -> Result<KernelRun, RunnerError> {
-    run_kernel_with_engine(kernel, arch, scale, seed, max_cycles, EngineKind::default())
+    run_kernel_with(kernel, arch, scale, seed, &mut RunSpec::new(max_cycles)).map(|fr| fr.run)
 }
 
-/// [`run_kernel`] with an explicit simulator [`EngineKind`]. Both
-/// engines are bit-identical (pinned by
-/// `crates/core/tests/engine_equivalence.rs`); the selector exists so
-/// differential harnesses and the `--engine` CLI axes can pin either
-/// core explicitly.
+/// [`run_kernel`] on a fabric with `faults` injected, self-healing by
+/// remap ([`self_heal`]) when the fault-oblivious bitstream touches a
+/// dead resource. With an empty `faults` this is bit-identical to
+/// [`run_kernel`].
 ///
 /// # Errors
-/// Returns [`RunnerError`] on compile/simulation failure or output
-/// mismatch.
-pub fn run_kernel_with_engine(
+/// As [`run_kernel_with`].
+pub fn run_kernel_faulted(
     kernel: &dyn Kernel,
     arch: &Architecture,
     scale: Scale,
     seed: u64,
     max_cycles: u64,
-    engine: EngineKind,
-) -> Result<KernelRun, RunnerError> {
-    let wl = kernel.workload(scale, seed);
-    let golden = kernel.golden(&wl)?;
-    let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    let prog = roundtrip(&prog)?;
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let r = run_with_engine(&prog, &arch.tm, engine, &inputs, &[], max_cycles)?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
-    Ok(KernelRun {
-        arch: arch.short.to_string(),
-        kernel: kernel.short().to_string(),
-        cycles: r.stats.cycles,
-        stats: r.stats,
-        report,
-        verified: true,
-    })
+    faults: &FaultSet,
+) -> Result<FaultKernelRun, RunnerError> {
+    let mut spec = RunSpec {
+        faults,
+        ..RunSpec::new(max_cycles)
+    };
+    run_kernel_with(kernel, arch, scale, seed, &mut spec)
 }
 
-/// [`run_kernel_with_engine`] with a [`Tracer`] recording the
-/// cycle-accurate event stream ([`marionette_sim::trace`]). The traced
-/// run is bit-identical to the untraced one — same cycles, same stats,
-/// same outputs — which `crates/core/tests/trace_plane.rs` pins.
+/// Compiles and simulates `kernel` on `arch` as `spec` says (faults,
+/// engine, cycle budget, tracer) and bit-verifies the surviving run
+/// against the golden reference:
+///
+/// 1. compile normally and simulate with the faults injected;
+/// 2. on a typed [`SimError::Fault`], remap around the faulty resources
+///    and simulate the remap ([`self_heal`]);
+/// 3. either way, bit-verify the run against the golden reference.
+///
+/// Engines and tracing never change the result: both engines are
+/// bit-identical (`crates/core/tests/engine_equivalence.rs`), and so are
+/// traced and untraced runs (`crates/core/tests/trace_plane.rs`). A
+/// remap that still cannot fit surfaces as [`RunnerError::Compile`] —
+/// the typed "remap infeasible" outcome degradation sweeps count as a
+/// failure (the healthy compile of every shipped kernel × preset
+/// succeeds, so a compile error under faults always means the remap).
 ///
 /// # Errors
-/// Returns [`RunnerError`] on compile/simulation failure or output
-/// mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_traced(
+/// Returns [`RunnerError`] on compile/simulation failure (of whichever
+/// pipeline survives fault screening) or output mismatch.
+pub fn run_kernel_with(
     kernel: &dyn Kernel,
     arch: &Architecture,
     scale: Scale,
     seed: u64,
-    max_cycles: u64,
-    engine: EngineKind,
-    tracer: &mut Tracer,
-) -> Result<KernelRun, RunnerError> {
+    spec: &mut RunSpec<'_>,
+) -> Result<FaultKernelRun, RunnerError> {
     let wl = kernel.workload(scale, seed);
     let golden = kernel.golden(&wl)?;
     let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    let prog = roundtrip(&prog)?;
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let r = run_full_traced(
-        &prog,
-        &arch.tm,
-        &FaultSet::none(),
-        engine,
-        &inputs,
-        &[],
-        max_cycles,
-        tracer,
-    )?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
-    Ok(KernelRun {
-        arch: arch.short.to_string(),
-        kernel: kernel.short().to_string(),
-        cycles: r.stats.cycles,
-        stats: r.stats,
-        report,
-        verified: true,
+    let mut stages = KernelStages {
+        kernel,
+        arch,
+        inputs: g.array_inputs(),
+        g,
+        golden,
+    };
+    let healed = self_heal(&mut stages, arch, spec).map_err(HealError::into_inner)?;
+    let r = healed.run;
+    Ok(FaultKernelRun {
+        remapped: healed.wedged.is_some(),
+        wedged: healed.wedged,
+        run: KernelRun {
+            arch: arch.short.to_string(),
+            kernel: kernel.short().to_string(),
+            cycles: r.stats.cycles,
+            stats: r.stats,
+            report: healed.artifact.1,
+            verified: true,
+        },
     })
+}
+
+/// The runner's compile and simulate stages for one kernel workload.
+struct KernelStages<'k> {
+    kernel: &'k dyn Kernel,
+    arch: &'k Architecture,
+    g: Cdfg,
+    golden: Golden,
+    inputs: Vec<(String, Vec<Value>)>,
+}
+
+impl HealStages for KernelStages<'_> {
+    type Artifact = (MachineProgram, CompileReport);
+    type Run = RunResult;
+    type Error = RunnerError;
+
+    fn compile(
+        &mut self,
+        arch: &Architecture,
+        avoid: &FaultSet,
+    ) -> Result<Self::Artifact, RunnerError> {
+        let (prog, report) = compile_for_arch_with_faults(&self.g, arch, avoid)?;
+        Ok((roundtrip(&prog)?, report))
+    }
+
+    fn simulate(
+        &mut self,
+        (prog, _): &Self::Artifact,
+        spec: &mut RunSpec<'_>,
+    ) -> Result<RunResult, RunnerError> {
+        let r = run_with(prog, &self.arch.tm, &self.inputs, &[], spec)?;
+        verify_golden(self.kernel, self.arch, &self.g, &self.golden, &r)?;
+        Ok(r)
+    }
+
+    fn sim_error(e: &RunnerError) -> Option<&SimError> {
+        match e {
+            RunnerError::Sim(e) => Some(e),
+            _ => None,
+        }
+    }
 }
 
 /// Compiles `kernel` **once** and simulates one lane per seed in a
-/// single batched pass ([`marionette_sim::run_lanes`]): the machine
-/// skeleton and the mapping are shared, only each lane's workload
-/// (arrays seeded per lane) differs. Every lane is verified against its
-/// own golden reference, so the result vector is bit-identical to
-/// calling [`run_kernel`] once per seed — the per-seed graphs of every
-/// shipped kernel differ only in array contents at a fixed scale, which
-/// is exactly what a lane carries. A lane that deadlocks or exhausts the
-/// budget reports its own `Err` without poisoning its neighbours.
+/// single batched pass ([`marionette_sim::run_lanes_full`]) on `engine`:
+/// the machine skeleton and the mapping are shared, only each lane's
+/// workload (arrays seeded per lane) differs. Every lane is verified
+/// against its own golden reference, so the result vector is
+/// bit-identical to calling [`run_kernel`] once per seed — the per-seed
+/// graphs of every shipped kernel differ only in array contents at a
+/// fixed scale, which is exactly what a lane carries. A lane that
+/// deadlocks or exhausts the budget reports its own `Err` without
+/// poisoning its neighbours.
 ///
 /// # Errors
 /// The outer `Err` covers the shared stages (workload/golden
 /// construction, the one compile, the bitstream round-trip); per-lane
 /// simulation/verification failures come back in the inner results.
 pub fn run_kernel_lanes(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seeds: &[u64],
-    max_cycles: u64,
-) -> Result<Vec<Result<KernelRun, RunnerError>>, RunnerError> {
-    run_kernel_lanes_with_engine(
-        kernel,
-        arch,
-        scale,
-        seeds,
-        max_cycles,
-        EngineKind::default(),
-    )
-}
-
-/// [`run_kernel_lanes`] with an explicit simulator [`EngineKind`].
-///
-/// # Errors
-/// As [`run_kernel_lanes`]: outer `Err` for the shared stages, inner
-/// per-lane errors otherwise.
-pub fn run_kernel_lanes_with_engine(
     kernel: &dyn Kernel,
     arch: &Architecture,
     scale: Scale,
@@ -374,11 +359,7 @@ pub fn run_kernel_lanes_with_engine(
     let lanes: Vec<LaneSpec> = per_seed
         .iter()
         .map(|(g, _)| LaneSpec {
-            inputs: g
-                .arrays
-                .iter()
-                .map(|a| (a.name.clone(), a.init.clone()))
-                .collect(),
+            inputs: g.array_inputs(),
             params: Vec::new(),
         })
         .collect();
@@ -455,200 +436,134 @@ pub struct FaultKernelRun {
     pub run: KernelRun,
 }
 
-/// Runs `kernel` on `arch` with `faults` injected, self-healing by remap
-/// when the fault-oblivious bitstream touches a dead resource:
-///
-/// 1. compile normally and simulate with the faults injected;
-/// 2. on a typed [`SimError::Fault`], recompile with the faulty
-///    resources masked (forcing the annealing explorer on, so operators
-///    can move off dead tiles) and simulate the remap;
-/// 3. either way, bit-verify the surviving run against the golden
-///    reference — the same oracle [`run_kernel`] applies.
-///
-/// With an empty `faults` this is bit-identical to [`run_kernel`]. A
-/// remap that still cannot fit surfaces as [`RunnerError::Compile`] —
-/// the typed "remap infeasible" outcome degradation sweeps count as a
-/// failure (the healthy compile of every shipped kernel × preset
-/// succeeds, so a compile error here always means the remap).
-///
-/// # Errors
-/// Returns [`RunnerError`] on compile/simulation failure (of whichever
-/// pipeline survives fault screening) or output mismatch.
-pub fn run_kernel_faulted(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seed: u64,
-    max_cycles: u64,
-    faults: &FaultSet,
-) -> Result<FaultKernelRun, RunnerError> {
-    run_kernel_faulted_with_engine(
-        kernel,
-        arch,
-        scale,
-        seed,
-        max_cycles,
-        faults,
-        EngineKind::default(),
-    )
+/// The compile and simulate stages [`self_heal`] drives. A stage owns
+/// whatever the two share — the program being compiled, the oracle a
+/// run is verified against, stage timers — and a test can plug in fake
+/// stages.
+pub trait HealStages {
+    /// A compiled, simulatable program.
+    type Artifact;
+    /// A simulated (and, where the stage verifies, verified) run.
+    type Run;
+    /// A stage failure.
+    type Error;
+
+    /// Compiles for `arch`, placing and routing around `avoid`.
+    ///
+    /// # Errors
+    /// Returns the stage's error when the program does not fit.
+    fn compile(
+        &mut self,
+        arch: &Architecture,
+        avoid: &FaultSet,
+    ) -> Result<Self::Artifact, Self::Error>;
+
+    /// Simulates `artifact` as `spec` says.
+    ///
+    /// # Errors
+    /// Returns the stage's error on a failed or diverging run.
+    fn simulate(
+        &mut self,
+        artifact: &Self::Artifact,
+        spec: &mut RunSpec<'_>,
+    ) -> Result<Self::Run, Self::Error>;
+
+    /// The simulator error behind `e`, when a simulation caused it.
+    fn sim_error(e: &Self::Error) -> Option<&SimError>;
 }
 
-/// [`run_kernel_faulted`] with an explicit simulator [`EngineKind`] —
-/// fault delivery (dead-resource screening, flaky-link stretches, the
-/// self-healing remap) is engine-independent, and this selector lets the
-/// fault harnesses pin either core.
+/// The surviving pipeline of a [`self_heal`] run.
+#[derive(Debug)]
+pub struct Healed<A, R> {
+    /// The artifact that ran: the original compile, or the remap.
+    pub artifact: A,
+    /// Its run.
+    pub run: R,
+    /// The faulted resource (fault-spec syntax, e.g. `pe:1,2`) that
+    /// wedged the original artifact; `Some` exactly when `artifact` is
+    /// the remap.
+    pub wedged: Option<String>,
+}
+
+/// A [`self_heal`] failure, telling the remap compile apart from every
+/// other stage.
+#[derive(Debug)]
+pub enum HealError<E> {
+    /// The original compile, or a simulation of either artifact, failed.
+    Stage(E),
+    /// The original artifact wedged on `wedged` and the remap around the
+    /// faults could not be compiled: the typed "remap infeasible"
+    /// outcome.
+    Remap {
+        /// The faulted resource the original artifact touched.
+        wedged: String,
+        /// The remap compile's error.
+        error: E,
+    },
+}
+
+impl<E> HealError<E> {
+    /// The stage error, whichever stage failed.
+    pub fn into_inner(self) -> E {
+        match self {
+            HealError::Stage(e) | HealError::Remap { error: e, .. } => e,
+        }
+    }
+}
+
+/// The self-heal policy, the one place it is written:
+///
+/// 1. compile the fault-oblivious artifact and simulate it with
+///    `spec.faults` injected;
+/// 2. if — and only if — the simulator rejects it with a typed
+///    [`SimError::Fault`], mark `remap after <resource>` on the tracer,
+///    recompile with the faults as the avoid-mask (forcing
+///    [`SearchBudget::default_on`] when `arch` compiles one-shot: the
+///    greedy placer alone cannot rebalance around arbitrary dead tiles)
+///    and simulate the remap once. A failure of that run is returned,
+///    never retried.
 ///
 /// # Errors
-/// As [`run_kernel_faulted`].
-pub fn run_kernel_faulted_with_engine(
-    kernel: &dyn Kernel,
+/// [`HealError::Remap`] when the remap does not compile,
+/// [`HealError::Stage`] for every other stage failure.
+#[allow(clippy::type_complexity)]
+pub fn self_heal<S: HealStages>(
+    stages: &mut S,
     arch: &Architecture,
-    scale: Scale,
-    seed: u64,
-    max_cycles: u64,
-    faults: &FaultSet,
-    engine: EngineKind,
-) -> Result<FaultKernelRun, RunnerError> {
-    let wl = kernel.workload(scale, seed);
-    let golden = kernel.golden(&wl)?;
-    let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    let prog = roundtrip(&prog)?;
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let wedged = match run_full(&prog, &arch.tm, faults, engine, &inputs, &[], max_cycles) {
-        Ok(r) => {
-            verify_golden(kernel, arch, &g, &golden, &r)?;
-            return Ok(FaultKernelRun {
+    spec: &mut RunSpec<'_>,
+) -> Result<Healed<S::Artifact, S::Run>, HealError<S::Error>> {
+    let artifact = stages
+        .compile(arch, &FaultSet::none())
+        .map_err(HealError::Stage)?;
+    let wedged = match stages.simulate(&artifact, spec) {
+        Ok(run) => {
+            return Ok(Healed {
+                artifact,
+                run,
                 wedged: None,
-                remapped: false,
-                run: KernelRun {
-                    arch: arch.short.to_string(),
-                    kernel: kernel.short().to_string(),
-                    cycles: r.stats.cycles,
-                    stats: r.stats,
-                    report,
-                    verified: true,
-                },
-            });
+            })
         }
-        Err(SimError::Fault { what, .. }) => what,
-        Err(e) => return Err(RunnerError::Sim(e)),
+        Err(e) => match S::sim_error(&e) {
+            Some(SimError::Fault { what, .. }) => what.clone(),
+            _ => return Err(HealError::Stage(e)),
+        },
     };
-    // Self-heal: recompile with the faulty resources masked. Presets
-    // that compile one-shot get the default annealing budget — the
-    // greedy placer alone cannot rebalance around arbitrary dead tiles.
+    if let Some(t) = spec.tracer.as_deref_mut() {
+        t.mark(0, &format!("remap after {wedged}"));
+    }
     let mut healed = arch.clone();
     if !healed.opts.search.is_on() {
         healed.opts.search = SearchBudget::default_on();
     }
-    let (prog, report) = compile_for_arch_with_faults(&g, &healed, faults)?;
-    let prog = roundtrip(&prog)?;
-    let r = run_full(&prog, &arch.tm, faults, engine, &inputs, &[], max_cycles)?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
-    Ok(FaultKernelRun {
-        wedged: Some(wedged),
-        remapped: true,
-        run: KernelRun {
-            arch: arch.short.to_string(),
-            kernel: kernel.short().to_string(),
-            cycles: r.stats.cycles,
-            stats: r.stats,
-            report,
-            verified: true,
-        },
-    })
-}
-
-/// [`run_kernel_faulted_with_engine`] with a [`Tracer`]: the surviving
-/// pipeline (original or self-healed remap) is simulated traced, and a
-/// wedged bitstream leaves a `remap after <resource>` marker on the
-/// trace's marks track, so a healthy-vs-remapped `trace_diff` can anchor
-/// on the heal point.
-///
-/// # Errors
-/// As [`run_kernel_faulted_with_engine`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_faulted_traced(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seed: u64,
-    max_cycles: u64,
-    faults: &FaultSet,
-    engine: EngineKind,
-    tracer: &mut Tracer,
-) -> Result<FaultKernelRun, RunnerError> {
-    let wl = kernel.workload(scale, seed);
-    let golden = kernel.golden(&wl)?;
-    let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    let prog = roundtrip(&prog)?;
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let wedged = match run_full_traced(
-        &prog,
-        &arch.tm,
-        faults,
-        engine,
-        &inputs,
-        &[],
-        max_cycles,
-        tracer,
-    ) {
-        Ok(r) => {
-            verify_golden(kernel, arch, &g, &golden, &r)?;
-            return Ok(FaultKernelRun {
-                wedged: None,
-                remapped: false,
-                run: KernelRun {
-                    arch: arch.short.to_string(),
-                    kernel: kernel.short().to_string(),
-                    cycles: r.stats.cycles,
-                    stats: r.stats,
-                    report,
-                    verified: true,
-                },
-            });
-        }
-        Err(SimError::Fault { what, .. }) => what,
-        Err(e) => return Err(RunnerError::Sim(e)),
+    let artifact = match stages.compile(&healed, spec.faults) {
+        Ok(a) => a,
+        Err(error) => return Err(HealError::Remap { wedged, error }),
     };
-    tracer.mark(0, &format!("remap after {wedged}"));
-    let mut healed = arch.clone();
-    if !healed.opts.search.is_on() {
-        healed.opts.search = SearchBudget::default_on();
-    }
-    let (prog, report) = compile_for_arch_with_faults(&g, &healed, faults)?;
-    let prog = roundtrip(&prog)?;
-    let r = run_full_traced(
-        &prog,
-        &arch.tm,
-        faults,
-        engine,
-        &inputs,
-        &[],
-        max_cycles,
-        tracer,
-    )?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
-    Ok(FaultKernelRun {
+    let run = stages.simulate(&artifact, spec).map_err(HealError::Stage)?;
+    Ok(Healed {
+        artifact,
+        run,
         wedged: Some(wedged),
-        remapped: true,
-        run: KernelRun {
-            arch: arch.short.to_string(),
-            kernel: kernel.short().to_string(),
-            cycles: r.stats.cycles,
-            stats: r.stats,
-            report,
-            verified: true,
-        },
     })
 }
 
@@ -679,4 +594,154 @@ pub fn run_grid(
         run_kernel(k, a, scale, seed, max_cycles)
     });
     results.into_iter().collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, PartialEq)]
+    enum FakeError {
+        Compile,
+        Sim(SimError),
+    }
+
+    /// Scripted stages: each compile returns its call index and records
+    /// the search budget and avoid-mask it saw; each simulation pops the
+    /// next scripted outcome.
+    struct Fake {
+        compiles: Vec<(SearchBudget, Vec<String>)>,
+        remap_compiles: bool,
+        sims: Vec<Result<u64, SimError>>,
+    }
+
+    impl HealStages for Fake {
+        type Artifact = usize;
+        type Run = u64;
+        type Error = FakeError;
+
+        fn compile(&mut self, arch: &Architecture, avoid: &FaultSet) -> Result<usize, FakeError> {
+            let specs = avoid.specs().iter().map(|s| s.to_string()).collect();
+            self.compiles.push((arch.opts.search, specs));
+            if self.compiles.len() > 1 && !self.remap_compiles {
+                return Err(FakeError::Compile);
+            }
+            Ok(self.compiles.len() - 1)
+        }
+
+        fn simulate(&mut self, _: &usize, _: &mut RunSpec<'_>) -> Result<u64, FakeError> {
+            self.sims.remove(0).map_err(FakeError::Sim)
+        }
+
+        fn sim_error(e: &FakeError) -> Option<&SimError> {
+            match e {
+                FakeError::Sim(e) => Some(e),
+                FakeError::Compile => None,
+            }
+        }
+    }
+
+    /// Runs [`self_heal`] over scripted simulation outcomes on `arch`
+    /// with a dead PE at (1, 2) injected, returning the stages for
+    /// inspection.
+    #[allow(clippy::type_complexity)]
+    fn heal(
+        arch: &Architecture,
+        remap_compiles: bool,
+        sims: Vec<Result<u64, SimError>>,
+    ) -> (Fake, Result<Healed<usize, u64>, HealError<FakeError>>) {
+        let mut faults = FaultSet::new(4, 4);
+        faults.add("pe:1,2".parse().unwrap()).unwrap();
+        let mut spec = RunSpec {
+            faults: &faults,
+            ..RunSpec::new(100)
+        };
+        let mut fake = Fake {
+            compiles: Vec::new(),
+            remap_compiles,
+            sims,
+        };
+        let r = self_heal(&mut fake, arch, &mut spec);
+        (fake, r)
+    }
+
+    fn fault() -> SimError {
+        SimError::Fault {
+            what: "pe:1,2".to_string(),
+            detail: "dead".to_string(),
+        }
+    }
+
+    #[test]
+    fn non_fault_sim_error_returns_without_a_remap() {
+        let deadlock = SimError::Deadlock {
+            cycle: 7,
+            detail: "stuck".to_string(),
+        };
+        let arch = marionette_arch::marionette_full();
+        match heal(&arch, true, vec![Err(deadlock.clone())]) {
+            (fake, Err(HealError::Stage(FakeError::Sim(e)))) => {
+                assert_eq!(e, deadlock);
+                assert_eq!(fake.compiles.len(), 1, "no remap on a non-fault error");
+            }
+            (_, other) => panic!("expected the deadlock back, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_fault_triggers_exactly_one_remap_with_the_faults_as_mask() {
+        let arch = marionette_arch::marionette_full();
+        assert!(!arch.opts.search.is_on());
+        let (fake, r) = heal(&arch, true, vec![Err(fault()), Ok(42)]);
+        let healed = r.unwrap();
+        assert_eq!(healed.wedged.as_deref(), Some("pe:1,2"));
+        assert_eq!((healed.artifact, healed.run), (1, 42));
+        assert_eq!(
+            fake.compiles,
+            vec![
+                (arch.opts.search, Vec::new()),
+                (SearchBudget::default_on(), vec!["pe:1,2".to_string()]),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_search_budget_already_on_is_kept_for_the_remap() {
+        let mut arch = marionette_arch::marionette_full();
+        let budget = SearchBudget::Anneal {
+            moves: 17,
+            restarts: 3,
+            base_seed: 5,
+        };
+        arch.opts.search = budget;
+        let (fake, r) = heal(&arch, true, vec![Err(fault()), Ok(1)]);
+        r.unwrap();
+        assert_eq!(fake.compiles.len(), 2);
+        assert!(fake.compiles.iter().all(|(b, _)| *b == budget));
+    }
+
+    #[test]
+    fn a_fault_after_the_remap_is_returned_not_retried() {
+        let arch = marionette_arch::marionette_full();
+        match heal(&arch, true, vec![Err(fault()), Err(fault())]) {
+            (fake, Err(HealError::Stage(FakeError::Sim(e)))) => {
+                assert_eq!(e, fault());
+                assert_eq!(fake.compiles.len(), 2, "one remap, no retry");
+                assert!(fake.sims.is_empty());
+            }
+            (_, other) => panic!("expected the second fault back, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_remap_compile_is_told_apart_from_the_first() {
+        let arch = marionette_arch::marionette_full();
+        match heal(&arch, false, vec![Err(fault())]).1 {
+            Err(HealError::Remap { wedged, error }) => {
+                assert_eq!(wedged, "pe:1,2");
+                assert_eq!(error, FakeError::Compile);
+            }
+            other => panic!("expected a remap failure, got {other:?}"),
+        }
+    }
 }

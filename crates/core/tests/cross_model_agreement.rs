@@ -58,11 +58,7 @@ fn gen_program(shape: &[u8]) -> Cdfg {
 
 fn run_sim(g: &Cdfg, tm: &TimingModel, opts: &CompileOptions) -> (Vec<Value>, Value) {
     let (prog, _) = compile(g, opts).expect("compiles");
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     let r = run(&prog, tm, &inputs, &[], 50_000_000).expect("simulates");
     let out_idx = prog.arrays.iter().position(|a| a.name == "out").unwrap();
     (r.memory[out_idx].clone(), r.sinks.get("total").unwrap()[0])

@@ -10,8 +10,8 @@
 
 use marionette::compiler::compile;
 use marionette::kernels::traits::Scale;
-use marionette::runner::run_kernel_faulted_with_engine;
-use marionette::sim::{run_full, run_with_engine, EngineKind, FaultSet, RunResult, SimError};
+use marionette::runner::run_kernel_with;
+use marionette::sim::{run_full, EngineKind, FaultSet, RunResult, RunSpec, SimError};
 
 const MAX_CYCLES: u64 = 500_000_000;
 
@@ -63,19 +63,23 @@ fn assert_engine_identical(tag: &str, seed: u64, scale: Scale) {
     let k = marionette::kernels::by_short(tag).expect("kernel tag");
     let wl = k.workload(scale, seed);
     let g = k.build(&wl).expect("kernel builds");
-    let inputs: Vec<(String, Vec<marionette::cdfg::value::Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     for arch in marionette::arch::all_presets() {
         let (prog, _) = compile(&g, &arch.opts)
             .unwrap_or_else(|e| panic!("{tag} on {}: compile: {e}", arch.name));
         let bytes = marionette::isa::bitstream::encode(&prog);
         let prog = marionette::isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
         let run = |engine| {
-            run_with_engine(&prog, &arch.tm, engine, &inputs, &[], MAX_CYCLES)
-                .unwrap_or_else(|e| panic!("{tag} on {} ({engine}): {e}", arch.name))
+            run_full(
+                &prog,
+                &arch.tm,
+                &FaultSet::none(),
+                engine,
+                &inputs,
+                &[],
+                MAX_CYCLES,
+            )
+            .unwrap_or_else(|e| panic!("{tag} on {} ({engine}): {e}", arch.name))
         };
         let wheel = run(EngineKind::Wheel);
         let heap = run(EngineKind::Heap);
@@ -111,11 +115,7 @@ fn assert_faulted_engine_identical(tag: &str, specs: &[&str]) {
     let k = marionette::kernels::by_short(tag).expect("kernel tag");
     let wl = k.workload(Scale::Tiny, 7);
     let g = k.build(&wl).expect("kernel builds");
-    let inputs: Vec<(String, Vec<marionette::cdfg::value::Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     for arch in marionette::arch::all_presets() {
         let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
         for s in specs {
@@ -174,16 +174,13 @@ fn self_heal_remap_is_engine_identical() {
     let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
     faults.add("pe:0,0".parse().unwrap()).unwrap();
     let run = |engine| {
-        run_kernel_faulted_with_engine(
-            k.as_ref(),
-            &arch,
-            Scale::Tiny,
-            7,
-            MAX_CYCLES,
-            &faults,
+        let mut spec = RunSpec {
+            faults: &faults,
             engine,
-        )
-        .unwrap_or_else(|e| panic!("faulted run ({engine}): {e}"))
+            ..RunSpec::new(MAX_CYCLES)
+        };
+        run_kernel_with(k.as_ref(), &arch, Scale::Tiny, 7, &mut spec)
+            .unwrap_or_else(|e| panic!("faulted run ({engine}): {e}"))
     };
     let wheel = run(EngineKind::Wheel);
     let heap = run(EngineKind::Heap);
@@ -201,15 +198,12 @@ fn cycle_limit_is_engine_identical() {
     let k = marionette::kernels::by_short("CRC").expect("kernel tag");
     let wl = k.workload(Scale::Tiny, 7);
     let g = k.build(&wl).expect("kernel builds");
-    let inputs: Vec<(String, Vec<marionette::cdfg::value::Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     let arch = marionette::arch::marionette_full();
     let (prog, _) = compile(&g, &arch.opts).expect("compiles");
     for budget in [1u64, 16, 100] {
-        let run = |engine| run_with_engine(&prog, &arch.tm, engine, &inputs, &[], budget);
+        let none = FaultSet::none();
+        let run = |engine| run_full(&prog, &arch.tm, &none, engine, &inputs, &[], budget);
         let (w, h) = (run(EngineKind::Wheel), run(EngineKind::Heap));
         assert_eq!(
             w.clone().err(),

@@ -15,6 +15,9 @@ use marionette::sim::{
 
 const MAX_CYCLES: u64 = 500_000_000;
 
+/// The production engine (`engine_equivalence.rs` pins the heap to it).
+const ENGINE: EngineKind = EngineKind::Wheel;
+
 fn assert_runs_identical(tag: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.stats, b.stats, "{tag}: stats diverge");
     assert_eq!(a.oob_events, b.oob_events, "{tag}: oob diverges");
@@ -43,7 +46,7 @@ fn assert_kernel_lanes_match_serial(tag: &str, widths: &[usize]) {
     let arch = marionette::arch::marionette_full();
     for &n in widths {
         let seeds: Vec<u64> = (40..40 + n as u64).collect();
-        let batched = run_kernel_lanes(k.as_ref(), &arch, Scale::Tiny, &seeds, MAX_CYCLES)
+        let batched = run_kernel_lanes(k.as_ref(), &arch, Scale::Tiny, &seeds, MAX_CYCLES, ENGINE)
             .unwrap_or_else(|e| panic!("{tag} x{n}: batch: {e}"));
         assert_eq!(batched.len(), n);
         for (li, (lane, &seed)) in batched.into_iter().zip(&seeds).enumerate() {
@@ -74,14 +77,14 @@ fn crc_lanes_match_serial_runs() {
 fn immediates_baking_kernel_refuses_cross_seed_batching() {
     let k = marionette::kernels::by_short("CO").expect("kernel tag");
     let arch = marionette::arch::marionette_full();
-    let err = run_kernel_lanes(k.as_ref(), &arch, Scale::Tiny, &[1, 2], MAX_CYCLES)
+    let err = run_kernel_lanes(k.as_ref(), &arch, Scale::Tiny, &[1, 2], MAX_CYCLES, ENGINE)
         .expect_err("distinct Conv-1d seeds must not share a bitstream");
     match err {
         RunnerError::NotBatchable { lane, .. } => assert_eq!(lane, 1),
         other => panic!("expected NotBatchable, got {other}"),
     }
     // Identical seeds share one program trivially and must still work.
-    let ok = run_kernel_lanes(k.as_ref(), &arch, Scale::Tiny, &[1, 1], MAX_CYCLES).unwrap();
+    let ok = run_kernel_lanes(k.as_ref(), &arch, Scale::Tiny, &[1, 1], MAX_CYCLES, ENGINE).unwrap();
     assert_eq!(ok.len(), 2);
     for lane in ok {
         assert!(lane.unwrap().verified);

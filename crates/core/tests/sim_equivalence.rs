@@ -5,7 +5,6 @@
 //! event-driven core refactor is held to.
 
 use marionette::cdfg::interp::{interpret, ExecMode};
-use marionette::cdfg::value::Value;
 use marionette::compiler::compile;
 use marionette::kernels::traits::Scale;
 use marionette::sim::run;
@@ -17,11 +16,7 @@ fn assert_bit_identical(tag: &str, seed: u64, scale: Scale) {
     let wl = k.workload(scale, seed);
     let g = k.build(&wl).expect("kernel builds");
     let reference = interpret(&g, ExecMode::Dropping, &[]).expect("interpreter runs");
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     for arch in marionette::arch::all_presets() {
         let (prog, _) = compile(&g, &arch.opts)
             .unwrap_or_else(|e| panic!("{tag} on {}: compile: {e}", arch.name));

@@ -8,12 +8,29 @@
 //! `docs/OBSERVABILITY.md`.
 
 use marionette::arch::marionette_full;
+use marionette::arch::Architecture;
 use marionette::kernels::by_short;
+use marionette::kernels::traits::Kernel;
 use marionette::kernels::traits::Scale;
-use marionette::runner::{run_kernel_traced, run_kernel_with_engine};
-use marionette::sim::{trace, EngineKind, Tracer};
+use marionette::runner::{run_kernel_with, KernelRun, RunnerError};
+use marionette::sim::{trace, EngineKind, RunSpec, Tracer};
 
 const MAX_CYCLES: u64 = 500_000_000;
+
+/// `kernel` at `Scale::Tiny`, seed 7, on `engine`, optionally traced.
+fn run_seven(
+    kernel: &dyn Kernel,
+    arch: &Architecture,
+    engine: EngineKind,
+    tracer: Option<&mut Tracer>,
+) -> Result<KernelRun, RunnerError> {
+    let mut spec = RunSpec {
+        engine,
+        tracer,
+        ..RunSpec::new(MAX_CYCLES)
+    };
+    run_kernel_with(kernel, arch, Scale::Tiny, 7, &mut spec).map(|fr| fr.run)
+}
 
 /// Tracing must not perturb the simulation: the traced run reports the
 /// same cycles and the same full stats (every per-PE, per-group, and
@@ -23,19 +40,9 @@ fn traced_run_is_bit_identical_to_untraced() {
     let k = by_short("CRC").expect("kernel tag");
     let arch = marionette_full();
     for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let plain = run_kernel_with_engine(k.as_ref(), &arch, Scale::Tiny, 7, MAX_CYCLES, engine)
-            .expect("untraced run");
+        let plain = run_seven(k.as_ref(), &arch, engine, None).expect("untraced run");
         let mut tracer = Tracer::new();
-        let traced = run_kernel_traced(
-            k.as_ref(),
-            &arch,
-            Scale::Tiny,
-            7,
-            MAX_CYCLES,
-            engine,
-            &mut tracer,
-        )
-        .expect("traced run");
+        let traced = run_seven(k.as_ref(), &arch, engine, Some(&mut tracer)).expect("traced run");
         assert_eq!(plain.cycles, traced.cycles, "{engine}: cycles diverge");
         assert_eq!(plain.stats, traced.stats, "{engine}: stats diverge");
         assert!(traced.verified, "{engine}: traced run must still verify");
@@ -51,16 +58,7 @@ fn trace_json_is_deterministic() {
     let arch = marionette_full();
     let dump = || {
         let mut tracer = Tracer::new();
-        run_kernel_traced(
-            k.as_ref(),
-            &arch,
-            Scale::Tiny,
-            7,
-            MAX_CYCLES,
-            EngineKind::Wheel,
-            &mut tracer,
-        )
-        .expect("traced run");
+        run_seven(k.as_ref(), &arch, EngineKind::Wheel, Some(&mut tracer)).expect("traced run");
         tracer.to_chrome_json()
     };
     let (a, b) = (dump(), dump());
@@ -75,16 +73,7 @@ fn heap_and_wheel_traces_are_identical() {
     let arch = marionette_full();
     let dump = |engine| {
         let mut tracer = Tracer::new();
-        run_kernel_traced(
-            k.as_ref(),
-            &arch,
-            Scale::Tiny,
-            7,
-            MAX_CYCLES,
-            engine,
-            &mut tracer,
-        )
-        .expect("traced run");
+        run_seven(k.as_ref(), &arch, engine, Some(&mut tracer)).expect("traced run");
         tracer.to_chrome_json()
     };
     assert_eq!(
@@ -101,16 +90,7 @@ fn fresh_trace_parses_and_attributes_stalls() {
     let k = by_short("MS").expect("kernel tag");
     let arch = marionette_full();
     let mut tracer = Tracer::new();
-    run_kernel_traced(
-        k.as_ref(),
-        &arch,
-        Scale::Tiny,
-        7,
-        MAX_CYCLES,
-        EngineKind::Wheel,
-        &mut tracer,
-    )
-    .expect("traced run");
+    run_seven(k.as_ref(), &arch, EngineKind::Wheel, Some(&mut tracer)).expect("traced run");
     let parsed = trace::parse(&tracer.to_chrome_json()).expect("fresh trace parses");
     assert_eq!(parsed.events.len(), tracer.len());
     assert!(parsed.last_cycle() > 0);

@@ -14,7 +14,7 @@
 //! `--engine wheel|heap` pins the simulator's event-queue core (default
 //! wheel, the production engine); fuzzing under `--engine heap` is the
 //! cross-engine differential axis. `--lanes N` runs every program as N
-//! batched lanes of one machine ([`marionette::sim::run_lanes`]) and
+//! batched lanes of one machine ([`marionette::sim::run_lanes_full`]) and
 //! requires each lane to match the reference interpreter bit for bit —
 //! the axis that fuzzes machine reuse/reset across lanes. Both combine
 //! with neither `--source` nor fault injection.
@@ -53,11 +53,8 @@
 
 use marionette::arch::FabricDims;
 use marionette::parallel::{par_map, sweep_threads};
-use marionette::sim::{EngineKind, FaultSet};
-use marionette_fuzzgen::diff::{
-    all_presets_on, diff_program_engine, diff_program_faulted_engine, diff_program_lanes,
-    DEFAULT_MAX_CYCLES,
-};
+use marionette::sim::{EngineKind, FaultSet, RunSpec};
+use marionette_fuzzgen::diff::{diff_program, diff_program_lanes, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::shrink::shrink;
 use marionette_fuzzgen::source::diff_both;
@@ -201,7 +198,7 @@ use marionette::report::json_escape;
 fn main() {
     let args = parse_args();
     let mut presets = if args.presets.is_empty() {
-        all_presets_on(args.fabric)
+        marionette::arch::all_presets_on(args.fabric)
     } else {
         match marionette::arch::presets_by_tags_on(args.fabric, &args.presets) {
             Ok(p) => p,
@@ -220,8 +217,8 @@ fn main() {
             };
         }
     }
-    // The shared fault CLI surface: explicit `--fault` specs pinned
-    // under every seed, plus `--faults N` fresh random faults per seed.
+    // Explicit `--fault` specs are pinned under every seed; `--faults N`
+    // adds fresh random faults per seed.
     let base_faults =
         match FaultSet::from_cli(args.fabric.rows, args.fabric.cols, &args.fault_specs, 0, 0) {
             Ok(fs) => fs,
@@ -255,29 +252,22 @@ fn main() {
     let threads = if args.serial { 1 } else { sweep_threads() };
     let seeds: Vec<u64> = (args.start..args.start + args.count).collect();
     let t0 = Instant::now();
-    let base_faults_ref = &base_faults;
-    let outcomes = par_map(seeds, threads, |seed| {
-        let p = generate(seed, &cfg);
-        // With --source, each seed runs both axes sharing one reference
-        // interpretation of the builder graph. With faults, each seed
-        // gets its own seeded-random damage on top of the pinned specs
-        // and exercises the self-healing remap loop.
-        let result = if have_faults {
-            let mut faults = base_faults_ref.clone();
-            faults.add_random(args.faults, seed);
-            diff_program_faulted_engine(
-                &p,
-                &presets,
-                args.max_cycles,
-                args.check_fires,
-                &faults,
-                args.engine,
-            )
-        } else if args.source {
-            diff_both(&p, &presets, args.max_cycles, args.check_fires)
+    // The shared fault CLI surface: each seed gets its own seeded-random
+    // damage on top of the pinned specs and exercises the self-healing
+    // remap loop.
+    let seed_faults = |seed: u64| {
+        let mut faults = base_faults.clone();
+        faults.add_random(args.faults, seed);
+        faults
+    };
+    // With --source, each seed runs both axes sharing one reference
+    // interpretation of the builder graph.
+    let diff = |q: &marionette_fuzzgen::Program, faults: &FaultSet| {
+        if args.source {
+            diff_both(q, &presets, args.max_cycles, args.check_fires)
         } else if args.lanes > 1 {
             diff_program_lanes(
-                &p,
+                q,
                 &presets,
                 args.max_cycles,
                 args.check_fires,
@@ -285,8 +275,17 @@ fn main() {
                 args.lanes,
             )
         } else {
-            diff_program_engine(&p, &presets, args.max_cycles, args.check_fires, args.engine)
-        };
+            let mut spec = RunSpec {
+                faults,
+                engine: args.engine,
+                max_cycles: args.max_cycles,
+                tracer: None,
+            };
+            diff_program(q, &presets, args.check_fires, &mut spec)
+        }
+    };
+    let outcomes = par_map(seeds, threads, |seed| {
+        let result = diff(&generate(seed, &cfg), &seed_faults(seed));
         match result {
             Ok(s) => SeedOutcome {
                 seed,
@@ -325,36 +324,8 @@ fn main() {
         );
         if args.do_shrink {
             // Reproduce under the same damage the seed originally saw.
-            let mut seed_faults = base_faults.clone();
-            seed_faults.add_random(args.faults, f.seed);
-            let still_fails = |q: &marionette_fuzzgen::Program| {
-                if have_faults {
-                    diff_program_faulted_engine(
-                        q,
-                        &presets,
-                        args.max_cycles,
-                        args.check_fires,
-                        &seed_faults,
-                        args.engine,
-                    )
-                    .err()
-                } else if args.source {
-                    diff_both(q, &presets, args.max_cycles, args.check_fires).err()
-                } else if args.lanes > 1 {
-                    diff_program_lanes(
-                        q,
-                        &presets,
-                        args.max_cycles,
-                        args.check_fires,
-                        args.engine,
-                        args.lanes,
-                    )
-                    .err()
-                } else {
-                    diff_program_engine(q, &presets, args.max_cycles, args.check_fires, args.engine)
-                        .err()
-                }
-            };
+            let faults = seed_faults(f.seed);
+            let still_fails = |q: &marionette_fuzzgen::Program| diff(q, &faults).err();
             let full = generate(f.seed, &cfg);
             let small = shrink(&full, 4000, |q| still_fails(q).is_some());
             let d = still_fails(&small).expect("shrunk case still fails");

@@ -5,7 +5,11 @@
 
 use crate::ast::Program;
 use crate::emit::emit;
-use marionette::sim::{run_lanes_full, EngineKind, FaultSet, LaneSpec};
+use marionette::isa::MachineProgram;
+use marionette::runner::{self_heal, HealError, HealStages};
+use marionette::sim::{
+    run_lanes_full, run_with, EngineKind, FaultSet, LaneSpec, RunSpec, SimError,
+};
 use marionette_arch::Architecture;
 use marionette_cdfg::interp::{interpret_with_budget, ExecMode, InterpResult};
 use marionette_cdfg::value::Value;
@@ -17,27 +21,6 @@ const INTERP_BUDGET: u64 = 20_000_000;
 
 /// Cycle budget per simulated point.
 pub const DEFAULT_MAX_CYCLES: u64 = 20_000_000;
-
-/// All nine evaluated architecture presets on the paper's 4×4 fabric
-/// (re-exported from [`marionette_arch::all_presets`], the single source
-/// of truth).
-pub fn all_presets() -> Vec<Architecture> {
-    marionette_arch::all_presets()
-}
-
-/// All nine presets instantiated on an explicit fabric geometry, for
-/// fuzzing the stack at non-paper array sizes (`fuzz_stack --fabric`).
-pub fn all_presets_on(dims: marionette_arch::FabricDims) -> Vec<Architecture> {
-    marionette_arch::all_presets_on(dims)
-}
-
-/// Resolves preset short tags (e.g. `"M,vN"`) to 4×4 architectures.
-///
-/// # Errors
-/// Returns the unknown tag.
-pub fn presets_by_tags(tags: &str) -> Result<Vec<Architecture>, String> {
-    marionette_arch::presets_by_tags_on(marionette_arch::FabricDims::paper(), tags)
-}
 
 /// What stage of the stack disagreed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,7 +106,8 @@ pub struct DiffStats {
     pub infeasible: usize,
 }
 
-/// Differentially checks `p` on `presets`.
+/// Differentially checks `p` on `presets`, each simulation run as
+/// `spec` says (faults, engine, cycle budget, tracer).
 ///
 /// The dropping-mode interpretation is the specification; each preset's
 /// simulation (on the bitstream-decoded program) must match it bit for
@@ -132,29 +116,22 @@ pub struct DiffStats {
 /// preset's own steering mode (predicated presets fire both branch
 /// sides).
 ///
+/// With faults injected this exercises the self-healing remap loop
+/// ([`self_heal`]): a fault-oblivious bitstream that touches a dead
+/// resource is recompiled around the faults and the remap must still
+/// match the reference interpreter bit for bit. Flaky links may stretch
+/// cycles but never change values. A remap that cannot fit on the
+/// surviving fabric is the typed, accepted outcome counted in
+/// [`DiffStats::infeasible`] — only the original healthy compile failing
+/// is a [`DivergenceKind::Compile`].
+///
 /// # Errors
 /// Returns the first [`Divergence`] in preset order.
 pub fn diff_program(
     p: &Program,
     presets: &[Architecture],
-    max_cycles: u64,
     check_fires: bool,
-) -> Result<DiffStats, Divergence> {
-    diff_program_engine(p, presets, max_cycles, check_fires, EngineKind::default())
-}
-
-/// [`diff_program`] with an explicit simulator [`EngineKind`] — the
-/// `fuzz_stack --engine` axis. Both engines must match the interpreter
-/// (and therefore each other) bit for bit.
-///
-/// # Errors
-/// Returns the first [`Divergence`] in preset order.
-pub fn diff_program_engine(
-    p: &Program,
-    presets: &[Architecture],
-    max_cycles: u64,
-    check_fires: bool,
-    engine: EngineKind,
+    spec: &mut RunSpec<'_>,
 ) -> Result<DiffStats, Divergence> {
     let g = emit(p);
     let reference = interp_pair(&g)?;
@@ -162,22 +139,14 @@ pub fn diff_program_engine(
         nodes: g.nodes.len(),
         ..DiffStats::default()
     };
-    check_presets_engine(
-        &g,
-        &reference,
-        presets,
-        max_cycles,
-        check_fires,
-        engine,
-        &mut stats,
-    )?;
+    check_presets(&g, &reference, presets, check_fires, spec, &mut stats)?;
     Ok(stats)
 }
 
 /// Lane-batched differential check — the `fuzz_stack --lanes` axis.
 ///
 /// Each preset compiles once and simulates `lanes` identical workloads
-/// of the bitstream in one batched [`marionette::sim::run_lanes`] pass;
+/// of the bitstream in one batched [`marionette::sim::run_lanes_full`] pass;
 /// **every** lane must match the reference interpretation bit for bit
 /// and report the same cycle count, pinning that machine reuse across
 /// lanes (reset instead of rebuild) leaks no state between them.
@@ -199,14 +168,9 @@ pub fn diff_program_lanes(
         nodes: g.nodes.len(),
         ..DiffStats::default()
     };
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
     let specs = vec![
         LaneSpec {
-            inputs: inputs.clone(),
+            inputs: g.array_inputs(),
             params: Vec::new(),
         };
         lanes.max(1)
@@ -217,11 +181,7 @@ pub fn diff_program_lanes(
             kind,
             detail,
         };
-        let (prog, _) = marionette::compiler::compile_with_timing(&g, &arch.opts, &arch.tm)
-            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
-        let bytes = marionette::isa::bitstream::encode(&prog);
-        let prog = marionette::isa::bitstream::decode(&bytes)
-            .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
+        let prog = compile_point(&g, arch, &FaultSet::none())?;
         let results = run_lanes_full(
             &prog,
             &arch.tm,
@@ -282,66 +242,136 @@ pub(crate) fn interp_pair(g: &Cdfg) -> Result<RefPair, Divergence> {
     })
 }
 
-/// Runs `g` through compile → bitstream → simulate on each preset and
-/// bit-compares against the reference pair, accumulating into `stats`.
+/// Runs `g` through compile → bitstream → simulate on each preset as
+/// `spec` says, self-healing on faults, and bit-compares against the
+/// reference pair, accumulating into `stats`.
 pub(crate) fn check_presets(
     g: &Cdfg,
     pair: &RefPair,
     presets: &[Architecture],
-    max_cycles: u64,
     check_fires: bool,
+    spec: &mut RunSpec<'_>,
     stats: &mut DiffStats,
 ) -> Result<(), Divergence> {
-    check_presets_engine(
-        g,
-        pair,
-        presets,
-        max_cycles,
-        check_fires,
-        EngineKind::default(),
-        stats,
-    )
-}
-
-/// [`check_presets`] on an explicit simulator engine.
-pub(crate) fn check_presets_engine(
-    g: &Cdfg,
-    pair: &RefPair,
-    presets: &[Architecture],
-    max_cycles: u64,
-    check_fires: bool,
-    engine: EngineKind,
-    stats: &mut DiffStats,
-) -> Result<(), Divergence> {
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     for arch in presets {
-        let fail = |kind: DivergenceKind, detail: String| Divergence {
-            preset: arch.short.to_string(),
-            kind,
-            detail,
+        let mut stages = FuzzStages {
+            g,
+            pair,
+            arch,
+            inputs: &inputs,
+            check_fires,
+            compiles: 0,
         };
-        // `compile_with_timing`: identical to `compile` when the preset's
-        // search budget is off, and the timing-derived cost model (the
-        // same one `runner::run_kernel` uses) when fuzzing with the
-        // mapping explorer enabled.
-        let (prog, _) = marionette::compiler::compile_with_timing(g, &arch.opts, &arch.tm)
-            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
-        // Full-stack fidelity: simulate the decoded bitstream.
-        let bytes = marionette::isa::bitstream::encode(&prog);
-        let prog = marionette::isa::bitstream::decode(&bytes)
-            .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
-        let r = marionette::sim::run_with_engine(&prog, &arch.tm, engine, &inputs, &[], max_cycles)
-            .map_err(|e| fail(DivergenceKind::Sim, e.to_string()))?;
-        verify_point(g, pair, arch, &prog, &r, check_fires)?;
+        let healed = match self_heal(&mut stages, arch, spec) {
+            Ok(h) => h,
+            // Typed remap-infeasible: accepted, not a divergence.
+            Err(HealError::Remap {
+                error: StageError::Diverged(d),
+                ..
+            }) if d.kind == DivergenceKind::Compile => {
+                stats.infeasible += 1;
+                continue;
+            }
+            Err(e) => {
+                return Err(match e.into_inner() {
+                    StageError::Diverged(d) => d,
+                    StageError::Sim(e) => Divergence {
+                        preset: arch.short.to_string(),
+                        kind: DivergenceKind::Sim,
+                        detail: if stages.compiles > 1 {
+                            format!("after remap: {e}")
+                        } else {
+                            e.to_string()
+                        },
+                    },
+                })
+            }
+        };
+        if healed.wedged.is_some() {
+            stats.remaps += 1;
+        }
         stats.points += 1;
-        stats.cycles += r.stats.cycles;
-        stats.fires += r.stats.fires;
+        stats.cycles += healed.run.stats.cycles;
+        stats.fires += healed.run.stats.fires;
     }
     Ok(())
+}
+
+/// A fuzz stage failure: a simulator error (which may wedge the
+/// bitstream and trigger the remap) or any other divergence.
+enum StageError {
+    Sim(SimError),
+    Diverged(Divergence),
+}
+
+/// The differential check's compile and simulate stages for one preset.
+struct FuzzStages<'a> {
+    g: &'a Cdfg,
+    pair: &'a RefPair,
+    arch: &'a Architecture,
+    inputs: &'a [(String, Vec<Value>)],
+    check_fires: bool,
+    /// Compiles so far: the second one is the remap.
+    compiles: u32,
+}
+
+impl HealStages for FuzzStages<'_> {
+    type Artifact = MachineProgram;
+    type Run = marionette::sim::RunResult;
+    type Error = StageError;
+
+    fn compile(
+        &mut self,
+        arch: &Architecture,
+        avoid: &FaultSet,
+    ) -> Result<MachineProgram, StageError> {
+        self.compiles += 1;
+        compile_point(self.g, arch, avoid).map_err(StageError::Diverged)
+    }
+
+    fn simulate(
+        &mut self,
+        prog: &MachineProgram,
+        spec: &mut RunSpec<'_>,
+    ) -> Result<Self::Run, StageError> {
+        let r = run_with(prog, &self.arch.tm, self.inputs, &[], spec).map_err(StageError::Sim)?;
+        verify_point(self.g, self.pair, self.arch, prog, &r, self.check_fires)
+            .map_err(StageError::Diverged)?;
+        Ok(r)
+    }
+
+    fn sim_error(e: &StageError) -> Option<&SimError> {
+        match e {
+            StageError::Sim(e) => Some(e),
+            StageError::Diverged(_) => None,
+        }
+    }
+}
+
+/// Compiles `g` for `arch` around `avoid` and round-trips the bitstream
+/// (full-stack fidelity: the simulator runs the decoded program).
+///
+/// `compile_with_timing_and_faults` is identical to `compile` when the
+/// preset's search budget is off, and uses the timing-derived cost model
+/// (the same one `runner::run_kernel` uses) when fuzzing with the
+/// mapping explorer enabled.
+fn compile_point(
+    g: &Cdfg,
+    arch: &Architecture,
+    avoid: &FaultSet,
+) -> Result<MachineProgram, Divergence> {
+    let fail = |kind: DivergenceKind, detail: String| Divergence {
+        preset: arch.short.to_string(),
+        kind,
+        detail,
+    };
+    let (prog, _) =
+        marionette::compiler::compile_with_timing_and_faults(g, &arch.opts, &arch.tm, avoid)
+            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
+    let bytes = marionette::isa::bitstream::encode(&prog);
+    marionette::isa::bitstream::decode(&bytes)
+        .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))
 }
 
 /// Bit-compares one preset's simulation against the reference pair:
@@ -408,128 +438,6 @@ fn verify_point(
     Ok(())
 }
 
-/// Differentially checks `p` on `presets` with `faults` injected into
-/// every simulation, exercising the self-healing remap loop: a
-/// fault-oblivious bitstream that touches a dead resource is recompiled
-/// with the faulty resources masked (annealing explorer forced on) and
-/// the remap must still match the reference interpreter bit for bit.
-/// Flaky links may stretch cycles but never change values.
-///
-/// A remap that cannot fit on the surviving fabric is the typed,
-/// accepted outcome counted in [`DiffStats::infeasible`] — only the
-/// original healthy compile failing is a [`DivergenceKind::Compile`].
-///
-/// # Errors
-/// Returns the first [`Divergence`] in preset order.
-pub fn diff_program_faulted(
-    p: &Program,
-    presets: &[Architecture],
-    max_cycles: u64,
-    check_fires: bool,
-    faults: &marionette::sim::FaultSet,
-) -> Result<DiffStats, Divergence> {
-    diff_program_faulted_engine(
-        p,
-        presets,
-        max_cycles,
-        check_fires,
-        faults,
-        EngineKind::default(),
-    )
-}
-
-/// [`diff_program_faulted`] with an explicit simulator [`EngineKind`] —
-/// faulted runs (including the far-future events flaky links schedule)
-/// must be engine-independent too.
-///
-/// # Errors
-/// Returns the first [`Divergence`] in preset order.
-pub fn diff_program_faulted_engine(
-    p: &Program,
-    presets: &[Architecture],
-    max_cycles: u64,
-    check_fires: bool,
-    faults: &marionette::sim::FaultSet,
-    engine: EngineKind,
-) -> Result<DiffStats, Divergence> {
-    let g = emit(p);
-    let pair = interp_pair(&g)?;
-    let mut stats = DiffStats {
-        nodes: g.nodes.len(),
-        ..DiffStats::default()
-    };
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    for arch in presets {
-        let fail = |kind: DivergenceKind, detail: String| Divergence {
-            preset: arch.short.to_string(),
-            kind,
-            detail,
-        };
-        let (prog, _) = marionette::compiler::compile_with_timing(&g, &arch.opts, &arch.tm)
-            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
-        let bytes = marionette::isa::bitstream::encode(&prog);
-        let prog = marionette::isa::bitstream::decode(&bytes)
-            .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
-        let r = match marionette::sim::run_full(
-            &prog,
-            &arch.tm,
-            faults,
-            engine,
-            &inputs,
-            &[],
-            max_cycles,
-        ) {
-            Ok(r) => r,
-            Err(marionette::sim::SimError::Fault { .. }) => {
-                // Wedged: re-map around the faults, explorer forced on.
-                let mut opts = arch.opts;
-                if !opts.search.is_on() {
-                    opts.search = marionette::compiler::SearchBudget::default_on();
-                }
-                let prog2 = match marionette::compiler::compile_with_timing_and_faults(
-                    &g, &opts, &arch.tm, faults,
-                ) {
-                    Ok((p2, _)) => p2,
-                    Err(_) => {
-                        // Typed remap-infeasible: accepted, not a divergence.
-                        stats.infeasible += 1;
-                        continue;
-                    }
-                };
-                let bytes = marionette::isa::bitstream::encode(&prog2);
-                let prog2 = marionette::isa::bitstream::decode(&bytes)
-                    .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
-                let r2 = marionette::sim::run_full(
-                    &prog2,
-                    &arch.tm,
-                    faults,
-                    engine,
-                    &inputs,
-                    &[],
-                    max_cycles,
-                )
-                .map_err(|e| fail(DivergenceKind::Sim, format!("after remap: {e}")))?;
-                verify_point(&g, &pair, arch, &prog2, &r2, check_fires)?;
-                stats.remaps += 1;
-                stats.points += 1;
-                stats.cycles += r2.stats.cycles;
-                stats.fires += r2.stats.fires;
-                continue;
-            }
-            Err(e) => return Err(fail(DivergenceKind::Sim, e.to_string())),
-        };
-        verify_point(&g, &pair, arch, &prog, &r, check_fires)?;
-        stats.points += 1;
-        stats.cycles += r.stats.cycles;
-        stats.fires += r.stats.fires;
-    }
-    Ok(stats)
-}
-
 fn interp(g: &Cdfg, mode: ExecMode) -> Result<InterpResult, Divergence> {
     interpret_with_budget(g, mode, &[], INTERP_BUDGET).map_err(|e| Divergence {
         preset: String::new(),
@@ -558,20 +466,14 @@ mod tests {
     use crate::gen::{generate, GenConfig};
 
     #[test]
-    fn presets_resolve_by_tag() {
-        assert_eq!(all_presets().len(), 9);
-        let sel = presets_by_tags("M,vN,DF").unwrap();
-        assert_eq!(sel.len(), 3);
-        assert!(presets_by_tags("nope").is_err());
-    }
-
-    #[test]
     fn a_few_seeds_diff_clean_on_the_ladder() {
         let cfg = GenConfig::default();
-        let presets = presets_by_tags("M,vN").unwrap();
+        let presets =
+            marionette_arch::presets_by_tags_on(marionette_arch::FabricDims::paper(), "M,vN")
+                .unwrap();
         for seed in 0..6 {
             let p = generate(seed, &cfg);
-            let stats = diff_program(&p, &presets, DEFAULT_MAX_CYCLES, true)
+            let stats = diff_program(&p, &presets, true, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
                 .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
             assert_eq!(stats.points, 2);
             assert!(stats.nodes > 0);

@@ -36,7 +36,7 @@ pub mod shrink;
 pub mod source;
 
 pub use ast::Program;
-pub use diff::{all_presets, diff_program, DiffStats, Divergence, DivergenceKind};
+pub use diff::{diff_program, DiffStats, Divergence, DivergenceKind};
 pub use emit::emit;
 pub use gen::{generate, GenConfig};
 pub use shrink::shrink;

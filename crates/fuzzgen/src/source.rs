@@ -35,6 +35,7 @@ use crate::diff::{
     DivergenceKind,
 };
 use crate::emit::emit;
+use marionette::sim::RunSpec;
 use marionette_arch::Architecture;
 use marionette_cdfg::op::{ArrayId, BinOp, UnOp};
 use marionette_lang::ast as lang;
@@ -651,7 +652,14 @@ pub fn diff_both(
         nodes: g1.nodes.len(),
         ..DiffStats::default()
     };
-    check_presets(&g1, &r1, presets, max_cycles, check_fires, &mut stats)?;
+    check_presets(
+        &g1,
+        &r1,
+        presets,
+        check_fires,
+        &mut RunSpec::new(max_cycles),
+        &mut stats,
+    )?;
     let s2 = source_axis(p, &g1, &r1, presets, max_cycles, check_fires)?;
     stats.points += s2.points;
     stats.cycles += s2.cycles;
@@ -722,7 +730,14 @@ fn source_axis(
         nodes: g2.nodes.len(),
         ..DiffStats::default()
     };
-    check_presets(&g2, &r2, presets, max_cycles, check_fires, &mut stats)?;
+    check_presets(
+        &g2,
+        &r2,
+        presets,
+        check_fires,
+        &mut RunSpec::new(max_cycles),
+        &mut stats,
+    )?;
     Ok(stats)
 }
 

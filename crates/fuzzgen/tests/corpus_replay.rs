@@ -1,11 +1,9 @@
 //! Regression-corpus replay and a fixed-seed differential smoke sweep,
 //! both part of the ordinary `cargo test` run.
 
-use marionette::sim::EngineKind;
-use marionette_fuzzgen::diff::{
-    all_presets, diff_program, diff_program_engine, diff_program_lanes, presets_by_tags,
-    DEFAULT_MAX_CYCLES,
-};
+use marionette::arch::{all_presets, presets_by_tags_on, FabricDims};
+use marionette::sim::{EngineKind, RunSpec};
+use marionette_fuzzgen::diff::{diff_program, diff_program_lanes, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::source::diff_both;
 use marionette_fuzzgen::Program;
@@ -80,7 +78,11 @@ fn corpus_replays_divergence_free_on_both_engines() {
     let presets = all_presets();
     for engine in [EngineKind::Wheel, EngineKind::Heap] {
         for (name, p) in corpus_entries() {
-            diff_program_engine(&p, &presets, DEFAULT_MAX_CYCLES, true, engine)
+            let mut spec = RunSpec {
+                engine,
+                ..RunSpec::new(DEFAULT_MAX_CYCLES)
+            };
+            diff_program(&p, &presets, true, &mut spec)
                 .unwrap_or_else(|d| panic!("{name} ({engine}): {d}"));
         }
     }
@@ -111,10 +113,10 @@ fn fixed_seed_smoke_sweep_three_presets() {
     // test` run: 40 programs across the three most divergent execution
     // models (full Marionette, predicated von Neumann, tagged dataflow).
     let cfg = GenConfig::default();
-    let presets = presets_by_tags("M,vN,DF").expect("tags resolve");
+    let presets = presets_by_tags_on(FabricDims::paper(), "M,vN,DF").expect("tags resolve");
     for seed in 0..40 {
         let p = generate(seed, &cfg);
-        diff_program(&p, &presets, DEFAULT_MAX_CYCLES, true)
+        diff_program(&p, &presets, true, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
             .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
     }
 }
@@ -131,7 +133,7 @@ fn deep_seed_smoke_all_presets() {
     let presets = all_presets();
     for seed in 100..106 {
         let p = generate(seed, &cfg);
-        diff_program(&p, &presets, DEFAULT_MAX_CYCLES, true)
+        diff_program(&p, &presets, true, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
             .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
     }
 }

@@ -9,7 +9,10 @@ use crate::diag::Diagnostic;
 use crate::lower::lower;
 use crate::parser::parse;
 use crate::sema::check;
-use marionette::runner::{compile_for_arch, compile_for_arch_with_faults};
+use marionette::runner::{compile_for_arch_with_faults, self_heal, HealError, HealStages};
+use marionette::sim::{
+    run_lanes_full, run_with, EngineKind, FaultSet, LaneSpec, RunSpec, SimError,
+};
 use marionette_arch::Architecture;
 use marionette_cdfg::interp::{interpret_with_budget, ExecMode, InterpError, InterpResult};
 use marionette_cdfg::value::{compare_sink_maps as compare_sinks, stream_mismatch, Value};
@@ -170,8 +173,6 @@ pub struct PresetRun {
     pub mean_data_hops: f64,
     /// Annealing search report, when the mapping explorer ran.
     pub search: Option<marionette::compiler::SearchReport>,
-    /// Disassembly of the (decoded) configuration, when requested.
-    pub disasm: Option<String>,
 }
 
 /// A compiled, bitstream-round-tripped preset artifact: the unit the
@@ -196,46 +197,33 @@ pub struct Compiled {
 /// # Errors
 /// Returns [`DriverError::Compile`] or [`DriverError::Bitstream`].
 pub fn compile_preset(g: &Cdfg, arch: &Architecture) -> Result<Compiled, DriverError> {
-    let preset = arch.short.to_string();
-    let (prog, report) = compile_for_arch(g, arch).map_err(|e| DriverError::Compile {
-        preset: preset.clone(),
-        e,
-    })?;
-    let bitstream = marionette::isa::bitstream::encode(&prog);
-    let prog = roundtrip_bitstream(&prog, &preset)?;
-    Ok(Compiled {
-        prog,
-        bitstream,
-        report,
-    })
+    compile_preset_faulted(g, arch, &FaultSet::none())
 }
 
-/// Fault-aware variant of [`compile_preset`]: dead resources are masked
-/// out of placement/routing, and the annealing explorer is forced on if
-/// the preset compiles one-shot (greedy alone cannot rebalance around
-/// arbitrary dead tiles). This is the remap half of the self-healing
-/// loop in [`run_preset_faulted`].
+/// [`compile_preset`] with `faults` as the avoid-mask: dead resources
+/// are masked out of placement/routing and flaky links are penalized.
+/// An empty fault set is bit-identical to [`compile_preset`].
 ///
 /// # Errors
-/// Returns [`DriverError::Compile`] (the typed "remap infeasible"
-/// outcome) or [`DriverError::Bitstream`].
+/// Returns [`DriverError::Compile`] or [`DriverError::Bitstream`].
 pub fn compile_preset_faulted(
     g: &Cdfg,
     arch: &Architecture,
-    faults: &marionette::sim::FaultSet,
+    faults: &FaultSet,
 ) -> Result<Compiled, DriverError> {
     let preset = arch.short.to_string();
-    let mut healed = arch.clone();
-    if !healed.opts.search.is_on() {
-        healed.opts.search = marionette::compiler::SearchBudget::default_on();
-    }
     let (prog, report) =
-        compile_for_arch_with_faults(g, &healed, faults).map_err(|e| DriverError::Compile {
+        compile_for_arch_with_faults(g, arch, faults).map_err(|e| DriverError::Compile {
             preset: preset.clone(),
             e,
         })?;
+    // Full-stack fidelity: what runs is the decoded bitstream.
     let bitstream = marionette::isa::bitstream::encode(&prog);
-    let prog = roundtrip_bitstream(&prog, &preset)?;
+    let prog =
+        marionette::isa::bitstream::decode(&bitstream).map_err(|e| DriverError::Bitstream {
+            preset,
+            detail: e.to_string(),
+        })?;
     Ok(Compiled {
         prog,
         bitstream,
@@ -246,13 +234,13 @@ pub fn compile_preset_faulted(
 /// Simulates a pre-compiled preset artifact with `faults` injected and
 /// bit-verifies it against `reference` — the simulate half of
 /// [`run_preset`], usable with a [`Compiled`] pulled from a cache
-/// instead of a fresh compile. Pass [`marionette::sim::FaultSet::none`]
-/// for a healthy fabric.
+/// instead of a fresh compile. Pass [`FaultSet::none`] for a healthy
+/// fabric.
 ///
 /// # Errors
-/// Returns [`DriverError::Sim`] (including the typed
-/// [`marionette::sim::SimError::Fault`] screen when the artifact touches
-/// a dead resource) or [`DriverError::Mismatch`].
+/// Returns [`DriverError::Sim`] (including the typed [`SimError::Fault`]
+/// screen when the artifact touches a dead resource) or
+/// [`DriverError::Mismatch`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_compiled(
     g: &Cdfg,
@@ -261,65 +249,22 @@ pub fn simulate_compiled(
     compiled: &Compiled,
     overrides: &[(String, Value)],
     max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
+    faults: &FaultSet,
+    engine: EngineKind,
 ) -> Result<PresetRun, DriverError> {
-    let preset = arch.short.to_string();
-    let inputs = array_inputs(g);
-    let r = marionette::sim::run_full(
-        &compiled.prog,
-        &arch.tm,
+    let mut spec = RunSpec {
         faults,
         engine,
-        &inputs,
-        overrides,
         max_cycles,
-    )
-    .map_err(|e| DriverError::Sim {
-        preset: preset.clone(),
-        e,
-    })?;
-    verify_vs_reference(g, reference, arch, &preset, &compiled.prog, &r)?;
-    Ok(summarize(preset, &r, &compiled.report))
-}
-
-/// [`simulate_compiled`] with a [`marionette::sim::Tracer`] recording
-/// the cycle-accurate event stream ([`marionette::sim::trace`]): the
-/// `marc --trace` path. The traced simulation is bit-identical to the
-/// untraced one and passes the same reference verification.
-///
-/// # Errors
-/// As [`simulate_compiled`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_compiled_traced(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    compiled: &Compiled,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
-    tracer: &mut marionette::sim::Tracer,
-) -> Result<PresetRun, DriverError> {
-    let preset = arch.short.to_string();
-    let inputs = array_inputs(g);
-    let r = marionette::sim::run_full_traced(
-        &compiled.prog,
-        &arch.tm,
-        faults,
-        engine,
-        &inputs,
+        tracer: None,
+    };
+    let mut stages = PresetStages {
+        g,
+        reference,
+        arch,
         overrides,
-        max_cycles,
-        tracer,
-    )
-    .map_err(|e| DriverError::Sim {
-        preset: preset.clone(),
-        e,
-    })?;
-    verify_vs_reference(g, reference, arch, &preset, &compiled.prog, &r)?;
-    Ok(summarize(preset, &r, &compiled.report))
+    };
+    stages.simulate(compiled, &mut spec)
 }
 
 /// Simulates N parameter lanes of one pre-compiled artifact in a single
@@ -344,7 +289,7 @@ pub fn simulate_compiled_lanes(
     compiled: &Compiled,
     lane_overrides: &[Vec<(String, Value)>],
     max_cycles: u64,
-    engine: marionette::sim::EngineKind,
+    engine: EngineKind,
 ) -> Result<Vec<Result<PresetRun, DriverError>>, DriverError> {
     assert_eq!(
         references.len(),
@@ -352,18 +297,18 @@ pub fn simulate_compiled_lanes(
         "one reference per lane"
     );
     let preset = arch.short.to_string();
-    let inputs = array_inputs(g);
-    let lanes: Vec<marionette::sim::LaneSpec> = lane_overrides
+    let inputs = g.array_inputs();
+    let lanes: Vec<LaneSpec> = lane_overrides
         .iter()
-        .map(|ovr| marionette::sim::LaneSpec {
+        .map(|ovr| LaneSpec {
             inputs: inputs.clone(),
             params: ovr.clone(),
         })
         .collect();
-    let results = marionette::sim::run_lanes_full(
+    let results = run_lanes_full(
         &compiled.prog,
         &arch.tm,
-        &marionette::sim::FaultSet::none(),
+        &FaultSet::none(),
         engine,
         &lanes,
         max_cycles,
@@ -384,118 +329,6 @@ pub fn simulate_compiled_lanes(
             Ok(summarize(preset.clone(), &r, &compiled.report))
         })
         .collect())
-}
-
-/// Compiles `g` for `arch`, round-trips the bitstream, simulates the
-/// decoded program and verifies it bit-for-bit against `reference`.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along the pipeline.
-pub fn run_preset(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    want_disasm: bool,
-) -> Result<PresetRun, DriverError> {
-    run_preset_engine(
-        g,
-        reference,
-        arch,
-        overrides,
-        max_cycles,
-        want_disasm,
-        marionette::sim::EngineKind::default(),
-    )
-}
-
-/// [`run_preset`] with an explicit simulator engine — the `marc
-/// --engine` axis. Both engines verify against the same reference
-/// bit for bit.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along the pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_engine(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    want_disasm: bool,
-    engine: marionette::sim::EngineKind,
-) -> Result<PresetRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let mut run = simulate_compiled(
-        g,
-        reference,
-        arch,
-        &compiled,
-        overrides,
-        max_cycles,
-        &marionette::sim::FaultSet::none(),
-        engine,
-    )?;
-    if want_disasm {
-        run.disasm = Some(marionette::isa::disasm::disassemble(&compiled.prog));
-    }
-    Ok(run)
-}
-
-/// [`run_preset_engine`] with a [`marionette::sim::Tracer`]: compiles,
-/// round-trips the bitstream, simulates traced, verifies — the healthy
-/// `marc --trace` pipeline.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along the pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_engine_traced(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    want_disasm: bool,
-    engine: marionette::sim::EngineKind,
-    tracer: &mut marionette::sim::Tracer,
-) -> Result<PresetRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let mut run = simulate_compiled_traced(
-        g,
-        reference,
-        arch,
-        &compiled,
-        overrides,
-        max_cycles,
-        &marionette::sim::FaultSet::none(),
-        engine,
-        tracer,
-    )?;
-    if want_disasm {
-        run.disasm = Some(marionette::isa::disasm::disassemble(&compiled.prog));
-    }
-    Ok(run)
-}
-
-/// Serializes `prog` to the configuration bitstream and decodes it back
-/// — the same full-stack fidelity check every pipeline run exercises.
-fn roundtrip_bitstream(
-    prog: &marionette::isa::MachineProgram,
-    preset: &str,
-) -> Result<marionette::isa::MachineProgram, DriverError> {
-    let bytes = marionette::isa::bitstream::encode(prog);
-    marionette::isa::bitstream::decode(&bytes).map_err(|e| DriverError::Bitstream {
-        preset: preset.to_string(),
-        detail: e.to_string(),
-    })
-}
-
-pub(crate) fn array_inputs(g: &Cdfg) -> Vec<(String, Vec<Value>)> {
-    g.arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect()
 }
 
 /// Bit-verifies a simulation against the reference interpreter: every
@@ -560,11 +393,10 @@ pub(crate) fn summarize(
         routes: report.routes,
         mean_data_hops: report.mean_data_hops,
         search: report.search.clone(),
-        disasm: None,
     }
 }
 
-/// One preset's run on a faulted fabric.
+/// One preset's run, with its fault outcome.
 #[derive(Clone, Debug)]
 pub struct FaultRun {
     /// The faulted resource (fault-spec syntax, e.g. `pe:1,2`) that
@@ -575,137 +407,92 @@ pub struct FaultRun {
     pub remapped: bool,
     /// The verified measurement.
     pub run: PresetRun,
+    /// The artifact that ran: the original compile, or the remap.
+    pub compiled: Compiled,
 }
 
-/// Runs `g` on `arch` with `faults` injected, self-healing by remap when
-/// the fault-oblivious bitstream touches a dead resource:
-///
-/// 1. compile normally and simulate with the faults injected;
-/// 2. if the simulator rejects the bitstream with a typed
-///    [`marionette::sim::SimError::Fault`], re-run the compile with the
-///    faulty resources masked (forcing the annealing explorer on so
-///    operators can move off dead tiles) and simulate the remap;
-/// 3. either way, bit-verify the surviving run against the reference
-///    interpreter — the same arrays/sinks/oob/fires oracle
-///    [`run_preset`] applies.
-///
-/// A remap that still cannot fit ([`DriverError::Compile`]) is the typed
-/// "remap infeasible" outcome callers count as a degradation failure.
+/// Runs `g` on `arch` as `spec` says (faults, engine, cycle budget,
+/// tracer): compiles, round-trips the bitstream, simulates the decoded
+/// program and bit-verifies it against `reference` — every array, every
+/// sink stream, the out-of-bounds count and the firing count. When the
+/// fault-oblivious bitstream touches a dead resource the run self-heals
+/// by remap ([`self_heal`]); a remap that still cannot fit
+/// ([`DriverError::Compile`]) is the typed "remap infeasible" outcome
+/// callers count as a degradation failure.
 ///
 /// # Errors
 /// Returns the first [`DriverError`] along whichever pipeline (original
 /// or remapped) survives fault screening.
-pub fn run_preset_faulted(
+pub fn run_preset(
     g: &Cdfg,
     reference: &Reference,
     arch: &Architecture,
     overrides: &[(String, Value)],
-    max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
+    spec: &mut RunSpec<'_>,
 ) -> Result<FaultRun, DriverError> {
-    run_preset_faulted_engine(
+    let mut stages = PresetStages {
         g,
         reference,
         arch,
         overrides,
-        max_cycles,
-        faults,
-        marionette::sim::EngineKind::default(),
-    )
-}
-
-/// [`run_preset_faulted`] with an explicit simulator engine.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along whichever pipeline (original
-/// or remapped) survives fault screening.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_faulted_engine(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
-) -> Result<FaultRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let wedged = match simulate_compiled(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine,
-    ) {
-        Ok(run) => {
-            return Ok(FaultRun {
-                wedged: None,
-                remapped: false,
-                run,
-            })
-        }
-        Err(DriverError::Sim {
-            e: marionette::sim::SimError::Fault { what, .. },
-            ..
-        }) => what,
-        Err(e) => return Err(e),
     };
-    // Self-heal: recompile with the faulty resources masked. Presets that
-    // compile one-shot get the default annealing budget — the greedy
-    // placer alone cannot rebalance around arbitrary dead tiles.
-    let compiled = compile_preset_faulted(g, arch, faults)?;
-    let run = simulate_compiled(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine,
-    )?;
+    let healed = self_heal(&mut stages, arch, spec).map_err(HealError::into_inner)?;
     Ok(FaultRun {
-        wedged: Some(wedged),
-        remapped: true,
-        run,
+        remapped: healed.wedged.is_some(),
+        wedged: healed.wedged,
+        run: healed.run,
+        compiled: healed.artifact,
     })
 }
 
-/// [`run_preset_faulted_engine`] with a [`marionette::sim::Tracer`]: the
-/// surviving pipeline (original or self-healed remap) simulates traced,
-/// and a wedged bitstream leaves a `remap after <resource>` marker on
-/// the trace's marks track.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along whichever pipeline (original
-/// or remapped) survives fault screening.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_faulted_engine_traced(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
-    tracer: &mut marionette::sim::Tracer,
-) -> Result<FaultRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let wedged = match simulate_compiled_traced(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine, tracer,
-    ) {
-        Ok(run) => {
-            return Ok(FaultRun {
-                wedged: None,
-                remapped: false,
-                run,
-            })
+/// The driver's compile and simulate stages for one program on one
+/// preset.
+struct PresetStages<'a> {
+    g: &'a Cdfg,
+    reference: &'a Reference,
+    arch: &'a Architecture,
+    overrides: &'a [(String, Value)],
+}
+
+impl HealStages for PresetStages<'_> {
+    type Artifact = Compiled;
+    type Run = PresetRun;
+    type Error = DriverError;
+
+    fn compile(&mut self, arch: &Architecture, avoid: &FaultSet) -> Result<Compiled, DriverError> {
+        compile_preset_faulted(self.g, arch, avoid)
+    }
+
+    fn simulate(
+        &mut self,
+        compiled: &Compiled,
+        spec: &mut RunSpec<'_>,
+    ) -> Result<PresetRun, DriverError> {
+        let preset = self.arch.short.to_string();
+        let inputs = self.g.array_inputs();
+        let r = run_with(&compiled.prog, &self.arch.tm, &inputs, self.overrides, spec).map_err(
+            |e| DriverError::Sim {
+                preset: preset.clone(),
+                e,
+            },
+        )?;
+        verify_vs_reference(
+            self.g,
+            self.reference,
+            self.arch,
+            &preset,
+            &compiled.prog,
+            &r,
+        )?;
+        Ok(summarize(preset, &r, &compiled.report))
+    }
+
+    fn sim_error(e: &DriverError) -> Option<&SimError> {
+        match e {
+            DriverError::Sim { e, .. } => Some(e),
+            _ => None,
         }
-        Err(DriverError::Sim {
-            e: marionette::sim::SimError::Fault { what, .. },
-            ..
-        }) => what,
-        Err(e) => return Err(e),
-    };
-    tracer.mark(0, &format!("remap after {wedged}"));
-    let compiled = compile_preset_faulted(g, arch, faults)?;
-    let run = simulate_compiled_traced(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine, tracer,
-    )?;
-    Ok(FaultRun {
-        wedged: Some(wedged),
-        remapped: true,
-        run,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -732,9 +519,9 @@ sink sum = sum;
         let (_, g) = frontend(SRC).unwrap();
         let r = reference(&g, &[], INTERP_BUDGET).unwrap();
         for arch in marionette_arch::all_presets() {
-            let run = run_preset(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, false)
+            let fr = run_preset(&g, &r, &arch, &[], &mut RunSpec::new(DEFAULT_MAX_CYCLES))
                 .unwrap_or_else(|e| panic!("{}: {e}", arch.short));
-            assert!(run.cycles > 0);
+            assert!(fr.run.cycles > 0);
         }
     }
 
@@ -742,21 +529,22 @@ sink sum = sum;
     fn dead_resource_is_a_typed_fault_not_a_deadlock() {
         let (_, g) = frontend(SRC).unwrap();
         let arch = marionette_arch::marionette_full();
-        let (prog, _) = compile_for_arch(&g, &arch).unwrap();
-        let mut faults = marionette::sim::FaultSet::new(arch.opts.rows, arch.opts.cols);
+        let compiled = compile_preset(&g, &arch).unwrap();
+        let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
         faults.add("pe:0,0".parse().unwrap()).unwrap();
-        let inputs = array_inputs(&g);
-        let err = marionette::sim::run_with_faults(
-            &prog,
+        let inputs = g.array_inputs();
+        let err = marionette::sim::run_full(
+            &compiled.prog,
             &arch.tm,
             &faults,
+            EngineKind::default(),
             &inputs,
             &[],
             DEFAULT_MAX_CYCLES,
         )
         .unwrap_err();
         match err {
-            marionette::sim::SimError::Fault { what, .. } => assert_eq!(what, "pe:0,0"),
+            SimError::Fault { what, .. } => assert_eq!(what, "pe:0,0"),
             other => panic!("expected a typed fault, got {other}"),
         }
     }
@@ -766,9 +554,13 @@ sink sum = sum;
         let (_, g) = frontend(SRC).unwrap();
         let r = reference(&g, &[], INTERP_BUDGET).unwrap();
         let arch = marionette_arch::marionette_full();
-        let mut faults = marionette::sim::FaultSet::new(arch.opts.rows, arch.opts.cols);
+        let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
         faults.add("pe:0,0".parse().unwrap()).unwrap();
-        let fr = run_preset_faulted(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, &faults).unwrap();
+        let mut spec = RunSpec {
+            faults: &faults,
+            ..RunSpec::new(DEFAULT_MAX_CYCLES)
+        };
+        let fr = run_preset(&g, &r, &arch, &[], &mut spec).unwrap();
         assert_eq!(fr.wedged.as_deref(), Some("pe:0,0"));
         assert!(fr.remapped, "a dead anchor tile must force a remap");
         assert!(fr.run.cycles > 0);
@@ -779,14 +571,16 @@ sink sum = sum;
         let (_, g) = frontend(SRC).unwrap();
         let r = reference(&g, &[], INTERP_BUDGET).unwrap();
         let arch = marionette_arch::marionette_full();
-        let clean = run_preset(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, false).unwrap();
+        let clean = run_preset(&g, &r, &arch, &[], &mut RunSpec::new(DEFAULT_MAX_CYCLES))
+            .unwrap()
+            .run;
         let (rows, cols) = (arch.opts.rows, arch.opts.cols);
         let mut prev = clean.cycles;
         let mut grew = false;
         for mult in [2u32, 8] {
             // Degrade every mesh link in both directions: any program
             // with at least one cross-tile flit route must slow down.
-            let mut faults = marionette::sim::FaultSet::new(rows, cols);
+            let mut faults = FaultSet::new(rows, cols);
             for row in 0..rows {
                 for col in 0..cols {
                     if col + 1 < cols {
@@ -813,9 +607,13 @@ sink sum = sum;
                     }
                 }
             }
-            // run_preset_faulted bit-verifies against the interpreter, so
-            // a value changed by a flaky link would fail here.
-            let fr = run_preset_faulted(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, &faults).unwrap();
+            // run_preset bit-verifies against the interpreter, so a
+            // value changed by a flaky link would fail here.
+            let mut spec = RunSpec {
+                faults: &faults,
+                ..RunSpec::new(DEFAULT_MAX_CYCLES)
+            };
+            let fr = run_preset(&g, &r, &arch, &[], &mut spec).unwrap();
             assert!(!fr.remapped, "flaky links must not wedge the bitstream");
             assert!(
                 fr.run.cycles >= prev,

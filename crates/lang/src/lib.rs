@@ -45,7 +45,7 @@ pub mod sema;
 pub mod tenancy;
 
 pub use diag::{Diagnostic, Span};
-pub use driver::{frontend, reference, run_preset, DriverError, PresetRun, Reference};
+pub use driver::{frontend, reference, run_preset, DriverError, FaultRun, PresetRun, Reference};
 pub use lower::lower;
 pub use parser::parse;
 pub use print::print;

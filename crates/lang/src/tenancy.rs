@@ -16,8 +16,7 @@
 //! simulation is exact rather than approximate.
 
 use crate::driver::{
-    array_inputs, compile_preset, summarize, verify_vs_reference, Compiled, DriverError, PresetRun,
-    Reference,
+    compile_preset, summarize, verify_vs_reference, Compiled, DriverError, PresetRun, Reference,
 };
 use marionette::compiler::Partition;
 use marionette::isa::{MultiTenantImage, TenantImage};
@@ -162,7 +161,7 @@ pub fn run_tenancy(
     let loads: Vec<TenantWorkload> = jobs
         .iter()
         .map(|j| TenantWorkload {
-            inputs: array_inputs(j.g),
+            inputs: j.g.array_inputs(),
             params: j.overrides.clone(),
             max_cycles: j.max_cycles,
         })

@@ -11,7 +11,7 @@
 use marionette::arch::{all_presets, preset_for_partition};
 use marionette::compiler::{Partition, PartitionError};
 use marionette::kernels::traits::Scale;
-use marionette::sim::{EngineKind, SimError};
+use marionette::sim::{EngineKind, RunSpec, SimError};
 use marionette_cdfg::Cdfg;
 use marionette_lang::driver::{reference, run_preset, Reference, INTERP_BUDGET};
 use marionette_lang::tenancy::{run_tenancy, TenancyReport, TenantJob, TenantOutcome};
@@ -78,11 +78,14 @@ fn tenants_bit_match_solo_runs_under_all_presets() {
             preset_for_partition(&parts[0], tag).unwrap(),
             preset_for_partition(&parts[1], tag).unwrap(),
         ];
+        let mut spec = RunSpec::new(MAX_CYCLES);
         let solos = [
-            run_preset(&crc_g, &crc_r, &solo_archs[0], &[], MAX_CYCLES, false)
-                .unwrap_or_else(|e| panic!("{tag}: CRC solo failed: {e}")),
-            run_preset(&fft_g, &fft_r, &solo_archs[1], &[], MAX_CYCLES, false)
-                .unwrap_or_else(|e| panic!("{tag}: FFT solo failed: {e}")),
+            run_preset(&crc_g, &crc_r, &solo_archs[0], &[], &mut spec)
+                .unwrap_or_else(|e| panic!("{tag}: CRC solo failed: {e}"))
+                .run,
+            run_preset(&fft_g, &fft_r, &solo_archs[1], &[], &mut spec)
+                .unwrap_or_else(|e| panic!("{tag}: FFT solo failed: {e}"))
+                .run,
         ];
         for (t, solo) in report.tenants.iter().zip(&solos) {
             let run = t.outcome.run().expect("completed");

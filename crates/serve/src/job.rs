@@ -13,11 +13,12 @@ use crate::{RouteMeta, ServerState};
 use marionette::cdfg::value::Value;
 use marionette::compiler::SearchBudget;
 use marionette::report::json_escape;
-use marionette::sim::{EngineKind, FaultSet, SimError};
+use marionette::runner::{self_heal, HealStages};
+use marionette::sim::{EngineKind, FaultSet, RunSpec, SimError};
 use marionette_arch::{Architecture, FabricDims};
 use marionette_lang::driver::{
     compile_preset, compile_preset_faulted, frontend, reference, simulate_compiled,
-    simulate_compiled_lanes, DriverError, PresetRun, Reference,
+    simulate_compiled_lanes, Compiled, DriverError, PresetRun, Reference,
 };
 use marionette_lang::{ast, print};
 use std::fmt::Write as _;
@@ -399,10 +400,10 @@ fn json_result(run: &PresetRun, sinks: &std::collections::HashMap<String, Vec<Va
 }
 
 /// Compile-or-reuse: resolves the request's artifact through the
-/// content-addressed cache. On a miss with faults injected, the cold
-/// path probes for a wedge and self-heals exactly like
-/// `run_preset_faulted` — and the *surviving* artifact (original or
-/// remap) is what gets cached, together with its fault outcome.
+/// content-addressed cache. On a miss the cold path runs the self-heal
+/// loop ([`self_heal`]) — probing for a wedge when faults are injected —
+/// and the *surviving* artifact (original or remap) is what gets cached,
+/// together with its fault outcome.
 ///
 /// Returns `(run, artifact, hit)` so callers report cache outcome and
 /// remap metadata without re-deriving them.
@@ -418,79 +419,83 @@ fn run_via_cache(
     meta: &mut RouteMeta,
 ) -> Result<(PresetRun, Arc<CachedArtifact>, bool), ApiError> {
     let under_faults = !opts.faults.is_empty();
-    if let Some(artifact) = state.cache.lookup(key) {
-        let t = std::time::Instant::now();
-        let run = simulate_compiled(
-            g,
-            reference,
-            &opts.arch,
-            &artifact.compiled,
-            overrides,
-            opts.max_cycles,
-            &opts.faults,
-            opts.engine,
-        )
-        .map_err(|e| map_driver_error(e, src, under_faults))?;
-        meta.sim_us += micros_since(t);
-        return Ok((run, artifact, true));
-    }
-    let t = std::time::Instant::now();
-    let compiled =
-        compile_preset(g, &opts.arch).map_err(|e| map_driver_error(e, src, under_faults))?;
-    meta.compile_us += micros_since(t);
-    let t = std::time::Instant::now();
-    let first = simulate_compiled(
+    let mut spec = RunSpec {
+        faults: &opts.faults,
+        engine: opts.engine,
+        max_cycles: opts.max_cycles,
+        tracer: None,
+    };
+    let mut stages = MissStages {
         g,
         reference,
-        &opts.arch,
-        &compiled,
+        arch: &opts.arch,
         overrides,
-        opts.max_cycles,
-        &opts.faults,
-        opts.engine,
-    );
-    meta.sim_us += micros_since(t);
-    match first {
-        Ok(run) => {
-            let artifact = CachedArtifact {
-                compiled,
-                wedged: None,
-                remapped: false,
-            };
-            state.cache.insert(key, artifact.clone());
-            Ok((run, Arc::new(artifact), false))
+        meta,
+    };
+    if let Some(artifact) = state.cache.lookup(key) {
+        let run = stages
+            .simulate(&artifact.compiled, &mut spec)
+            .map_err(|e| map_driver_error(e, src, under_faults))?;
+        return Ok((run, artifact, true));
+    }
+    let healed = self_heal(&mut stages, &opts.arch, &mut spec)
+        .map_err(|e| map_driver_error(e.into_inner(), src, under_faults))?;
+    let artifact = CachedArtifact {
+        compiled: healed.artifact,
+        remapped: healed.wedged.is_some(),
+        wedged: healed.wedged,
+    };
+    state.cache.insert(key, artifact.clone());
+    Ok((healed.run, Arc::new(artifact), false))
+}
+
+/// The `/run` pipeline's compile and simulate stages, each timed into
+/// the request's access-log record.
+struct MissStages<'a> {
+    g: &'a marionette::cdfg::Cdfg,
+    reference: &'a Reference,
+    arch: &'a Architecture,
+    overrides: &'a [(String, Value)],
+    meta: &'a mut RouteMeta,
+}
+
+impl HealStages for MissStages<'_> {
+    type Artifact = Compiled;
+    type Run = PresetRun;
+    type Error = DriverError;
+
+    fn compile(&mut self, arch: &Architecture, avoid: &FaultSet) -> Result<Compiled, DriverError> {
+        let t = std::time::Instant::now();
+        let compiled = compile_preset_faulted(self.g, arch, avoid);
+        self.meta.compile_us += micros_since(t);
+        compiled
+    }
+
+    fn simulate(
+        &mut self,
+        compiled: &Compiled,
+        spec: &mut RunSpec<'_>,
+    ) -> Result<PresetRun, DriverError> {
+        let t = std::time::Instant::now();
+        let run = simulate_compiled(
+            self.g,
+            self.reference,
+            self.arch,
+            compiled,
+            self.overrides,
+            spec.max_cycles,
+            spec.faults,
+            spec.engine,
+        );
+        self.meta.sim_us += micros_since(t);
+        run
+    }
+
+    fn sim_error(e: &DriverError) -> Option<&SimError> {
+        match e {
+            DriverError::Sim { e, .. } => Some(e),
+            _ => None,
         }
-        Err(DriverError::Sim {
-            e: SimError::Fault { what, .. },
-            ..
-        }) if under_faults => {
-            // Self-heal: recompile with the faulty resources masked.
-            let t = std::time::Instant::now();
-            let healed = compile_preset_faulted(g, &opts.arch, &opts.faults)
-                .map_err(|e| map_driver_error(e, src, true))?;
-            meta.compile_us += micros_since(t);
-            let t = std::time::Instant::now();
-            let run = simulate_compiled(
-                g,
-                reference,
-                &opts.arch,
-                &healed,
-                overrides,
-                opts.max_cycles,
-                &opts.faults,
-                opts.engine,
-            )
-            .map_err(|e| map_driver_error(e, src, true))?;
-            meta.sim_us += micros_since(t);
-            let artifact = CachedArtifact {
-                compiled: healed,
-                wedged: Some(what),
-                remapped: true,
-            };
-            state.cache.insert(key, artifact.clone());
-            Ok((run, Arc::new(artifact), false))
-        }
-        Err(e) => Err(map_driver_error(e, src, under_faults)),
     }
 }
 

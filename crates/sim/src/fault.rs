@@ -141,8 +141,15 @@ pub struct FaultSet {
 
 impl FaultSet {
     /// The empty fault set (a healthy fabric of unspecified geometry).
-    pub fn none() -> Self {
-        FaultSet::default()
+    pub const fn none() -> Self {
+        FaultSet {
+            rows: 0,
+            cols: 0,
+            dead_pe: Vec::new(),
+            dead_link: Vec::new(),
+            link_mult: Vec::new(),
+            specs: Vec::new(),
+        }
     }
 
     /// An empty fault set for an R×C fabric, ready for [`FaultSet::add`].

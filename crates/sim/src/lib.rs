@@ -19,7 +19,11 @@
 //! - memory latency on an optimistic multi-ported scratchpad.
 //!
 //! Architectural presets live in `marionette-arch`; this crate provides
-//! the neutral machine plus the [`TimingModel`] parameter space. On top
+//! the neutral machine plus the [`TimingModel`] parameter space. A run
+//! is described by one [`RunSpec`] — injected faults, event-queue
+//! engine, cycle budget, optional tracer — and executed by [`run_with`];
+//! [`run`] and [`run_full`] spell the common cases out, and
+//! [`run_lanes_full`] batches N workloads of one bitstream. On top
 //! of the core engine sit the [`fault`] plane (dead/flaky PEs and
 //! links, shared with the compiler as an avoid-mask), the [`trace`]
 //! plane (opt-in Perfetto-loadable cycle traces), and the [`tenancy`]
@@ -54,8 +58,7 @@ pub mod wheel;
 
 pub use fault::{FaultSet, FaultSpec};
 pub use machine::{
-    run, run_full, run_full_traced, run_lanes, run_lanes_full, run_with_engine, run_with_faults,
-    EngineKind, LaneSpec, RunResult, SimError,
+    run, run_full, run_lanes_full, run_with, EngineKind, LaneSpec, RunResult, RunSpec, SimError,
 };
 pub use stats::{GroupStats, RunStats, UnitStats};
 pub use tenancy::{run_tenants, TenancyError, TenancyRun, TenantOutcome, TenantWorkload};

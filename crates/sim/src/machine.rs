@@ -42,7 +42,7 @@
 //!   holding at least one ready candidate), walked in sorted order with a
 //!   per-unit count of active-group candidates so exclusive models skip
 //!   units whose whole backlog belongs to a parked group;
-//! - batched lanes ([`run_lanes`]) reuse one machine skeleton across N
+//! - batched lanes ([`run_lanes_full`]) reuse one machine skeleton across N
 //!   workloads of the same bitstream: static tables are built once and
 //!   dynamic state is `reset()` between lanes, bit-identical to N fresh
 //!   runs.
@@ -613,13 +613,64 @@ struct Machine<'p> {
     stats: RunStats,
     cycle: u64,
     progressed: bool,
-    /// Opt-in trace recorder ([`run_full_traced`]). `None` on every other
-    /// entry point: each hook site is a single discriminant check, and
+    /// Opt-in trace recorder ([`RunSpec::tracer`]). `None` on untraced
+    /// runs: each hook site is a single discriminant check, and
     /// the traced run is bit-identical to the untraced one.
     trace: Option<Box<Tracer>>,
 }
 
-/// Runs a program to quiescence.
+/// How to run a program: the fault set to inject, the event-queue
+/// engine, the cycle budget and an optional trace recorder. Each field
+/// is one axis of a run; [`run_with`] takes them all at once.
+///
+/// ```
+/// use marionette_sim::{EngineKind, FaultSet, RunSpec};
+///
+/// let faults = FaultSet::new(4, 4);
+/// let spec = RunSpec { faults: &faults, ..RunSpec::new(1_000) };
+/// assert_eq!(spec.engine, EngineKind::default());
+/// assert!(spec.tracer.is_none());
+/// ```
+#[derive(Debug)]
+pub struct RunSpec<'a> {
+    /// Injected faults (empty for a healthy fabric).
+    ///
+    /// A dead resource the bitstream touches (a dead tile holding a
+    /// node, a dead link crossed by a flit-carrying route) surfaces as
+    /// [`SimError::Fault`] naming the resource, before any cycle
+    /// executes. Flaky links only stretch traversal time — the extra
+    /// cycles are charged to the link-stall counters and values are
+    /// never altered. An empty fault set is bit-identical to a healthy
+    /// run.
+    pub faults: &'a FaultSet,
+    /// Event-queue core; both engines are bit-identical.
+    pub engine: EngineKind,
+    /// Cycle budget.
+    pub max_cycles: u64,
+    /// Records the cycle-accurate event stream (see [`crate::trace`]).
+    /// The tracer is handed back with the recorded events on success
+    /// **and** on error (a partial trace of a deadlocked run is exactly
+    /// what one wants to look at); the run itself is bit-identical to
+    /// the untraced one.
+    pub tracer: Option<&'a mut Tracer>,
+}
+
+/// The empty fault set behind [`RunSpec::new`].
+static NO_FAULTS: FaultSet = FaultSet::none();
+
+impl RunSpec<'static> {
+    /// A healthy, untraced run on the default engine within `max_cycles`.
+    pub fn new(max_cycles: u64) -> Self {
+        RunSpec {
+            faults: &NO_FAULTS,
+            engine: EngineKind::default(),
+            max_cycles,
+            tracer: None,
+        }
+    }
+}
+
+/// Runs a program to quiescence on a healthy fabric.
 ///
 /// `inputs` overwrite array contents by name (missing arrays zero-fill);
 /// `params` override scalar parameters.
@@ -634,80 +685,13 @@ pub fn run(
     params: &[(String, Value)],
     max_cycles: u64,
 ) -> Result<RunResult, SimError> {
-    run_full(
-        prog,
-        tm,
-        &FaultSet::none(),
-        EngineKind::default(),
-        inputs,
-        params,
-        max_cycles,
-    )
+    run_with(prog, tm, inputs, params, &mut RunSpec::new(max_cycles))
 }
 
-/// [`run`] with an explicit [`EngineKind`] (same fault-free semantics).
+/// [`run_with`] with the faults, engine and budget spelled out.
 ///
 /// # Errors
-/// Returns [`SimError`] on deadlock, cycle-budget exhaustion or unknown
-/// workload names.
-pub fn run_with_engine(
-    prog: &MachineProgram,
-    tm: &TimingModel,
-    engine: EngineKind,
-    inputs: &[(String, Vec<Value>)],
-    params: &[(String, Value)],
-    max_cycles: u64,
-) -> Result<RunResult, SimError> {
-    run_full(
-        prog,
-        tm,
-        &FaultSet::none(),
-        engine,
-        inputs,
-        params,
-        max_cycles,
-    )
-}
-
-/// Runs a program to quiescence on a faulted fabric.
-///
-/// A dead resource the bitstream touches (a dead tile holding a node, a
-/// dead link crossed by a flit-carrying route) surfaces as
-/// [`SimError::Fault`] naming the resource, before any cycle executes.
-/// Flaky links only stretch traversal time — the extra cycles are charged
-/// to the link-stall counters and values are never altered. An empty
-/// fault set is bit-identical to [`run`].
-///
-/// # Errors
-/// Returns [`SimError`] on a touched fault, deadlock, cycle-budget
-/// exhaustion or unknown workload names.
-pub fn run_with_faults(
-    prog: &MachineProgram,
-    tm: &TimingModel,
-    faults: &FaultSet,
-    inputs: &[(String, Vec<Value>)],
-    params: &[(String, Value)],
-    max_cycles: u64,
-) -> Result<RunResult, SimError> {
-    run_full(
-        prog,
-        tm,
-        faults,
-        EngineKind::default(),
-        inputs,
-        params,
-        max_cycles,
-    )
-}
-
-/// The full-control entry point: faults **and** engine selection.
-///
-/// Every other `run*` function delegates here; see [`run_with_faults`]
-/// for the fault semantics.
-///
-/// # Errors
-/// Returns [`SimError`] on a touched fault, deadlock, cycle-budget
-/// exhaustion or unknown workload names.
+/// As [`run_with`].
 pub fn run_full(
     prog: &MachineProgram,
     tm: &TimingModel,
@@ -717,47 +701,48 @@ pub fn run_full(
     params: &[(String, Value)],
     max_cycles: u64,
 ) -> Result<RunResult, SimError> {
-    let mut m = Machine::new(prog, tm, faults, engine)?;
-    m.apply_workload(inputs, params)?;
-    m.boot();
-    m.run_to_quiescence(max_cycles)?;
-    Ok(m.finish())
+    let mut spec = RunSpec {
+        faults,
+        engine,
+        max_cycles,
+        tracer: None,
+    };
+    run_with(prog, tm, inputs, params, &mut spec)
 }
 
-/// [`run_full`] with a [`Tracer`] recording the cycle-accurate event
-/// stream (see [`crate::trace`]). The tracer is borrowed for the run and
-/// handed back with the recorded events on success **and** on error (a
-/// partial trace of a deadlocked run is exactly what one wants to look
-/// at). The run itself is bit-identical to the untraced [`run_full`].
+/// Runs a program to quiescence as `spec` says: every other `run*`
+/// function delegates here. See [`RunSpec`] for the fault and trace
+/// semantics.
 ///
 /// # Errors
-/// Returns [`SimError`] exactly as [`run_full`] does.
-#[allow(clippy::too_many_arguments)]
-pub fn run_full_traced(
+/// Returns [`SimError`] on a touched fault, deadlock, cycle-budget
+/// exhaustion or unknown workload names.
+pub fn run_with(
     prog: &MachineProgram,
     tm: &TimingModel,
-    faults: &FaultSet,
-    engine: EngineKind,
     inputs: &[(String, Vec<Value>)],
     params: &[(String, Value)],
-    max_cycles: u64,
-    tracer: &mut Tracer,
+    spec: &mut RunSpec<'_>,
 ) -> Result<RunResult, SimError> {
-    let mut m = Machine::new(prog, tm, faults, engine)?;
-    let mut t = std::mem::take(tracer);
-    t.set_cols(prog.cols as usize);
-    m.trace = Some(Box::new(t));
+    let mut m = Machine::new(prog, tm, spec.faults, spec.engine)?;
+    if let Some(tracer) = spec.tracer.as_deref_mut() {
+        let mut t = std::mem::take(tracer);
+        t.set_cols(prog.cols as usize);
+        m.trace = Some(Box::new(t));
+    }
     let run = m.apply_workload(inputs, params).and_then(|()| {
         m.boot();
-        m.run_to_quiescence(max_cycles)
+        m.run_to_quiescence(spec.max_cycles)
     });
-    *tracer = *m.trace.take().expect("tracer installed above");
+    if let Some(tracer) = spec.tracer.as_deref_mut() {
+        *tracer = *m.trace.take().expect("tracer installed above");
+    }
     run?;
     Ok(m.finish())
 }
 
-/// One lane of a batched [`run_lanes`] call: a workload (array contents
-/// and parameter overrides) for the shared bitstream.
+/// One lane of a batched [`run_lanes_full`] call: a workload (array
+/// contents and parameter overrides) for the shared bitstream.
 #[derive(Clone, Debug, Default)]
 pub struct LaneSpec {
     /// Array contents by name (missing arrays zero-fill), as in [`run`].
@@ -772,37 +757,16 @@ pub struct LaneSpec {
 /// (unit topology, flattened route/operand metadata, consumer CSR, sink
 /// interning) plus all dynamic-state allocations — is built **once** and
 /// reused across lanes; only the dynamic state is reset in between. Each
-/// lane is bit-identical to an independent [`run`] with the same
+/// lane is bit-identical to an independent [`run_full`] with the same
 /// workload: values, cycles, stats, and per-lane errors (a lane that
 /// deadlocks or exhausts the budget reports its own `Err` without
 /// poisoning its neighbours).
 ///
 /// # Errors
 /// The outer `Err` is construction-time only (fault screening of the
-/// bitstream, as in [`run_with_faults`]); per-lane failures — deadlock,
+/// bitstream, see [`RunSpec::faults`]); per-lane failures — deadlock,
 /// cycle budget, unknown workload names — come back in the inner
 /// results.
-pub fn run_lanes(
-    prog: &MachineProgram,
-    tm: &TimingModel,
-    lanes: &[LaneSpec],
-    max_cycles: u64,
-) -> Result<Vec<Result<RunResult, SimError>>, SimError> {
-    run_lanes_full(
-        prog,
-        tm,
-        &FaultSet::none(),
-        EngineKind::default(),
-        lanes,
-        max_cycles,
-    )
-}
-
-/// [`run_lanes`] with explicit faults and engine.
-///
-/// # Errors
-/// As [`run_lanes`]: outer `Err` for construction/fault screening,
-/// inner per-lane errors otherwise.
 pub fn run_lanes_full(
     prog: &MachineProgram,
     tm: &TimingModel,
@@ -817,21 +781,13 @@ pub fn run_lanes_full(
         if li > 0 {
             m.reset();
         }
-        let r = run_one_lane(&mut m, lane, max_cycles);
-        out.push(r);
+        let run = m.apply_workload(&lane.inputs, &lane.params).and_then(|()| {
+            m.boot();
+            m.run_to_quiescence(max_cycles)
+        });
+        out.push(run.map(|()| m.finish()));
     }
     Ok(out)
-}
-
-fn run_one_lane(
-    m: &mut Machine<'_>,
-    lane: &LaneSpec,
-    max_cycles: u64,
-) -> Result<RunResult, SimError> {
-    m.apply_workload(&lane.inputs, &lane.params)?;
-    m.boot();
-    m.run_to_quiescence(max_cycles)?;
-    Ok(m.finish())
 }
 
 /// Dense directed-link id (`from * 4 + dir`, east/west/south/north =

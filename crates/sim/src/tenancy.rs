@@ -16,7 +16,7 @@
 //! event in another, so simulating each factor independently and taking
 //! the cycle-wise union is bit-identical to stepping one monolithic
 //! machine hosting all tenants. This is the same argument behind
-//! [`crate::machine::run_lanes`]'s lane isolation (PR 7), applied
+//! [`crate::machine::run_lanes_full`]'s lane isolation, applied
 //! spatially instead of temporally — and it is what makes each
 //! co-resident tenant *bit-identical to a solo run on an equal-sized
 //! fabric*, the property the tenancy test suite pins for all presets.

@@ -1,6 +1,6 @@
 //! Opt-in cycle-accurate tracing: the machine's trace plane.
 //!
-//! A [`Tracer`] installed via [`crate::machine::run_full_traced`] records
+//! A [`Tracer`] installed via [`crate::RunSpec::tracer`] records
 //! one timestamped event per architectural occurrence — PE/control/memory
 //! firings, mesh link grants, arbitration and backpressure stalls,
 //! control-plane configuration switches, memory accesses — plus counter

@@ -49,11 +49,7 @@ fn check_kernel(k: &dyn Kernel, tm: &TimingModel, seed: u64) -> u64 {
     let g = k.build(&wl).expect("kernel builds");
     let opts = opts_for(tm);
     let (prog, _report) = compile(&g, &opts).expect("compiles");
-    let inputs: Vec<(String, Vec<marionette_cdfg::Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = g.array_inputs();
     let r = run(&prog, tm, &inputs, &[], MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{} under {}: {e}", k.name(), tm.name));
     assert_eq!(r.oob_events, 0, "{}: oob accesses", k.name());
