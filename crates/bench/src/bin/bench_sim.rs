@@ -62,7 +62,7 @@ use marionette::runner::{
     run_kernel, run_kernel_lanes, run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES,
 };
 use marionette::sim::{EngineKind, FaultSet, RunSpec, Tracer};
-use marionette_bench::snapshot;
+use marionette_bench::{kernel_tags, snapshot};
 use std::time::Instant;
 
 const SEED: u64 = 1;
@@ -90,11 +90,7 @@ struct Measured {
 
 fn points(fabric: FabricDims) -> Vec<Point> {
     let archs = marionette::arch::all_presets_on(fabric);
-    let mut tags: Vec<String> = marionette::kernels::all()
-        .iter()
-        .map(|k| k.short().to_string())
-        .collect();
-    tags.push("LDPC-APP".to_string());
+    let tags = kernel_tags(None).expect("no filter");
     tags.iter()
         .flat_map(|kernel| {
             archs.iter().map(move |a| Point {
@@ -442,11 +438,7 @@ fn resolve_trace_point(
     let (ktag, ptag) = point
         .split_once(':')
         .ok_or_else(|| format!("--trace-point wants KERNEL:PRESET (e.g. CRC:M), got `{point}`"))?;
-    let mut tags: Vec<String> = marionette::kernels::all()
-        .iter()
-        .map(|k| k.short().to_string())
-        .collect();
-    tags.push("LDPC-APP".to_string());
+    let tags = kernel_tags(None).expect("no filter");
     let tag = tags
         .iter()
         .find(|t| t.eq_ignore_ascii_case(ktag))

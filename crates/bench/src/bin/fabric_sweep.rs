@@ -44,13 +44,14 @@ use marionette::experiments::geomean;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::report::json_escape;
+use marionette::runner::DEFAULT_MAX_CYCLES;
 use marionette::sim::RunSpec;
+use marionette_bench::kernel_tags;
 use marionette_lang::driver::{reference, run_preset, Reference, INTERP_BUDGET};
 use marionette_lang::tenancy::{run_tenancy, TenantJob};
 use std::time::Instant;
 
 const SEED: u64 = 1;
-const DEFAULT_MAX_CYCLES: u64 = 4_000_000_000;
 
 struct Args {
     fabrics: Vec<FabricDims>,
@@ -192,27 +193,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         tenancy_fabric,
         out: get("--out")?.unwrap_or_else(|| "BENCH_fabric.json".to_string()),
     })
-}
-
-/// Kernel tags, filtered by `--kernels`.
-fn kernel_tags(filter: Option<&str>) -> Result<Vec<String>, String> {
-    let mut tags: Vec<String> = marionette::kernels::all()
-        .iter()
-        .map(|k| k.short().to_string())
-        .collect();
-    tags.push("LDPC-APP".to_string());
-    if let Some(filter) = filter {
-        let want: Vec<String> = filter
-            .split(',')
-            .map(|s| s.trim().to_uppercase())
-            .filter(|s| !s.is_empty())
-            .collect();
-        tags.retain(|t| want.iter().any(|w| w == &t.to_uppercase()));
-        if tags.is_empty() {
-            return Err(format!("no kernels match --kernels {filter}"));
-        }
-    }
-    Ok(tags)
 }
 
 struct Measured {

@@ -50,7 +50,7 @@ use marionette::parallel::{par_map, sweep_threads};
 use marionette::report::json_escape;
 use marionette::runner::{run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES};
 use marionette::sim::{EngineKind, FaultSet, RunSpec, Tracer};
-use marionette_bench::snapshot;
+use marionette_bench::{kernel_tags, snapshot};
 use std::time::Instant;
 
 const SEED: u64 = 1;
@@ -193,27 +193,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         },
         trace: get("--trace")?,
     })
-}
-
-/// Kernel tags, filtered by `--kernels`.
-fn kernel_tags(filter: Option<&str>) -> Result<Vec<String>, String> {
-    let mut tags: Vec<String> = marionette::kernels::all()
-        .iter()
-        .map(|k| k.short().to_string())
-        .collect();
-    tags.push("LDPC-APP".to_string());
-    if let Some(filter) = filter {
-        let want: Vec<String> = filter
-            .split(',')
-            .map(|s| s.trim().to_uppercase())
-            .filter(|s| !s.is_empty())
-            .collect();
-        tags.retain(|t| want.iter().any(|w| w == &t.to_uppercase()));
-        if tags.is_empty() {
-            return Err(format!("no kernels match --kernels {filter}"));
-        }
-    }
-    Ok(tags)
 }
 
 /// One point's surviving measurement, or the typed infeasible outcome.

@@ -21,6 +21,7 @@ use marionette::compiler::{compile, CostModel, SearchBudget, SearchReport};
 use marionette::kernels::traits::Scale;
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::runner::{compile_for_arch, run_kernel, DEFAULT_MAX_CYCLES};
+use marionette_bench::kernel_tags;
 
 const SEED: u64 = 1;
 
@@ -186,22 +187,7 @@ fn select(args: &Args) -> Result<(Vec<Architecture>, Vec<String>), String> {
         None => marionette::arch::all_presets_on(args.fabric),
         Some(tags) => marionette::arch::presets_by_tags_on(args.fabric, tags)?,
     };
-    let mut tags: Vec<String> = marionette::kernels::all()
-        .iter()
-        .map(|k| k.short().to_string())
-        .collect();
-    tags.push("LDPC-APP".to_string());
-    if let Some(filter) = &args.kernels {
-        let want: Vec<String> = filter
-            .split(',')
-            .map(|s| s.trim().to_uppercase())
-            .filter(|s| !s.is_empty())
-            .collect();
-        tags.retain(|t| want.iter().any(|w| w == &t.to_uppercase()));
-        if tags.is_empty() {
-            return Err(format!("no kernels match --kernels {filter}"));
-        }
-    }
+    let tags = kernel_tags(args.kernels.as_deref())?;
     Ok((archs, tags))
 }
 

@@ -34,7 +34,8 @@ use marionette::cdfg::value::Value;
 use marionette::compiler::SearchBudget;
 use marionette::sim::{EngineKind, FaultSet, RunSpec};
 use marionette_lang::driver::{
-    frontend, reference, run_preset, DriverError, FaultRun, DEFAULT_MAX_CYCLES, INTERP_BUDGET,
+    frontend, reference, run_preset, typed_overrides, DriverError, FaultRun, DEFAULT_MAX_CYCLES,
+    INTERP_BUDGET,
 };
 
 struct Args {
@@ -181,49 +182,7 @@ fn select_presets(fabric: FabricDims, filter: Option<&str>) -> Result<Vec<Archit
     Ok(out)
 }
 
-/// Types each `--param` override from the program's declarations; names
-/// that resolve to no declaration are passed through so the reference
-/// interpreter reports them as a typed `UnknownParam` error.
-fn typed_overrides(
-    ast: &marionette_lang::ast::Program,
-    raw: &[(String, String)],
-) -> Result<Vec<(String, Value)>, String> {
-    let mut out = Vec::new();
-    for (name, val) in raw {
-        let decl = ast.params.iter().find(|p| &p.name.name == name);
-        let v = match decl.map(|d| d.ty) {
-            Some(marionette_lang::ast::Ty::F32) => Value::F32(
-                val.parse::<f32>()
-                    .map_err(|_| format!("--param {name}: `{val}` is not an f32"))?,
-            ),
-            Some(marionette_lang::ast::Ty::I32) => Value::I32(
-                val.parse::<i32>()
-                    .map_err(|_| format!("--param {name}: `{val}` is not an i32"))?,
-            ),
-            // Undeclared name: parse by value shape so the reference
-            // interpreter gets to report the typed UnknownParam error.
-            None => match (val.parse::<i32>(), val.parse::<f32>()) {
-                (Ok(v), _) => Value::I32(v),
-                (_, Ok(v)) => Value::F32(v),
-                _ => return Err(format!("--param {name}: `{val}` is not a number")),
-            },
-        };
-        out.push((name.clone(), v));
-    }
-    Ok(out)
-}
-
-use marionette::report::json_escape;
-
-fn json_value(v: &Value) -> String {
-    match v {
-        Value::I32(x) => x.to_string(),
-        Value::F32(x) if x.is_finite() => format!("{x:?}"),
-        Value::F32(x) => format!("\"{x}\""),
-        Value::Unit => "\"unit\"".to_string(),
-        Value::Poison => "\"poison\"".to_string(),
-    }
-}
+use marionette::report::{json_escape, json_sinks};
 
 #[allow(clippy::too_many_arguments)]
 fn json_report(
@@ -261,19 +220,7 @@ fn json_report(
         )),
         None => j.push_str("  \"search\": null,\n"),
     }
-    let mut labels: Vec<&String> = sinks.keys().collect();
-    labels.sort();
-    j.push_str("  \"sinks\": {");
-    for (i, l) in labels.iter().enumerate() {
-        let vals: Vec<String> = sinks[*l].iter().map(json_value).collect();
-        j.push_str(&format!(
-            "{}\"{}\": [{}]",
-            if i == 0 { "" } else { ", " },
-            json_escape(l),
-            vals.join(", ")
-        ));
-    }
-    j.push_str("},\n");
+    j.push_str(&format!("  \"sinks\": {},\n", json_sinks(sinks)));
     j.push_str("  \"presets\": [\n");
     for (i, fr) in runs.iter().enumerate() {
         let r = &fr.run;
@@ -364,7 +311,7 @@ fn run() -> Result<(), i32> {
         }
         1
     })?;
-    let overrides = typed_overrides(&ast, &args.params).map_err(fail2)?;
+    let overrides = typed_overrides(&ast, &args.params).map_err(|e| fail2(format!("--{e}")))?;
 
     // Reference semantics (both interpreter modes, cross-checked).
     let r = reference(&g, &overrides, INTERP_BUDGET).map_err(|e| {

@@ -1,5 +1,6 @@
-//! Shared formatting helpers for the `repro_*` binaries that regenerate
-//! the paper's tables and figures.
+//! Shared helpers for the bench binaries: formatting for the `repro_*`
+//! binaries that regenerate the paper's tables and figures, and the
+//! kernel selection of the sweeps.
 
 pub mod report;
 pub mod snapshot;
@@ -40,6 +41,32 @@ pub fn header(first: &str, tags: &[String]) -> String {
         s.push_str(&format!(" {t:>7}"));
     }
     s
+}
+
+/// Every kernel tag the sweeps cover (the suite kernels plus the LDPC
+/// application), narrowed to a comma-separated `--kernels` filter
+/// (case-insensitive) when one is given.
+///
+/// # Errors
+/// Returns a message when the filter matches no kernel.
+pub fn kernel_tags(filter: Option<&str>) -> Result<Vec<String>, String> {
+    let mut tags: Vec<String> = marionette::kernels::all()
+        .iter()
+        .map(|k| k.short().to_string())
+        .collect();
+    tags.push("LDPC-APP".to_string());
+    if let Some(filter) = filter {
+        let want: Vec<String> = filter
+            .split(',')
+            .map(|s| s.trim().to_uppercase())
+            .filter(|s| !s.is_empty())
+            .collect();
+        tags.retain(|t| want.iter().any(|w| w == &t.to_uppercase()));
+        if tags.is_empty() {
+            return Err(format!("no kernels match --kernels {filter}"));
+        }
+    }
+    Ok(tags)
 }
 
 #[cfg(test)]

@@ -61,8 +61,7 @@ pub use options::{
 };
 pub use partition::{Partition, PartitionError, PartitionMap};
 pub use pipeline::{
-    compile, compile_with_timing, compile_with_timing_and_faults, compile_with_timing_and_region,
-    finalize_explored_with_faults, CompileReport,
+    compile, compile_with_timing_and_faults, finalize_explored_with_faults, CompileReport,
 };
 pub use place::{place, place_with_faults, PlaceError, PlacementResult};
 pub use route::route;

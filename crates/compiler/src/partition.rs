@@ -22,8 +22,8 @@
 //!   every link crossing the region boundary dead — so the annealing
 //!   placer's legality caps and the rip-up router confine a
 //!   full-fabric compile to the region with the exact machinery the
-//!   fault plane already uses (see
-//!   [`crate::pipeline::compile_with_timing_and_region`]).
+//!   fault plane already uses (pass the mask to
+//!   [`crate::pipeline::compile_with_timing_and_faults`]).
 //!
 //! The CLI syntax everywhere is `RxC@r,c` (dimensions at row,col
 //! origin), e.g. `8x8@0,8` for an 8×8 region whose top-left tile is

@@ -8,7 +8,7 @@
 //! - **explored** (any other budget): the annealing mapping explorer of
 //!   [`crate::explore`] plus the congestion-aware rip-up router, scored
 //!   by a [`CostModel`] (derive one from the architecture's timing model
-//!   with [`compile_with_timing`]).
+//!   with [`compile_with_timing_and_faults`]).
 
 use crate::cost::CostModel;
 use crate::explore::{explore_with_faults, ExploreResult, SearchReport};
@@ -55,8 +55,8 @@ pub struct CompileReport {
 ///
 /// With a nonzero [`CompileOptions::search`] budget the mapping explorer
 /// runs under the transport-neutral [`CostModel::neutral`] weights; use
-/// [`compile_with_timing`] to score with an architecture's actual timing
-/// model.
+/// [`compile_with_timing_and_faults`] to score with an architecture's
+/// actual timing model.
 ///
 /// # Errors
 /// Returns [`PlaceError`] when the program cannot fit on the fabric.
@@ -71,24 +71,22 @@ pub fn compile(
     }
 }
 
-/// Compiles with mapping-search weights derived from `tm` (falls back to
-/// the legacy pipeline when the search budget is off).
-///
-/// # Errors
-/// Returns [`PlaceError`] when the program cannot fit on the fabric.
-pub fn compile_with_timing(
-    g: &Cdfg,
-    opts: &CompileOptions,
-    tm: &TimingModel,
-) -> Result<(MachineProgram, CompileReport), PlaceError> {
-    compile_with_timing_and_faults(g, opts, tm, &FaultSet::none())
-}
-
-/// Fault-aware variant of [`compile_with_timing`]: placement avoids
-/// dead PEs, routing detours around dead links (failing with
+/// Compiles with mapping-search weights derived from `tm` (the legacy
+/// pipeline when the search budget is off) around `faults`: placement
+/// avoids dead PEs, routing detours around dead links (failing with
 /// [`PlaceError::Unroutable`] when no dimension order works), and the
-/// explorer's cost penalizes flaky links. An empty fault set is
-/// bit-identical to [`compile_with_timing`].
+/// explorer's cost penalizes flaky links. Pass [`FaultSet::none`] for a
+/// healthy fabric.
+///
+/// A partition region is a fault set too: compiling with
+/// [`crate::partition::PartitionMap::exclusion_mask`] as `faults`
+/// confines a full-fabric (*fabric-view*) compile to one region — dead
+/// PEs drop out of the greedy placer's and the annealing explorer's
+/// legality caps, and the rip-up router refuses any path over a link
+/// crossing the region boundary. The tenancy pipeline's primary path
+/// instead compiles on the partition's own dimensions
+/// ([`crate::partition::Partition::dims`]) so a tenant is bit-identical
+/// to a solo run on an equal-sized fabric.
 ///
 /// # Errors
 /// Returns [`PlaceError`] when the program cannot fit on, or be routed
@@ -103,44 +101,6 @@ pub fn compile_with_timing_and_faults(
         SearchBudget::Off => compile_greedy(g, opts, faults),
         _ => compile_with_cost(g, opts, &CostModel::from_timing(tm), faults),
     }
-}
-
-/// Region-scoped variant of [`compile_with_timing`]: the compile runs on
-/// the *full* host fabric of `map` but is confined to partition `idx` by
-/// rendering the region's complement as a [`FaultSet`] avoid-mask
-/// ([`crate::partition::PartitionMap::exclusion_mask`]) — dead PEs drop
-/// out of the greedy placer's and the annealing explorer's legality
-/// caps, and the rip-up router refuses any path over a link crossing the
-/// region boundary. Every placement and every route-path tile of the
-/// result lies inside the region.
-///
-/// This is the *fabric-view* compile; the tenancy pipeline's primary
-/// path instead compiles on the partition's own dimensions
-/// ([`crate::partition::Partition::dims`]) so a tenant is bit-identical
-/// to a solo run on an equal-sized fabric. Use this entry point when a
-/// mapping must coexist with un-relocatable neighbours in one
-/// coordinate space.
-///
-/// # Errors
-/// Returns [`PlaceError`] when the program cannot fit inside, or be
-/// routed within, the region.
-///
-/// # Panics
-/// Panics if `idx` is out of range for `map` or `opts` disagrees with
-/// the map's host fabric.
-pub fn compile_with_timing_and_region(
-    g: &Cdfg,
-    opts: &CompileOptions,
-    tm: &TimingModel,
-    map: &crate::partition::PartitionMap,
-    idx: usize,
-) -> Result<(MachineProgram, CompileReport), PlaceError> {
-    assert_eq!(
-        opts.dims(),
-        map.fabric(),
-        "compile options must target the partition map's host fabric"
-    );
-    compile_with_timing_and_faults(g, opts, tm, &map.exclusion_mask(idx))
 }
 
 /// The legacy one-shot pipeline (greedy place + XY route), bit-compatible

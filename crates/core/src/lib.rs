@@ -40,7 +40,8 @@
 //! | [`sim`] | cycle-level simulator with per-architecture timing models |
 //! | [`arch`] | architecture presets (vN/DF/Marionette ablations/SOTA) |
 //! | [`hw`] | 28 nm area/power/delay models (Tables 4 & 6, Fig 13) |
-//! | [`runner`] | end-to-end compile+simulate+verify |
+//! | [`pipeline`] | the one compile → bitstream → simulate → verify path, behind an [`pipeline::Oracle`] |
+//! | [`runner`] | kernel runs, lanes, sweeps and the self-heal policy |
 //! | [`experiments`] | regeneration of every evaluation figure |
 //! | [`parallel`] | scoped-thread fan-out for experiment sweeps |
 //! | [`report`] | shared helpers for the JSON-report binaries |
@@ -58,6 +59,7 @@ pub use marionette_sim as sim;
 
 pub mod experiments;
 pub mod parallel;
+pub mod pipeline;
 pub mod report;
 pub mod runner;
 

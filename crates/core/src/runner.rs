@@ -7,8 +7,8 @@
 //! experiment and the `bench_sim` perf harness.
 
 use crate::parallel::{par_map, sweep_threads};
+use crate::pipeline::{self, Lane, PipelineError, Stages};
 use marionette_arch::Architecture;
-use marionette_cdfg::value::Value;
 use marionette_cdfg::Cdfg;
 use marionette_compiler::{
     compile_with_timing_and_faults, explore_chain_with_faults, finalize_explored_with_faults,
@@ -16,12 +16,8 @@ use marionette_compiler::{
 };
 use marionette_isa::bitstream::{self, BitstreamError};
 use marionette_isa::MachineProgram;
-use marionette_kernels::traits::{Golden, Kernel, KernelError, Scale};
-use marionette_kernels::verify::check_vs_golden;
-use marionette_sim::{
-    run_lanes_full, run_with, EngineKind, FaultSet, LaneSpec, RunResult, RunSpec, RunStats,
-    SimError,
-};
+use marionette_kernels::traits::{Kernel, KernelError, Scale};
+use marionette_sim::{EngineKind, FaultSet, RunSpec, RunStats, SimError};
 use std::fmt;
 
 /// Default cycle budget per run.
@@ -123,6 +119,22 @@ impl From<SimError> for RunnerError {
     }
 }
 
+impl RunnerError {
+    /// `e` as a runner error; a mismatch names `kernel` on `arch`.
+    fn stage(e: PipelineError, kernel: &dyn Kernel, arch: &Architecture) -> Self {
+        match e {
+            PipelineError::Compile(e) => RunnerError::Compile(e),
+            PipelineError::Bitstream(e) => RunnerError::Bitstream(e),
+            PipelineError::Sim(e) => RunnerError::Sim(e),
+            PipelineError::Verify(m) => RunnerError::Verification {
+                what: format!("{} on {}", kernel.name(), arch.name),
+                first: m.detail,
+                count: m.count,
+            },
+        }
+    }
+}
+
 /// Compiles `g` for `arch`.
 ///
 /// With [`marionette_compiler::SearchBudget::Off`] (the default on every
@@ -131,7 +143,7 @@ impl From<SimError> for RunnerError {
 /// of the mapping explorer are fanned out across worker threads (see
 /// [`crate::parallel::par_map`]) and combined with the explorer's
 /// deterministic best-of-N selection, so the result is identical to a
-/// serial [`marionette_compiler::compile_with_timing`] call.
+/// serial [`marionette_compiler::compile_with_timing_and_faults`] call.
 ///
 /// # Errors
 /// Returns [`PlaceError`] when the program cannot fit on the fabric.
@@ -239,14 +251,9 @@ pub fn run_kernel_with(
     let wl = kernel.workload(scale, seed);
     let golden = kernel.golden(&wl)?;
     let g = kernel.build(&wl)?;
-    let mut stages = KernelStages {
-        kernel,
-        arch,
-        inputs: g.array_inputs(),
-        g,
-        golden,
-    };
-    let healed = self_heal(&mut stages, arch, spec).map_err(HealError::into_inner)?;
+    let mut stages = Stages::new(&g, &golden, arch, &[]);
+    let healed = self_heal(&mut stages, arch, spec)
+        .map_err(|e| RunnerError::stage(e.into_inner(), kernel, arch))?;
     let r = healed.run;
     Ok(FaultKernelRun {
         remapped: healed.wedged.is_some(),
@@ -256,51 +263,10 @@ pub fn run_kernel_with(
             kernel: kernel.short().to_string(),
             cycles: r.stats.cycles,
             stats: r.stats,
-            report: healed.artifact.1,
+            report: healed.artifact.report,
             verified: true,
         },
     })
-}
-
-/// The runner's compile and simulate stages for one kernel workload.
-struct KernelStages<'k> {
-    kernel: &'k dyn Kernel,
-    arch: &'k Architecture,
-    g: Cdfg,
-    golden: Golden,
-    inputs: Vec<(String, Vec<Value>)>,
-}
-
-impl HealStages for KernelStages<'_> {
-    type Artifact = (MachineProgram, CompileReport);
-    type Run = RunResult;
-    type Error = RunnerError;
-
-    fn compile(
-        &mut self,
-        arch: &Architecture,
-        avoid: &FaultSet,
-    ) -> Result<Self::Artifact, RunnerError> {
-        let (prog, report) = compile_for_arch_with_faults(&self.g, arch, avoid)?;
-        Ok((roundtrip(&prog)?, report))
-    }
-
-    fn simulate(
-        &mut self,
-        (prog, _): &Self::Artifact,
-        spec: &mut RunSpec<'_>,
-    ) -> Result<RunResult, RunnerError> {
-        let r = run_with(prog, &self.arch.tm, &self.inputs, &[], spec)?;
-        verify_golden(self.kernel, self.arch, &self.g, &self.golden, &r)?;
-        Ok(r)
-    }
-
-    fn sim_error(e: &RunnerError) -> Option<&SimError> {
-        match e {
-            RunnerError::Sim(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 /// Compiles `kernel` **once** and simulates one lane per seed in a
@@ -336,8 +302,8 @@ pub fn run_kernel_lanes(
         let g = kernel.build(&wl)?;
         per_seed.push((g, golden));
     }
-    let (prog, report) = compile_for_arch(&per_seed[0].0, arch)?;
-    let bytes = bitstream::encode(&prog);
+    let stage = |e| RunnerError::stage(e, kernel, arch);
+    let compiled = pipeline::compile(&per_seed[0].0, arch, &FaultSet::none()).map_err(stage)?;
     // All lanes execute lane 0's bitstream, so every other lane's graph
     // must compile to the very same bytes. Kernels that unroll workload
     // values into immediates (e.g. Conv-1d's filter taps) fail this for
@@ -348,79 +314,36 @@ pub fn run_kernel_lanes(
             continue; // identical workload, identical program
         }
         let (pi, _) = compile_for_arch(g, arch)?;
-        if bitstream::encode(&pi) != bytes {
+        if bitstream::encode(&pi) != compiled.bitstream {
             return Err(RunnerError::NotBatchable {
                 what: format!("{} on {}", kernel.name(), arch.name),
                 lane,
             });
         }
     }
-    let prog = bitstream::decode(&bytes)?;
-    let lanes: Vec<LaneSpec> = per_seed
+    let lanes: Vec<Lane<'_, _>> = per_seed
         .iter()
-        .map(|(g, _)| LaneSpec {
-            inputs: g.array_inputs(),
-            params: Vec::new(),
+        .map(|(g, golden)| Lane {
+            g,
+            oracle: golden,
+            params: &[],
         })
         .collect();
-    let results = run_lanes_full(
-        &prog,
-        &arch.tm,
-        &FaultSet::none(),
-        engine,
-        &lanes,
-        max_cycles,
-    )?;
+    let results = pipeline::simulate_lanes(&compiled, arch, &lanes, engine, max_cycles)?;
     Ok(results
         .into_iter()
-        .zip(&per_seed)
-        .map(|(r, (g, golden))| {
-            let r = r?;
-            verify_golden(kernel, arch, g, golden, &r)?;
+        .map(|r| {
+            let r = r.map_err(stage)?;
             Ok(KernelRun {
                 arch: arch.short.to_string(),
                 kernel: kernel.short().to_string(),
                 cycles: r.stats.cycles,
                 stats: r.stats,
-                report: report.clone(),
+                report: compiled.report.clone(),
                 verified: true,
             })
         })
         .collect())
-}
-
-/// Full-stack fidelity: serializes `prog` to the configuration bitstream
-/// and decodes it back, so the simulator always runs the decoded program.
-fn roundtrip(prog: &MachineProgram) -> Result<MachineProgram, RunnerError> {
-    Ok(bitstream::decode(&bitstream::encode(prog))?)
-}
-
-/// Bit-compares one run against the kernel's golden reference (arrays,
-/// sink streams, and the out-of-bounds event count).
-fn verify_golden(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    g: &Cdfg,
-    golden: &Golden,
-    r: &RunResult,
-) -> Result<(), RunnerError> {
-    let mismatches = check_vs_golden(
-        g,
-        golden,
-        |arr| r.memory[arr.0 as usize].clone(),
-        |name| r.sinks.get(name).cloned().unwrap_or_default(),
-    )?;
-    if !mismatches.is_empty() || r.oob_events > 0 {
-        return Err(RunnerError::Verification {
-            what: format!("{} on {}", kernel.name(), arch.name),
-            first: mismatches
-                .first()
-                .map(|m| m.to_string())
-                .unwrap_or_else(|| format!("{} out-of-bounds accesses", r.oob_events)),
-            count: mismatches.len(),
-        });
-    }
-    Ok(())
 }
 
 /// One kernel × architecture measurement on a faulted fabric.

@@ -3,10 +3,11 @@
 //! pipeline.
 
 use marionette::arch::{all_presets, Architecture};
-use marionette::compiler::{compile, compile_with_timing, SearchBudget};
+use marionette::compiler::{compile, compile_with_timing_and_faults, SearchBudget};
 use marionette::kernels::traits::Scale;
 use marionette::net::Mesh;
 use marionette::runner::compile_for_arch;
+use marionette::sim::FaultSet;
 
 fn build(tag: &str, scale: Scale) -> marionette::cdfg::Cdfg {
     let k = marionette::kernels::by_short(tag).expect("kernel tag");
@@ -43,7 +44,8 @@ fn same_seed_and_budget_give_identical_placement() {
         assert_eq!(s1.accepted, s2.accepted);
         // The runner's fanned-out chains and the serial pipeline must
         // pick the same winner.
-        let (p3, _) = compile_with_timing(&g, &arch.opts, &arch.tm).unwrap();
+        let (p3, _) =
+            compile_with_timing_and_faults(&g, &arch.opts, &arch.tm, &FaultSet::none()).unwrap();
         assert_eq!(p1, p3, "{tag}: parallel and serial search disagree");
     }
 }

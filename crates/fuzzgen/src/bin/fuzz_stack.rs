@@ -5,7 +5,7 @@
 //! ```text
 //! fuzz_stack [--start S] [--count N] [--presets M,vN,...] [--depth D]
 //!            [--max-stmts K] [--shrink] [--corpus-dir DIR]
-//!            [--json PATH] [--max-cycles C] [--no-fires] [--serial]
+//!            [--json PATH] [--max-cycles C] [--serial]
 //!            [--search MOVES[,RESTARTS]] [--source] [--fabric RxC]
 //!            [--faults N] [--fault SPEC]... [--engine wheel|heap]
 //!            [--lanes N]
@@ -70,7 +70,6 @@ struct Args {
     corpus_dir: String,
     json: Option<String>,
     max_cycles: u64,
-    check_fires: bool,
     serial: bool,
     print_seed: Option<u64>,
     search: Option<(u32, u32)>,
@@ -120,7 +119,6 @@ fn parse_args() -> Args {
         max_cycles: get("--max-cycles")
             .and_then(|v| v.parse().ok())
             .unwrap_or(DEFAULT_MAX_CYCLES),
-        check_fires: !has("--no-fires"),
         serial: has("--serial"),
         print_seed: has("--print-seed").then(|| {
             get("--print-seed")
@@ -264,16 +262,9 @@ fn main() {
     // interpretation of the builder graph.
     let diff = |q: &marionette_fuzzgen::Program, faults: &FaultSet| {
         if args.source {
-            diff_both(q, &presets, args.max_cycles, args.check_fires)
+            diff_both(q, &presets, args.max_cycles)
         } else if args.lanes > 1 {
-            diff_program_lanes(
-                q,
-                &presets,
-                args.max_cycles,
-                args.check_fires,
-                args.engine,
-                args.lanes,
-            )
+            diff_program_lanes(q, &presets, args.max_cycles, args.engine, args.lanes)
         } else {
             let mut spec = RunSpec {
                 faults,
@@ -281,7 +272,7 @@ fn main() {
                 max_cycles: args.max_cycles,
                 tracer: None,
             };
-            diff_program(q, &presets, args.check_fires, &mut spec)
+            diff_program(q, &presets, &mut spec)
         }
     };
     let outcomes = par_map(seeds, threads, |seed| {

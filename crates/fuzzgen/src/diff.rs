@@ -1,19 +1,18 @@
-//! Differential execution: one fuzz program through the full stack
-//! (build → compile → bitstream roundtrip → cycle-level simulation) on
-//! every architecture preset, checked bit-for-bit against the reference
-//! interpreter.
+//! Differential execution: one fuzz program through the shared verified
+//! pipeline ([`marionette::pipeline`]: compile → bitstream round-trip →
+//! cycle-level simulation) on every architecture preset, checked
+//! bit-for-bit against the interpreter [`Reference`] that
+//! [`marionette_lang::driver::reference`] builds. This module adds only
+//! the fuzzing vocabulary: [`DivergenceKind`]s and [`DiffStats`].
 
 use crate::ast::Program;
 use crate::emit::emit;
-use marionette::isa::MachineProgram;
-use marionette::runner::{self_heal, HealError, HealStages};
-use marionette::sim::{
-    run_lanes_full, run_with, EngineKind, FaultSet, LaneSpec, RunSpec, SimError,
-};
+use marionette::pipeline::{self, Lane, MismatchKind, PipelineError, Stages};
+use marionette::runner::{self_heal, HealError};
+use marionette::sim::{EngineKind, FaultSet, RunSpec};
 use marionette_arch::Architecture;
-use marionette_cdfg::interp::{interpret_with_budget, ExecMode, InterpResult};
-use marionette_cdfg::value::Value;
 use marionette_cdfg::Cdfg;
+use marionette_lang::driver::{DriverError, Reference};
 use std::fmt;
 
 /// Firing budget for the reference interpreter (fuzz programs are small).
@@ -130,23 +129,22 @@ pub struct DiffStats {
 pub fn diff_program(
     p: &Program,
     presets: &[Architecture],
-    check_fires: bool,
     spec: &mut RunSpec<'_>,
 ) -> Result<DiffStats, Divergence> {
     let g = emit(p);
-    let reference = interp_pair(&g)?;
+    let reference = reference(&g)?;
     let mut stats = DiffStats {
         nodes: g.nodes.len(),
         ..DiffStats::default()
     };
-    check_presets(&g, &reference, presets, check_fires, spec, &mut stats)?;
+    check_presets(&g, &reference, presets, spec, &mut stats)?;
     Ok(stats)
 }
 
 /// Lane-batched differential check — the `fuzz_stack --lanes` axis.
 ///
 /// Each preset compiles once and simulates `lanes` identical workloads
-/// of the bitstream in one batched [`marionette::sim::run_lanes_full`] pass;
+/// of the bitstream in one batched [`pipeline::simulate_lanes`] pass;
 /// **every** lane must match the reference interpretation bit for bit
 /// and report the same cycle count, pinning that machine reuse across
 /// lanes (reset instead of rebuild) leaks no state between them.
@@ -158,53 +156,45 @@ pub fn diff_program_lanes(
     p: &Program,
     presets: &[Architecture],
     max_cycles: u64,
-    check_fires: bool,
     engine: EngineKind,
     lanes: usize,
 ) -> Result<DiffStats, Divergence> {
     let g = emit(p);
-    let pair = interp_pair(&g)?;
+    let reference = reference(&g)?;
     let mut stats = DiffStats {
         nodes: g.nodes.len(),
         ..DiffStats::default()
     };
-    let specs = vec![
-        LaneSpec {
-            inputs: g.array_inputs(),
-            params: Vec::new(),
-        };
-        lanes.max(1)
-    ];
+    let lanes: Vec<_> = (0..lanes.max(1))
+        .map(|_| Lane {
+            g: &g,
+            oracle: &reference,
+            params: &[],
+        })
+        .collect();
     for arch in presets {
-        let fail = |kind: DivergenceKind, detail: String| Divergence {
-            preset: arch.short.to_string(),
-            kind,
-            detail,
-        };
-        let prog = compile_point(&g, arch, &FaultSet::none())?;
-        let results = run_lanes_full(
-            &prog,
-            &arch.tm,
-            &FaultSet::none(),
-            engine,
-            &specs,
-            max_cycles,
-        )
-        .map_err(|e| fail(DivergenceKind::Sim, e.to_string()))?;
+        let compiled =
+            pipeline::compile(&g, arch, &FaultSet::none()).map_err(|e| diverged(arch, e, false))?;
+        let results = pipeline::simulate_lanes(&compiled, arch, &lanes, engine, max_cycles)
+            .map_err(|e| diverged(arch, PipelineError::Sim(e), false))?;
         let mut lane0_cycles = None;
         for (li, r) in results.into_iter().enumerate() {
-            let r = r.map_err(|e| fail(DivergenceKind::Sim, format!("lane {li}: {e}")))?;
-            verify_point(&g, &pair, arch, &prog, &r, check_fires).map_err(|mut d| {
+            let r = r.map_err(|e| {
+                let mut d = diverged(arch, e, false);
                 d.detail = format!("lane {li}: {}", d.detail);
                 d
             })?;
             match lane0_cycles {
                 None => lane0_cycles = Some(r.stats.cycles),
                 Some(c) if c != r.stats.cycles => {
-                    return Err(fail(
-                        DivergenceKind::Sim,
-                        format!("lane {li} took {} cycles, lane 0 took {c}", r.stats.cycles),
-                    ));
+                    return Err(Divergence {
+                        preset: arch.short.to_string(),
+                        kind: DivergenceKind::Sim,
+                        detail: format!(
+                            "lane {li} took {} cycles, lane 0 took {c}",
+                            r.stats.cycles
+                        ),
+                    });
                 }
                 Some(_) => {}
             }
@@ -216,77 +206,70 @@ pub fn diff_program_lanes(
     Ok(stats)
 }
 
-/// Both interpreter steering modes of one graph, cross-checked.
-pub(crate) struct RefPair {
-    /// Dropping-mode interpretation (the specification).
-    pub dropping: InterpResult,
-    /// Predicated-mode interpretation (for firing-count checks).
-    pub predicated: InterpResult,
-}
-
-/// Interprets `g` in both modes and cross-checks them ([`DivergenceKind::Modes`]).
-pub(crate) fn interp_pair(g: &Cdfg) -> Result<RefPair, Divergence> {
-    let dropping = interp(g, ExecMode::Dropping)?;
-    let predicated = interp(g, ExecMode::Predicated)?;
-    // The two steering semantics must agree before we even reach the
-    // machine: this is the cheapest cross-check and localizes bugs to the
-    // operator semantics rather than the timing machinery.
-    compare_results(g, &dropping, &predicated).map_err(|d| Divergence {
-        preset: String::new(),
-        kind: DivergenceKind::Modes,
-        detail: d,
-    })?;
-    Ok(RefPair {
-        dropping,
-        predicated,
+/// Both interpreter steering modes of `g`, cross-checked
+/// ([`DivergenceKind::Modes`]), under the fuzzer's own firing budget.
+pub(crate) fn reference(g: &Cdfg) -> Result<Reference, Divergence> {
+    marionette_lang::driver::reference(g, &[], INTERP_BUDGET).map_err(|e| {
+        let (kind, detail) = match e {
+            DriverError::Modes(d) => (DivergenceKind::Modes, d),
+            e => (DivergenceKind::Interp, e.to_string()),
+        };
+        Divergence {
+            preset: String::new(),
+            kind,
+            detail,
+        }
     })
 }
 
-/// Runs `g` through compile → bitstream → simulate on each preset as
-/// `spec` says, self-healing on faults, and bit-compares against the
-/// reference pair, accumulating into `stats`.
+/// A pipeline failure on `arch` as a divergence; `remapped` marks a
+/// simulation failure of the self-heal remap.
+fn diverged(arch: &Architecture, e: PipelineError, remapped: bool) -> Divergence {
+    let (kind, detail) = match e {
+        PipelineError::Compile(e) => (DivergenceKind::Compile, e.to_string()),
+        PipelineError::Bitstream(e) => (DivergenceKind::Bitstream, e.to_string()),
+        PipelineError::Sim(e) if remapped => (DivergenceKind::Sim, format!("after remap: {e}")),
+        PipelineError::Sim(e) => (DivergenceKind::Sim, e.to_string()),
+        PipelineError::Verify(m) => (
+            match m.kind {
+                MismatchKind::Array => DivergenceKind::Memory,
+                MismatchKind::Sink => DivergenceKind::Sinks,
+                MismatchKind::Oob => DivergenceKind::Oob,
+                MismatchKind::Fires => DivergenceKind::Fires,
+            },
+            m.detail,
+        ),
+    };
+    Divergence {
+        preset: arch.short.to_string(),
+        kind,
+        detail,
+    }
+}
+
+/// Runs `g` through the verified pipeline on each preset as `spec`
+/// says, self-healing on faults, and bit-compares against `reference`,
+/// accumulating into `stats`.
 pub(crate) fn check_presets(
     g: &Cdfg,
-    pair: &RefPair,
+    reference: &Reference,
     presets: &[Architecture],
-    check_fires: bool,
     spec: &mut RunSpec<'_>,
     stats: &mut DiffStats,
 ) -> Result<(), Divergence> {
-    let inputs = g.array_inputs();
     for arch in presets {
-        let mut stages = FuzzStages {
-            g,
-            pair,
-            arch,
-            inputs: &inputs,
-            check_fires,
-            compiles: 0,
-        };
+        let mut stages = Stages::new(g, reference, arch, &[]);
         let healed = match self_heal(&mut stages, arch, spec) {
             Ok(h) => h,
             // Typed remap-infeasible: accepted, not a divergence.
             Err(HealError::Remap {
-                error: StageError::Diverged(d),
+                error: PipelineError::Compile(_),
                 ..
-            }) if d.kind == DivergenceKind::Compile => {
+            }) => {
                 stats.infeasible += 1;
                 continue;
             }
-            Err(e) => {
-                return Err(match e.into_inner() {
-                    StageError::Diverged(d) => d,
-                    StageError::Sim(e) => Divergence {
-                        preset: arch.short.to_string(),
-                        kind: DivergenceKind::Sim,
-                        detail: if stages.compiles > 1 {
-                            format!("after remap: {e}")
-                        } else {
-                            e.to_string()
-                        },
-                    },
-                })
-            }
+            Err(e) => return Err(diverged(arch, e.into_inner(), stages.compiles > 1)),
         };
         if healed.wedged.is_some() {
             stats.remaps += 1;
@@ -296,168 +279,6 @@ pub(crate) fn check_presets(
         stats.fires += healed.run.stats.fires;
     }
     Ok(())
-}
-
-/// A fuzz stage failure: a simulator error (which may wedge the
-/// bitstream and trigger the remap) or any other divergence.
-enum StageError {
-    Sim(SimError),
-    Diverged(Divergence),
-}
-
-/// The differential check's compile and simulate stages for one preset.
-struct FuzzStages<'a> {
-    g: &'a Cdfg,
-    pair: &'a RefPair,
-    arch: &'a Architecture,
-    inputs: &'a [(String, Vec<Value>)],
-    check_fires: bool,
-    /// Compiles so far: the second one is the remap.
-    compiles: u32,
-}
-
-impl HealStages for FuzzStages<'_> {
-    type Artifact = MachineProgram;
-    type Run = marionette::sim::RunResult;
-    type Error = StageError;
-
-    fn compile(
-        &mut self,
-        arch: &Architecture,
-        avoid: &FaultSet,
-    ) -> Result<MachineProgram, StageError> {
-        self.compiles += 1;
-        compile_point(self.g, arch, avoid).map_err(StageError::Diverged)
-    }
-
-    fn simulate(
-        &mut self,
-        prog: &MachineProgram,
-        spec: &mut RunSpec<'_>,
-    ) -> Result<Self::Run, StageError> {
-        let r = run_with(prog, &self.arch.tm, self.inputs, &[], spec).map_err(StageError::Sim)?;
-        verify_point(self.g, self.pair, self.arch, prog, &r, self.check_fires)
-            .map_err(StageError::Diverged)?;
-        Ok(r)
-    }
-
-    fn sim_error(e: &StageError) -> Option<&SimError> {
-        match e {
-            StageError::Sim(e) => Some(e),
-            StageError::Diverged(_) => None,
-        }
-    }
-}
-
-/// Compiles `g` for `arch` around `avoid` and round-trips the bitstream
-/// (full-stack fidelity: the simulator runs the decoded program).
-///
-/// `compile_with_timing_and_faults` is identical to `compile` when the
-/// preset's search budget is off, and uses the timing-derived cost model
-/// (the same one `runner::run_kernel` uses) when fuzzing with the
-/// mapping explorer enabled.
-fn compile_point(
-    g: &Cdfg,
-    arch: &Architecture,
-    avoid: &FaultSet,
-) -> Result<MachineProgram, Divergence> {
-    let fail = |kind: DivergenceKind, detail: String| Divergence {
-        preset: arch.short.to_string(),
-        kind,
-        detail,
-    };
-    let (prog, _) =
-        marionette::compiler::compile_with_timing_and_faults(g, &arch.opts, &arch.tm, avoid)
-            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
-    let bytes = marionette::isa::bitstream::encode(&prog);
-    marionette::isa::bitstream::decode(&bytes)
-        .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))
-}
-
-/// Bit-compares one preset's simulation against the reference pair:
-/// every array, every sink stream, out-of-bounds counts and (optionally)
-/// total firings in the preset's own steering mode.
-fn verify_point(
-    g: &Cdfg,
-    pair: &RefPair,
-    arch: &Architecture,
-    prog: &marionette::isa::MachineProgram,
-    r: &marionette::sim::RunResult,
-    check_fires: bool,
-) -> Result<(), Divergence> {
-    let reference = &pair.dropping;
-    let fail = |kind: DivergenceKind, detail: String| Divergence {
-        preset: arch.short.to_string(),
-        kind,
-        detail,
-    };
-    // Arrays: every declared array, bit for bit.
-    for arr in &g.arrays {
-        let id = g.array_by_name(&arr.name).expect("declared");
-        let expect = reference.memory.array(id);
-        let got = r.array(prog, &arr.name).ok_or_else(|| {
-            fail(
-                DivergenceKind::Memory,
-                format!("array {} missing", arr.name),
-            )
-        })?;
-        if let Some(m) = stream_mismatch(expect, got) {
-            return Err(fail(
-                DivergenceKind::Memory,
-                format!("array {}{m}", arr.name),
-            ));
-        }
-    }
-    // Sinks: same label set, same streams in arrival order.
-    if let Err(d) = compare_sinks(&reference.sinks, &r.sinks) {
-        return Err(fail(DivergenceKind::Sinks, d));
-    }
-    if r.oob_events != reference.memory.oob_events() {
-        return Err(fail(
-            DivergenceKind::Oob,
-            format!(
-                "interp {} oob events, sim {}",
-                reference.memory.oob_events(),
-                r.oob_events
-            ),
-        ));
-    }
-    if check_fires {
-        let expect = if arch.tm.predicated_branches {
-            pair.predicated.firings
-        } else {
-            reference.firings
-        };
-        if r.stats.fires != expect {
-            return Err(fail(
-                DivergenceKind::Fires,
-                format!("interp fired {expect}, sim fired {}", r.stats.fires),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn interp(g: &Cdfg, mode: ExecMode) -> Result<InterpResult, Divergence> {
-    interpret_with_budget(g, mode, &[], INTERP_BUDGET).map_err(|e| Divergence {
-        preset: String::new(),
-        kind: DivergenceKind::Interp,
-        detail: format!("{mode:?}: {e}"),
-    })
-}
-
-// The shared bit-comparison primitives live next to `Value` itself.
-pub(crate) use marionette_cdfg::value::{compare_sink_maps as compare_sinks, stream_mismatch};
-
-/// Interp-mode cross-check: arrays and sinks bit-identical.
-fn compare_results(g: &Cdfg, a: &InterpResult, b: &InterpResult) -> Result<(), String> {
-    for arr in &g.arrays {
-        let id = g.array_by_name(&arr.name).expect("declared");
-        if let Some(m) = stream_mismatch(a.memory.array(id), b.memory.array(id)) {
-            return Err(format!("array {} (dropping vs predicated){m}", arr.name));
-        }
-    }
-    compare_sinks(&a.sinks, &b.sinks)
 }
 
 #[cfg(test)]
@@ -473,7 +294,7 @@ mod tests {
                 .unwrap();
         for seed in 0..6 {
             let p = generate(seed, &cfg);
-            let stats = diff_program(&p, &presets, true, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
+            let stats = diff_program(&p, &presets, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
                 .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
             assert_eq!(stats.points, 2);
             assert!(stats.nodes > 0);

@@ -30,14 +30,13 @@
 //! collision-free by construction.
 
 use crate::ast::{Operand, Program, Stmt};
-use crate::diff::{
-    check_presets, compare_sinks, interp_pair, stream_mismatch, DiffStats, Divergence,
-    DivergenceKind,
-};
+use crate::diff::{check_presets, reference, DiffStats, Divergence, DivergenceKind};
 use crate::emit::emit;
+use marionette::pipeline::Reference;
 use marionette::sim::RunSpec;
 use marionette_arch::Architecture;
 use marionette_cdfg::op::{ArrayId, BinOp, UnOp};
+use marionette_cdfg::value::{compare_sink_maps as compare_sinks, stream_mismatch};
 use marionette_lang::ast as lang;
 use marionette_lang::diag::Span;
 
@@ -626,11 +625,10 @@ pub fn diff_source(
     p: &Program,
     presets: &[Architecture],
     max_cycles: u64,
-    check_fires: bool,
 ) -> Result<DiffStats, Divergence> {
     let g1 = emit(p);
-    let r1 = interp_pair(&g1)?;
-    source_axis(p, &g1, &r1, presets, max_cycles, check_fires)
+    let r1 = reference(&g1)?;
+    source_axis(p, &g1, &r1, presets, max_cycles)
 }
 
 /// [`crate::diff::diff_program`] and [`diff_source`] in one pass, sharing
@@ -644,23 +642,15 @@ pub fn diff_both(
     p: &Program,
     presets: &[Architecture],
     max_cycles: u64,
-    check_fires: bool,
 ) -> Result<DiffStats, Divergence> {
     let g1 = emit(p);
-    let r1 = interp_pair(&g1)?;
+    let r1 = reference(&g1)?;
     let mut stats = DiffStats {
         nodes: g1.nodes.len(),
         ..DiffStats::default()
     };
-    check_presets(
-        &g1,
-        &r1,
-        presets,
-        check_fires,
-        &mut RunSpec::new(max_cycles),
-        &mut stats,
-    )?;
-    let s2 = source_axis(p, &g1, &r1, presets, max_cycles, check_fires)?;
+    check_presets(&g1, &r1, presets, &mut RunSpec::new(max_cycles), &mut stats)?;
+    let s2 = source_axis(p, &g1, &r1, presets, max_cycles)?;
     stats.points += s2.points;
     stats.cycles += s2.cycles;
     stats.fires += s2.fires;
@@ -670,10 +660,9 @@ pub fn diff_both(
 fn source_axis(
     p: &Program,
     g1: &marionette_cdfg::Cdfg,
-    r1: &crate::diff::RefPair,
+    r1: &Reference,
     presets: &[Architecture],
     max_cycles: u64,
-    check_fires: bool,
 ) -> Result<DiffStats, Divergence> {
     let src_fail = |detail: String| Divergence {
         preset: String::new(),
@@ -688,7 +677,7 @@ fn source_axis(
             ds[0].message
         ))
     })?;
-    let r2 = interp_pair(&g2)
+    let r2 = reference(&g2)
         .map_err(|d| src_fail(format!("source-lowered graph [{}] {}", d.kind, d.detail)))?;
     // Arrays are compared positionally: sanitization may rename, but the
     // declaration order is preserved.
@@ -730,14 +719,7 @@ fn source_axis(
         nodes: g2.nodes.len(),
         ..DiffStats::default()
     };
-    check_presets(
-        &g2,
-        &r2,
-        presets,
-        check_fires,
-        &mut RunSpec::new(max_cycles),
-        &mut stats,
-    )?;
+    check_presets(&g2, &r2, presets, &mut RunSpec::new(max_cycles), &mut stats)?;
     Ok(stats)
 }
 
@@ -751,7 +733,7 @@ mod tests {
         let cfg = GenConfig::default();
         for seed in 0..8 {
             let p = generate(seed, &cfg);
-            diff_source(&p, &[], crate::diff::DEFAULT_MAX_CYCLES, true)
+            diff_source(&p, &[], crate::diff::DEFAULT_MAX_CYCLES)
                 .unwrap_or_else(|d| panic!("seed {seed}: {d}\n{}", to_mar(&p)));
         }
     }

@@ -2,7 +2,7 @@
 //! both part of the ordinary `cargo test` run.
 
 use marionette::arch::{all_presets, presets_by_tags_on, FabricDims};
-use marionette::sim::{EngineKind, RunSpec};
+use marionette::sim::{EngineKind, FaultSet, RunSpec};
 use marionette_fuzzgen::diff::{diff_program, diff_program_lanes, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::source::diff_both;
@@ -63,8 +63,8 @@ fn corpus_replays_divergence_free_on_all_presets() {
     // `fuzz_stack --source` failure keep pinning their failing axis.
     let presets = all_presets();
     for (name, p) in corpus_entries() {
-        let stats = diff_both(&p, &presets, DEFAULT_MAX_CYCLES, true)
-            .unwrap_or_else(|d| panic!("{name}: {d}"));
+        let stats =
+            diff_both(&p, &presets, DEFAULT_MAX_CYCLES).unwrap_or_else(|d| panic!("{name}: {d}"));
         assert_eq!(stats.points, 2 * presets.len(), "{name}: preset skipped");
     }
 }
@@ -82,7 +82,7 @@ fn corpus_replays_divergence_free_on_both_engines() {
                 engine,
                 ..RunSpec::new(DEFAULT_MAX_CYCLES)
             };
-            diff_program(&p, &presets, true, &mut spec)
+            diff_program(&p, &presets, &mut spec)
                 .unwrap_or_else(|d| panic!("{name} ({engine}): {d}"));
         }
     }
@@ -95,15 +95,8 @@ fn corpus_replays_divergence_free_lane_batched() {
     // exactly lane 0's cycle count.
     let presets = all_presets();
     for (name, p) in corpus_entries() {
-        diff_program_lanes(
-            &p,
-            &presets,
-            DEFAULT_MAX_CYCLES,
-            true,
-            EngineKind::default(),
-            3,
-        )
-        .unwrap_or_else(|d| panic!("{name}: {d}"));
+        diff_program_lanes(&p, &presets, DEFAULT_MAX_CYCLES, EngineKind::default(), 3)
+            .unwrap_or_else(|d| panic!("{name}: {d}"));
     }
 }
 
@@ -116,7 +109,7 @@ fn fixed_seed_smoke_sweep_three_presets() {
     let presets = presets_by_tags_on(FabricDims::paper(), "M,vN,DF").expect("tags resolve");
     for seed in 0..40 {
         let p = generate(seed, &cfg);
-        diff_program(&p, &presets, true, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
+        diff_program(&p, &presets, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
             .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
     }
 }
@@ -133,7 +126,34 @@ fn deep_seed_smoke_all_presets() {
     let presets = all_presets();
     for seed in 100..106 {
         let p = generate(seed, &cfg);
-        diff_program(&p, &presets, true, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
+        diff_program(&p, &presets, &mut RunSpec::new(DEFAULT_MAX_CYCLES))
             .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
     }
+}
+
+#[test]
+fn faulted_sweep_counters_are_pinned() {
+    // `fuzz_stack --presets M,vN,DF --faults 2` over seeds 0..32: the same
+    // per-seed draw of two random faults, so these totals pin which
+    // points heal by remap and which remaps are classified infeasible.
+    let fabric = FabricDims::paper();
+    let presets = presets_by_tags_on(fabric, "M,vN,DF").expect("tags resolve");
+    let cfg = GenConfig::default();
+    let mut totals = (0, 0, 0, 0, 0);
+    for seed in 0..32 {
+        let faults = FaultSet::from_cli(fabric.rows, fabric.cols, &[], 2, seed).unwrap();
+        let mut spec = RunSpec {
+            faults: &faults,
+            ..RunSpec::new(DEFAULT_MAX_CYCLES)
+        };
+        let s = diff_program(&generate(seed, &cfg), &presets, &mut spec)
+            .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
+        totals.0 += s.points;
+        totals.1 += s.remaps;
+        totals.2 += s.infeasible;
+        totals.3 += s.cycles;
+        totals.4 += s.fires;
+    }
+    // (points, remaps, infeasible, cycles, fires)
+    assert_eq!(totals, (83, 80, 13, 32227, 48301));
 }

@@ -58,7 +58,7 @@ fn assert_roundtrip_properties(name: &str, p: &Program) {
         "{name}: lowering is not deterministic"
     );
     // Builder-vs-source value agreement (interpreter level).
-    diff_source(p, &[], DEFAULT_MAX_CYCLES, true).unwrap_or_else(|d| panic!("{name}: {d}\n{text}"));
+    diff_source(p, &[], DEFAULT_MAX_CYCLES).unwrap_or_else(|d| panic!("{name}: {d}\n{text}"));
 }
 
 #[test]

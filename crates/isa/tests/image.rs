@@ -5,7 +5,7 @@
 //! compile confined to one partition never places or routes outside it.
 
 use marionette_arch::preset_for_partition;
-use marionette_compiler::{compile_with_timing_and_region, FabricDims, Partition, PartitionMap};
+use marionette_compiler::{compile_with_timing_and_faults, FabricDims, Partition, PartitionMap};
 use marionette_isa::bitstream::encode;
 use marionette_isa::image::{ImageError, MultiTenantImage, TenantImage};
 use marionette_isa::MachineProgram;
@@ -18,8 +18,9 @@ fn compiled(tag: &str, preset: &str, rows: usize, cols: usize) -> MachineProgram
     let g = k.build(&wl).expect("kernel builds");
     let part = Partition::new(rows, cols, 0, 0);
     let arch = preset_for_partition(&part, preset).expect("preset tag");
+    let none = marionette_sim::FaultSet::none();
     let (prog, _) =
-        marionette_compiler::compile_with_timing(&g, &arch.opts, &arch.tm).expect("compiles");
+        compile_with_timing_and_faults(&g, &arch.opts, &arch.tm, &none).expect("compiles");
     prog
 }
 
@@ -97,8 +98,14 @@ fn region_mask_compile_stays_inside_the_partition() {
     let map = PartitionMap::new(host, vec![Partition::new(4, 4, 0, 0)]).expect("fits");
     let archs = marionette_arch::presets_by_tags_on(host, "M").expect("preset");
     let arch = &archs[0];
+    assert_eq!(
+        arch.opts.dims(),
+        map.fabric(),
+        "the preset targets the host fabric"
+    );
     let (prog, _) =
-        compile_with_timing_and_region(&g, &arch.opts, &arch.tm, &map, 0).expect("compiles");
+        compile_with_timing_and_faults(&g, &arch.opts, &arch.tm, &map.exclusion_mask(0))
+            .expect("compiles");
     let inside = |t: u16| (t / 8) < 4 && (t % 8) < 4;
     for (i, n) in prog.nodes.iter().enumerate() {
         assert!(

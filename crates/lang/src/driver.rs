@@ -1,23 +1,26 @@
-//! Full-stack execution of a `.mar` program: parse → check → lower →
-//! compile → bitstream round-trip → cycle-level simulation, with every
-//! preset's simulation checked bit-for-bit against the reference
-//! interpreter. This is the engine behind the `marc` CLI and the golden
-//! example tests.
+//! Full-stack execution of a `.mar` program: parse → check → lower, then
+//! the shared verified pipeline ([`marionette::pipeline`]: compile →
+//! bitstream round-trip → cycle-level simulation) with every preset's
+//! run checked bit-for-bit against the interpreter [`Reference`]. This
+//! module adds the front end, the reference interpretation and the
+//! [`DriverError`]/[`PresetRun`] vocabulary; it is the engine behind the
+//! `marc` CLI, `mard` and the golden example tests.
 
 use crate::ast;
 use crate::diag::Diagnostic;
 use crate::lower::lower;
 use crate::parser::parse;
 use crate::sema::check;
-use marionette::runner::{compile_for_arch_with_faults, self_heal, HealError, HealStages};
-use marionette::sim::{
-    run_lanes_full, run_with, EngineKind, FaultSet, LaneSpec, RunSpec, SimError,
-};
+use marionette::pipeline::{self, PipelineError, Stages};
+use marionette::runner::{self_heal, HealStages};
+use marionette::sim::{EngineKind, FaultSet, RunResult, RunSpec};
 use marionette_arch::Architecture;
-use marionette_cdfg::interp::{interpret_with_budget, ExecMode, InterpError, InterpResult};
+use marionette_cdfg::interp::{interpret_with_budget, ExecMode, InterpError};
 use marionette_cdfg::value::{compare_sink_maps as compare_sinks, stream_mismatch, Value};
 use marionette_cdfg::Cdfg;
 use std::fmt;
+
+pub use marionette::pipeline::{Compiled, Reference};
 
 /// Firing budget for the reference interpretations.
 pub const INTERP_BUDGET: u64 = 200_000_000;
@@ -102,6 +105,25 @@ impl fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
+impl DriverError {
+    /// A pipeline stage failure `e` on `preset`.
+    pub fn stage(preset: &str, e: PipelineError) -> Self {
+        let preset = preset.to_string();
+        match e {
+            PipelineError::Compile(e) => DriverError::Compile { preset, e },
+            PipelineError::Bitstream(e) => DriverError::Bitstream {
+                preset,
+                detail: e.to_string(),
+            },
+            PipelineError::Sim(e) => DriverError::Sim { preset, e },
+            PipelineError::Verify(m) => DriverError::Mismatch {
+                preset,
+                detail: m.detail,
+            },
+        }
+    }
+}
+
 /// Parses, checks and lowers source text.
 ///
 /// # Errors
@@ -113,14 +135,33 @@ pub fn frontend(src: &str) -> Result<(ast::Program, Cdfg), DriverError> {
     Ok((p, g))
 }
 
-/// The program's reference semantics: both interpreter steering modes,
-/// cross-checked against each other.
-#[derive(Debug)]
-pub struct Reference {
-    /// Dropping-mode interpretation (the specification).
-    pub dropping: InterpResult,
-    /// Predicated-mode interpretation (fires both branch sides).
-    pub predicated: InterpResult,
+/// Types raw `NAME=VALUE` parameter overrides from the program's
+/// declarations. Undeclared names are passed through by value shape so
+/// the reference interpreter reports the typed
+/// [`InterpError::UnknownParam`].
+///
+/// # Errors
+/// Returns `param NAME: ...` when a value does not parse as its type.
+pub fn typed_overrides(
+    p: &ast::Program,
+    raw: &[(String, String)],
+) -> Result<Vec<(String, Value)>, String> {
+    let mut out = Vec::new();
+    for (name, val) in raw {
+        let decl = p.params.iter().find(|d| &d.name.name == name);
+        let bad = |what: &str| format!("param {name}: `{val}` is not {what}");
+        let v = match decl.map(|d| d.ty) {
+            Some(ast::Ty::F32) => Value::F32(val.parse().map_err(|_| bad("an f32"))?),
+            Some(ast::Ty::I32) => Value::I32(val.parse().map_err(|_| bad("an i32"))?),
+            None => match (val.parse::<i32>(), val.parse::<f32>()) {
+                (Ok(v), _) => Value::I32(v),
+                (_, Ok(v)) => Value::F32(v),
+                _ => return Err(bad("a number")),
+            },
+        };
+        out.push((name.clone(), v));
+    }
+    Ok(out)
 }
 
 /// Interprets `g` in both modes with `overrides` and cross-checks them.
@@ -175,19 +216,25 @@ pub struct PresetRun {
     pub search: Option<marionette::compiler::SearchReport>,
 }
 
-/// A compiled, bitstream-round-tripped preset artifact: the unit the
-/// `mard` content-addressed cache stores and replays. The program held
-/// here is the *decoded* form of `bitstream`, so a consumer simulating
-/// `prog` exercises exactly what a cold full-stack run would.
-#[derive(Clone, Debug)]
-pub struct Compiled {
-    /// Decoded machine program (what the simulator runs).
-    pub prog: marionette::isa::MachineProgram,
-    /// Encoded configuration bitstream (what a cache persists; decoding
-    /// these bytes yields `prog`).
-    pub bitstream: Vec<u8>,
-    /// Compilation report (route stats, search report).
-    pub report: marionette::compiler::CompileReport,
+impl PresetRun {
+    /// Summarizes run `r` of an artifact compiled with `report`.
+    pub fn new(
+        preset: String,
+        r: &RunResult,
+        report: &marionette::compiler::CompileReport,
+    ) -> Self {
+        PresetRun {
+            preset,
+            cycles: r.stats.cycles,
+            fires: r.stats.fires,
+            link_stall_cycles: r.stats.link_stall_cycles,
+            switch_stall_cycles: r.stats.switch_stall_cycles,
+            group_switches: r.stats.group_switches,
+            routes: report.routes,
+            mean_data_hops: report.mean_data_hops,
+            search: report.search.clone(),
+        }
+    }
 }
 
 /// Compiles `g` for `arch` and round-trips the configuration bitstream,
@@ -197,38 +244,7 @@ pub struct Compiled {
 /// # Errors
 /// Returns [`DriverError::Compile`] or [`DriverError::Bitstream`].
 pub fn compile_preset(g: &Cdfg, arch: &Architecture) -> Result<Compiled, DriverError> {
-    compile_preset_faulted(g, arch, &FaultSet::none())
-}
-
-/// [`compile_preset`] with `faults` as the avoid-mask: dead resources
-/// are masked out of placement/routing and flaky links are penalized.
-/// An empty fault set is bit-identical to [`compile_preset`].
-///
-/// # Errors
-/// Returns [`DriverError::Compile`] or [`DriverError::Bitstream`].
-pub fn compile_preset_faulted(
-    g: &Cdfg,
-    arch: &Architecture,
-    faults: &FaultSet,
-) -> Result<Compiled, DriverError> {
-    let preset = arch.short.to_string();
-    let (prog, report) =
-        compile_for_arch_with_faults(g, arch, faults).map_err(|e| DriverError::Compile {
-            preset: preset.clone(),
-            e,
-        })?;
-    // Full-stack fidelity: what runs is the decoded bitstream.
-    let bitstream = marionette::isa::bitstream::encode(&prog);
-    let prog =
-        marionette::isa::bitstream::decode(&bitstream).map_err(|e| DriverError::Bitstream {
-            preset,
-            detail: e.to_string(),
-        })?;
-    Ok(Compiled {
-        prog,
-        bitstream,
-        report,
-    })
+    pipeline::compile(g, arch, &FaultSet::none()).map_err(|e| DriverError::stage(arch.short, e))
 }
 
 /// Simulates a pre-compiled preset artifact with `faults` injected and
@@ -238,9 +254,9 @@ pub fn compile_preset_faulted(
 /// fabric.
 ///
 /// # Errors
-/// Returns [`DriverError::Sim`] (including the typed [`SimError::Fault`]
-/// screen when the artifact touches a dead resource) or
-/// [`DriverError::Mismatch`].
+/// Returns [`DriverError::Sim`] (including the typed
+/// [`marionette::sim::SimError::Fault`] screen when the artifact touches
+/// a dead resource) or [`DriverError::Mismatch`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_compiled(
     g: &Cdfg,
@@ -258,142 +274,10 @@ pub fn simulate_compiled(
         max_cycles,
         tracer: None,
     };
-    let mut stages = PresetStages {
-        g,
-        reference,
-        arch,
-        overrides,
-    };
-    stages.simulate(compiled, &mut spec)
-}
-
-/// Simulates N parameter lanes of one pre-compiled artifact in a single
-/// batched pass ([`marionette::sim::run_lanes_full`]): the machine is
-/// built once and reset between lanes, which is how the `mard` batch
-/// endpoint folds same-bitstream requests into one run. Lane `i` is
-/// verified against `references[i]` (its own parameter set's reference
-/// interpretation); a lane that wedges reports its own error without
-/// poisoning its neighbours.
-///
-/// # Errors
-/// The outer `Err` is a [`DriverError::Sim`] from machine construction;
-/// per-lane simulation/verification failures come back in the inner
-/// results.
-///
-/// # Panics
-/// Panics if `references` and `lane_overrides` lengths differ.
-pub fn simulate_compiled_lanes(
-    g: &Cdfg,
-    references: &[Reference],
-    arch: &Architecture,
-    compiled: &Compiled,
-    lane_overrides: &[Vec<(String, Value)>],
-    max_cycles: u64,
-    engine: EngineKind,
-) -> Result<Vec<Result<PresetRun, DriverError>>, DriverError> {
-    assert_eq!(
-        references.len(),
-        lane_overrides.len(),
-        "one reference per lane"
-    );
-    let preset = arch.short.to_string();
-    let inputs = g.array_inputs();
-    let lanes: Vec<LaneSpec> = lane_overrides
-        .iter()
-        .map(|ovr| LaneSpec {
-            inputs: inputs.clone(),
-            params: ovr.clone(),
-        })
-        .collect();
-    let results = run_lanes_full(
-        &compiled.prog,
-        &arch.tm,
-        &FaultSet::none(),
-        engine,
-        &lanes,
-        max_cycles,
-    )
-    .map_err(|e| DriverError::Sim {
-        preset: preset.clone(),
-        e,
-    })?;
-    Ok(results
-        .into_iter()
-        .zip(references)
-        .map(|(r, reference)| {
-            let r = r.map_err(|e| DriverError::Sim {
-                preset: preset.clone(),
-                e,
-            })?;
-            verify_vs_reference(g, reference, arch, &preset, &compiled.prog, &r)?;
-            Ok(summarize(preset.clone(), &r, &compiled.report))
-        })
-        .collect())
-}
-
-/// Bit-verifies a simulation against the reference interpreter: every
-/// array stream, every sink stream, the out-of-bounds event count and
-/// the firing count (predicated or dropping, per the timing model).
-pub(crate) fn verify_vs_reference(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    preset: &str,
-    prog: &marionette::isa::MachineProgram,
-    r: &marionette::sim::RunResult,
-) -> Result<(), DriverError> {
-    let fail = |detail: String| DriverError::Mismatch {
-        preset: preset.to_string(),
-        detail,
-    };
-    for arr in &g.arrays {
-        let id = g.array_by_name(&arr.name).expect("declared");
-        let expect = reference.dropping.memory.array(id);
-        let got = r
-            .array(prog, &arr.name)
-            .ok_or_else(|| fail(format!("array {} missing from the simulation", arr.name)))?;
-        if let Some(m) = stream_mismatch(expect, got) {
-            return Err(fail(format!("array {}{m}", arr.name)));
-        }
-    }
-    compare_sinks(&reference.dropping.sinks, &r.sinks).map_err(fail)?;
-    if r.oob_events != reference.dropping.memory.oob_events() {
-        return Err(fail(format!(
-            "interp saw {} out-of-bounds events, sim {}",
-            reference.dropping.memory.oob_events(),
-            r.oob_events
-        )));
-    }
-    let expect_fires = if arch.tm.predicated_branches {
-        reference.predicated.firings
-    } else {
-        reference.dropping.firings
-    };
-    if r.stats.fires != expect_fires {
-        return Err(fail(format!(
-            "interp fired {expect_fires} times, sim fired {}",
-            r.stats.fires
-        )));
-    }
-    Ok(())
-}
-
-pub(crate) fn summarize(
-    preset: String,
-    r: &marionette::sim::RunResult,
-    report: &marionette::compiler::CompileReport,
-) -> PresetRun {
-    PresetRun {
-        preset,
-        cycles: r.stats.cycles,
-        fires: r.stats.fires,
-        link_stall_cycles: r.stats.link_stall_cycles,
-        switch_stall_cycles: r.stats.switch_stall_cycles,
-        group_switches: r.stats.group_switches,
-        routes: report.routes,
-        mean_data_hops: report.mean_data_hops,
-        search: report.search.clone(),
-    }
+    let r = Stages::new(g, reference, arch, overrides)
+        .simulate(compiled, &mut spec)
+        .map_err(|e| DriverError::stage(arch.short, e))?;
+    Ok(PresetRun::new(arch.short.to_string(), &r, &compiled.report))
 }
 
 /// One preset's run, with its fault outcome.
@@ -430,69 +314,15 @@ pub fn run_preset(
     overrides: &[(String, Value)],
     spec: &mut RunSpec<'_>,
 ) -> Result<FaultRun, DriverError> {
-    let mut stages = PresetStages {
-        g,
-        reference,
-        arch,
-        overrides,
-    };
-    let healed = self_heal(&mut stages, arch, spec).map_err(HealError::into_inner)?;
+    let mut stages = Stages::new(g, reference, arch, overrides);
+    let healed = self_heal(&mut stages, arch, spec)
+        .map_err(|e| DriverError::stage(arch.short, e.into_inner()))?;
     Ok(FaultRun {
         remapped: healed.wedged.is_some(),
         wedged: healed.wedged,
-        run: healed.run,
+        run: PresetRun::new(arch.short.to_string(), &healed.run, &healed.artifact.report),
         compiled: healed.artifact,
     })
-}
-
-/// The driver's compile and simulate stages for one program on one
-/// preset.
-struct PresetStages<'a> {
-    g: &'a Cdfg,
-    reference: &'a Reference,
-    arch: &'a Architecture,
-    overrides: &'a [(String, Value)],
-}
-
-impl HealStages for PresetStages<'_> {
-    type Artifact = Compiled;
-    type Run = PresetRun;
-    type Error = DriverError;
-
-    fn compile(&mut self, arch: &Architecture, avoid: &FaultSet) -> Result<Compiled, DriverError> {
-        compile_preset_faulted(self.g, arch, avoid)
-    }
-
-    fn simulate(
-        &mut self,
-        compiled: &Compiled,
-        spec: &mut RunSpec<'_>,
-    ) -> Result<PresetRun, DriverError> {
-        let preset = self.arch.short.to_string();
-        let inputs = self.g.array_inputs();
-        let r = run_with(&compiled.prog, &self.arch.tm, &inputs, self.overrides, spec).map_err(
-            |e| DriverError::Sim {
-                preset: preset.clone(),
-                e,
-            },
-        )?;
-        verify_vs_reference(
-            self.g,
-            self.reference,
-            self.arch,
-            &preset,
-            &compiled.prog,
-            &r,
-        )?;
-        Ok(summarize(preset, &r, &compiled.report))
-    }
-
-    fn sim_error(e: &DriverError) -> Option<&SimError> {
-        match e {
-            DriverError::Sim { e, .. } => Some(e),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -544,7 +374,7 @@ sink sum = sum;
         )
         .unwrap_err();
         match err {
-            SimError::Fault { what, .. } => assert_eq!(what, "pe:0,0"),
+            marionette::sim::SimError::Fault { what, .. } => assert_eq!(what, "pe:0,0"),
             other => panic!("expected a typed fault, got {other}"),
         }
     }

@@ -15,11 +15,10 @@
 //! argument, and `marionette::sim::tenancy` for why per-partition
 //! simulation is exact rather than approximate.
 
-use crate::driver::{
-    compile_preset, summarize, verify_vs_reference, Compiled, DriverError, PresetRun, Reference,
-};
+use crate::driver::{compile_preset, Compiled, DriverError, PresetRun, Reference};
 use marionette::compiler::Partition;
 use marionette::isa::{MultiTenantImage, TenantImage};
+use marionette::pipeline::{Oracle, PipelineError};
 use marionette::sim::tenancy::{run_tenants, TenancyError, TenantWorkload};
 use marionette::sim::{EngineKind, SimError};
 use marionette_arch::Architecture;
@@ -180,8 +179,10 @@ pub fn run_tenancy(
     for ((j, c), outcome) in jobs.iter().zip(&compiled).zip(run.tenants) {
         let tr = match outcome.result {
             Ok(r) => {
-                verify_vs_reference(j.g, j.reference, j.arch, &j.name, &c.prog, &r)?;
-                TenantOutcome::Completed(summarize(j.name.clone(), &r, &c.report))
+                j.reference
+                    .check(j.g, j.arch, &c.prog, &r)
+                    .map_err(|m| DriverError::stage(&j.name, PipelineError::Verify(m)))?;
+                TenantOutcome::Completed(PresetRun::new(j.name.clone(), &r, &c.report))
             }
             Err(e) => TenantOutcome::Wedged(e),
         };

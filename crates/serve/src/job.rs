@@ -12,15 +12,16 @@ use crate::http::Request;
 use crate::{RouteMeta, ServerState};
 use marionette::cdfg::value::Value;
 use marionette::compiler::SearchBudget;
-use marionette::report::json_escape;
+use marionette::pipeline::{simulate_lanes, Lane, PipelineError, Stages};
+use marionette::report::{json_escape, json_sinks};
 use marionette::runner::{self_heal, HealStages};
-use marionette::sim::{EngineKind, FaultSet, RunSpec, SimError};
+use marionette::sim::{EngineKind, FaultSet, RunResult, RunSpec, SimError};
 use marionette_arch::{Architecture, FabricDims};
 use marionette_lang::driver::{
-    compile_preset, compile_preset_faulted, frontend, reference, simulate_compiled,
-    simulate_compiled_lanes, Compiled, DriverError, PresetRun, Reference,
+    compile_preset, frontend, reference, typed_overrides, Compiled, DriverError, PresetRun,
+    Reference,
 };
-use marionette_lang::{ast, print};
+use marionette_lang::print;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -322,67 +323,6 @@ pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, 
     })
 }
 
-/// Types raw `NAME=VALUE` overrides from the program's declarations;
-/// undeclared names are passed through by value shape so the reference
-/// interpreter reports the typed `UnknownParam`.
-fn typed_overrides(
-    ast: &ast::Program,
-    raw: &[(String, String)],
-) -> Result<Vec<(String, Value)>, ApiError> {
-    let mut out = Vec::new();
-    for (name, val) in raw {
-        let decl = ast.params.iter().find(|p| &p.name.name == name);
-        let v = match decl.map(|d| d.ty) {
-            Some(ast::Ty::F32) => Value::F32(val.parse::<f32>().map_err(|_| {
-                ApiError::bad("bad_param", format!("param {name}: `{val}` is not an f32"))
-            })?),
-            Some(ast::Ty::I32) => Value::I32(val.parse::<i32>().map_err(|_| {
-                ApiError::bad("bad_param", format!("param {name}: `{val}` is not an i32"))
-            })?),
-            None => match (val.parse::<i32>(), val.parse::<f32>()) {
-                (Ok(v), _) => Value::I32(v),
-                (_, Ok(v)) => Value::F32(v),
-                _ => {
-                    return Err(ApiError::bad(
-                        "bad_param",
-                        format!("param {name}: `{val}` is not a number"),
-                    ))
-                }
-            },
-        };
-        out.push((name.clone(), v));
-    }
-    Ok(out)
-}
-
-fn json_value(v: &Value) -> String {
-    match v {
-        Value::I32(x) => x.to_string(),
-        Value::F32(x) if x.is_finite() => format!("{x:?}"),
-        Value::F32(x) => format!("\"{x}\""),
-        Value::Unit => "\"unit\"".to_string(),
-        Value::Poison => "\"poison\"".to_string(),
-    }
-}
-
-fn json_sinks(sinks: &std::collections::HashMap<String, Vec<Value>>) -> String {
-    let mut labels: Vec<&String> = sinks.keys().collect();
-    labels.sort();
-    let mut j = String::from("{");
-    for (i, l) in labels.iter().enumerate() {
-        let vals: Vec<String> = sinks[*l].iter().map(json_value).collect();
-        let _ = write!(
-            j,
-            "{}\"{}\": [{}]",
-            if i == 0 { "" } else { ", " },
-            json_escape(l),
-            vals.join(", ")
-        );
-    }
-    j.push('}');
-    j
-}
-
 fn json_result(run: &PresetRun, sinks: &std::collections::HashMap<String, Vec<Value>>) -> String {
     format!(
         "{{\"cycles\": {}, \"fires\": {}, \"link_stall_cycles\": {}, \
@@ -426,47 +366,48 @@ fn run_via_cache(
         tracer: None,
     };
     let mut stages = MissStages {
-        g,
-        reference,
-        arch: &opts.arch,
-        overrides,
+        inner: Stages::new(g, reference, &opts.arch, overrides),
         meta,
     };
+    let preset = opts.arch.short;
+    let fail = |e| map_driver_error(DriverError::stage(preset, e), src, under_faults);
     if let Some(artifact) = state.cache.lookup(key) {
-        let run = stages
+        let r = stages
             .simulate(&artifact.compiled, &mut spec)
-            .map_err(|e| map_driver_error(e, src, under_faults))?;
+            .map_err(fail)?;
+        let run = PresetRun::new(preset.to_string(), &r, &artifact.compiled.report);
         return Ok((run, artifact, true));
     }
-    let healed = self_heal(&mut stages, &opts.arch, &mut spec)
-        .map_err(|e| map_driver_error(e.into_inner(), src, under_faults))?;
+    let healed = self_heal(&mut stages, &opts.arch, &mut spec).map_err(|e| fail(e.into_inner()))?;
+    let run = PresetRun::new(preset.to_string(), &healed.run, &healed.artifact.report);
     let artifact = CachedArtifact {
         compiled: healed.artifact,
         remapped: healed.wedged.is_some(),
         wedged: healed.wedged,
     };
     state.cache.insert(key, artifact.clone());
-    Ok((healed.run, Arc::new(artifact), false))
+    Ok((run, Arc::new(artifact), false))
 }
 
-/// The `/run` pipeline's compile and simulate stages, each timed into
-/// the request's access-log record.
+/// The shared pipeline stages with each compile and simulation timed
+/// into the request's access-log record.
 struct MissStages<'a> {
-    g: &'a marionette::cdfg::Cdfg,
-    reference: &'a Reference,
-    arch: &'a Architecture,
-    overrides: &'a [(String, Value)],
+    inner: Stages<'a, Reference>,
     meta: &'a mut RouteMeta,
 }
 
 impl HealStages for MissStages<'_> {
     type Artifact = Compiled;
-    type Run = PresetRun;
-    type Error = DriverError;
+    type Run = RunResult;
+    type Error = PipelineError;
 
-    fn compile(&mut self, arch: &Architecture, avoid: &FaultSet) -> Result<Compiled, DriverError> {
+    fn compile(
+        &mut self,
+        arch: &Architecture,
+        avoid: &FaultSet,
+    ) -> Result<Compiled, PipelineError> {
         let t = std::time::Instant::now();
-        let compiled = compile_preset_faulted(self.g, arch, avoid);
+        let compiled = self.inner.compile(arch, avoid);
         self.meta.compile_us += micros_since(t);
         compiled
     }
@@ -475,27 +416,15 @@ impl HealStages for MissStages<'_> {
         &mut self,
         compiled: &Compiled,
         spec: &mut RunSpec<'_>,
-    ) -> Result<PresetRun, DriverError> {
+    ) -> Result<RunResult, PipelineError> {
         let t = std::time::Instant::now();
-        let run = simulate_compiled(
-            self.g,
-            self.reference,
-            self.arch,
-            compiled,
-            self.overrides,
-            spec.max_cycles,
-            spec.faults,
-            spec.engine,
-        );
+        let run = self.inner.simulate(compiled, spec);
         self.meta.sim_us += micros_since(t);
         run
     }
 
-    fn sim_error(e: &DriverError) -> Option<&SimError> {
-        match e {
-            DriverError::Sim { e, .. } => Some(e),
-            _ => None,
-        }
+    fn sim_error(e: &PipelineError) -> Option<&SimError> {
+        Stages::<Reference>::sim_error(e)
     }
 }
 
@@ -548,7 +477,8 @@ pub fn handle_run(
     let src = String::from_utf8_lossy(&req.body).into_owned();
     let (ast, g) = frontend(&src).map_err(|e| map_driver_error(e, &src, false))?;
     let canonical = print(&ast);
-    let overrides = typed_overrides(&ast, &opts.params)?;
+    let overrides =
+        typed_overrides(&ast, &opts.params).map_err(|e| ApiError::bad("bad_param", e))?;
     let reference = reference(&g, &overrides, state.cfg.interp_budget)
         .map_err(|e| map_driver_error(e, &src, false))?;
     let key = CacheKey::derive(&canonical, &opts.arch, &opts.faults);
@@ -608,11 +538,15 @@ pub fn handle_batch(
     type LanePrep = Result<(Vec<(String, Value)>, Reference), ApiError>;
     let mut lane_refs: Vec<LanePrep> = Vec::new();
     for raw in &opts.lanes {
-        lane_refs.push(typed_overrides(&ast, raw).and_then(|ovr| {
-            reference(&g, &ovr, state.cfg.interp_budget)
-                .map(|r| (ovr, r))
-                .map_err(|e| map_driver_error(e, &src, false))
-        }));
+        lane_refs.push(
+            typed_overrides(&ast, raw)
+                .map_err(|e| ApiError::bad("bad_param", e))
+                .and_then(|ovr| {
+                    reference(&g, &ovr, state.cfg.interp_budget)
+                        .map(|r| (ovr, r))
+                        .map_err(|e| map_driver_error(e, &src, false))
+                }),
+        );
     }
 
     let key = CacheKey::derive(&canonical, &opts.arch, &opts.faults);
@@ -635,37 +569,29 @@ pub fn handle_batch(
     meta.cache_hit = Some(hit);
 
     // One batched pass over the lanes whose reference survived.
-    let good: Vec<usize> = (0..lane_refs.len())
-        .filter(|&i| lane_refs[i].is_ok())
-        .collect();
+    let preset = opts.arch.short;
+    let stage = |e| map_driver_error(DriverError::stage(preset, e), &src, false);
     let t_sim = std::time::Instant::now();
-    let sim_results = if good.is_empty() {
+    let lanes: Vec<Lane<'_, Reference>> = lane_refs
+        .iter()
+        .flatten()
+        .map(|(params, r)| Lane {
+            g: &g,
+            oracle: r,
+            params,
+        })
+        .collect();
+    let sim_results = if lanes.is_empty() {
         Vec::new()
     } else {
-        let refs: Vec<Reference> = good
-            .iter()
-            .map(|&i| {
-                let (_, r) = lane_refs[i].as_ref().unwrap();
-                Reference {
-                    dropping: r.dropping.clone(),
-                    predicated: r.predicated.clone(),
-                }
-            })
-            .collect();
-        let ovrs: Vec<Vec<(String, Value)>> = good
-            .iter()
-            .map(|&i| lane_refs[i].as_ref().unwrap().0.clone())
-            .collect();
-        simulate_compiled_lanes(
-            &g,
-            &refs,
-            &opts.arch,
+        simulate_lanes(
             &artifact.compiled,
-            &ovrs,
-            opts.max_cycles,
+            &opts.arch,
+            &lanes,
             opts.engine,
+            opts.max_cycles,
         )
-        .map_err(|e| map_driver_error(e, &src, false))?
+        .map_err(|e| stage(PipelineError::Sim(e)))?
     };
     meta.sim_us += micros_since(t_sim);
 
@@ -685,11 +611,14 @@ pub fn handle_batch(
             Ok((_, r)) => match sim_iter.next().expect("one sim result per good lane") {
                 Ok(run) => lane_json.push(format!(
                     "{{\"ok\": true, \"result\": {}}}",
-                    json_result(&run, &r.dropping.sinks)
+                    json_result(
+                        &PresetRun::new(preset.to_string(), &run, &artifact.compiled.report),
+                        &r.dropping.sinks
+                    )
                 )),
                 Err(e) => {
                     errors += 1;
-                    let e = map_driver_error(e, &src, false);
+                    let e = stage(e);
                     lane_json.push(format!(
                         "{{\"ok\": false, \"error\": {{\"kind\": \"{}\", \"detail\": \"{}\"}}}}",
                         json_escape(e.kind),
