@@ -6,76 +6,72 @@
 //! per-point cycle counts and wall-clock times, so successive PRs can
 //! track simulator speedups and catch cycle-count regressions.
 //!
-//! Flags:
-//! - `--paper`     use the paper's Table 5 data sizes (default: Small);
-//! - `--serial`    run the sweep single-threaded only;
-//! - `--compare`   run the sweep twice (serial then parallel) and record
-//!   the wall-clock speedup;
-//! - `--no-search` skip the mapping-search delta sweep;
-//! - `--fabric RxC` instantiate the presets on an R×C fabric
-//!   (default 4x4);
-//! - `--out PATH`  output path (default `BENCH_sim.json`);
-//! - `--check BASELINE`  perf-regression gate: run the greedy sweep only
-//!   (search implied off) and exit 1 if any per-point `cycles` differs
-//!   from the committed BASELINE snapshot, or if the greedy wall clock
-//!   regresses more than 25% over it;
-//! - `--replay FRESH`  with `--check`: compare an already-written FRESH
-//!   snapshot against BASELINE without re-running the sweep (used by CI
-//!   to demonstrate the gate on a tampered baseline);
-//! - `--wall-tolerance PCT`  wall-regression threshold of the gate
-//!   (default 25; the cycle compare is exact regardless — widen this
-//!   when baseline and runner are not comparable machines);
-//! - `--fault SPEC` (repeatable: `pe:R,C`, `link:R,C-R,C`,
-//!   `flaky:R,C-R,C@MULT`) and `--faults N` (seeded-random damage,
-//!   `--fault-seed S` to vary it)  inject faults into every simulation;
-//!   wedged bitstreams are re-mapped around the damage and bit-verified.
-//!   Fault runs imply `--no-search` and refuse `--check` (a damaged
-//!   fabric is not comparable to the healthy baseline);
-//! - `--engine wheel|heap`  pin the simulator's event-queue core. The
-//!   default (and what every committed snapshot records and gates
-//!   against) is the event wheel; `--engine heap` measures the reference
-//!   core. The gate refuses to compare snapshots from different engines;
-//! - `--lanes N`  run each point as N batched lanes (seeds S..S+N) of
-//!   one compiled bitstream (`runner::run_kernel_lanes`), recording lane
-//!   0's cycles and the whole batch's wall time — the amortized-sweep
-//!   mode. Implies `--no-search` and refuses `--check` (an N-lane wall
-//!   is not comparable to the single-lane baseline);
-//! - `--trace FILE --trace-point KERNEL:PRESET`  skip the sweep and run
-//!   the one named point with the cycle tracer attached, writing a
-//!   Chrome trace-event JSON (Perfetto-viewable) to FILE. Combines with
-//!   `--engine` (heap-vs-wheel trace diffing) and the fault flags
-//!   (healthy-vs-remapped); refuses `--check`/`--replay`/`--compare`/
-//!   `--serial`/`--lanes`, whose wall-clock semantics a traced run
-//!   would distort.
-//!
 //! Unless `--no-search` is given, every point is additionally compiled
 //! with the annealing mapping explorer (`SearchBudget::default_on()`)
 //! and re-simulated; each point records `cycles_search` and the summary
 //! records the geomean cycle speedup of the searched mappings over the
 //! greedy baseline.
+//!
+//! A healthy single-lane sweep also records its [`WallGate`]: the
+//! greedy sweep re-run serially, normalised by a calibration slice
+//! timed in the same process. `--check BASELINE` fails when any
+//! per-point cycle count differs from BASELINE or when this normalised
+//! wall regresses by more than the tolerance over BASELINE's.
+//!
+//! Fault runs (`--fault`/`--faults`) imply `--no-search` and refuse
+//! `--check`: a damaged fabric is not comparable to the healthy
+//! baseline. `--lanes N` runs each point as N batched lanes of one
+//! compiled bitstream, recording lane 0's cycles and the batch's wall.
 
 use marionette::arch::FabricDims;
+use marionette::cli::{multi, opt, switch, Args, Spec};
 use marionette::compiler::SearchBudget;
 use marionette::kernels::traits::Scale;
-use marionette::parallel::{par_map, sweep_threads};
+use marionette::parallel::sweep_threads;
+use marionette::report::{self, Snapshot};
 use marionette::runner::{
     run_kernel, run_kernel_lanes, run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES,
 };
-use marionette::sim::{EngineKind, FaultSet, RunSpec, Tracer};
-use marionette_bench::{kernel_tags, snapshot};
-use std::time::Instant;
+use marionette::sim::{EngineKind, RunSpec, Tracer};
+use marionette_bench::sweep::{self, kernel_tags, Axes, Point, WallGate, SEED};
 
-const SEED: u64 = 1;
+static SPEC: Spec = Spec {
+    name: "bench_sim",
+    about: "simulator perf snapshot of every kernel x preset, with cycle and wall gates",
+    positional: "",
+    flags: &[
+        switch("--paper", "use the paper's Table 5 data sizes"),
+        switch("--serial", "run the sweep single-threaded"),
+        switch("--compare", "also run serially; record the speedup"),
+        switch("--no-search", "skip the mapping-search delta sweep"),
+        opt("--fabric", "RxC", "[default: 4x4]"),
+        opt("--out", "PATH", "snapshot path [default: BENCH_sim.json]"),
+        opt("--check", "BASE", "gate cycles and wall against BASE"),
+        opt("--replay", "FRESH", "with --check: gate FRESH, no run"),
+        opt("--wall-tolerance", "PCT", "[default: 25]"),
+        multi("--fault", "SPEC", "pin a fault (pe:, link: or flaky:)"),
+        opt("--faults", "N", "add N seeded-random faults"),
+        opt("--fault-seed", "S", "random fault seed [default: 1]"),
+        opt("--engine", "KIND", "wheel or heap [default: wheel]"),
+        opt("--lanes", "N", "N batched lanes per bitstream"),
+        opt("--trace", "FILE", "trace one point instead of sweeping"),
+        opt("--trace-point", "K:P", "the KERNEL:PRESET to trace"),
+    ],
+    notes: "",
+};
 
-/// Default wall-clock regression threshold of the `--check` gate
-/// (override with `--wall-tolerance PCT`). The per-point cycle compare
-/// is exact; the wall gate assumes baseline and run come from
-/// comparable machines — widen the tolerance when they don't.
-const WALL_TOLERANCE: f64 = 0.25;
-
-struct Point {
-    kernel: String,
-    arch: marionette::arch::Architecture,
+struct Config {
+    scale: Scale,
+    serial: bool,
+    compare: bool,
+    out: String,
+    check: Option<String>,
+    replay: Option<String>,
+    wall_tolerance: f64,
+    engine: EngineKind,
+    lanes: usize,
+    trace: Option<String>,
+    axes: Axes,
 }
 
 struct Measured {
@@ -88,664 +84,348 @@ struct Measured {
     remapped: bool,
 }
 
-fn points(fabric: FabricDims) -> Vec<Point> {
-    let archs = marionette::arch::all_presets_on(fabric);
-    let tags = kernel_tags(None).expect("no filter");
-    tags.iter()
-        .flat_map(|kernel| {
-            archs.iter().map(move |a| Point {
-                kernel: kernel.clone(),
-                arch: a.clone(),
-            })
-        })
-        .collect()
-}
-
-/// `KERNEL on PRESET`, plus the injected faults when there are any.
-fn what(kernel: &str, preset: &str, faults: &FaultSet) -> String {
-    if faults.is_empty() {
-        format!("{kernel} on {preset}")
-    } else {
-        format!("{kernel} on {preset} with [{faults}]")
-    }
-}
-
-fn sweep(
-    scale: Scale,
-    threads: usize,
-    search: bool,
-    fabric: FabricDims,
-    faults: &FaultSet,
-    engine: EngineKind,
-    lanes: usize,
-) -> Result<(Vec<Measured>, usize, f64), String> {
-    let pts = points(fabric);
-    let t0 = Instant::now();
-    let results = par_map(pts, threads, |p| -> Result<Option<Measured>, String> {
-        let k = marionette::kernels::by_short(&p.kernel)
-            .ok_or_else(|| format!("{}: unknown kernel tag", p.kernel))?;
-        // `wall_ms` times the greedy compile+simulate only: it is the
-        // cross-PR simulator-throughput metric, and must not absorb the
-        // mapping-search compile time of the delta sweep below.
-        let t = Instant::now();
-        // The empty fault set keeps the legacy path (bit-identical
-        // anyway, but the throughput metric stays honest).
-        let (r, remapped) = if faults.is_empty() && lanes > 1 {
-            // Amortized mode: one compile, N verified lanes; the point
-            // records lane 0 (seed SEED, same numbers as a 1-lane run)
-            // and the batch wall time. Every lane replays the same seed:
-            // kernels that bake workload values into immediates (e.g.
-            // Conv-1d) are not batchable across seeds, and identical
-            // lanes still pin machine-reset isolation — any cross-lane
-            // state leak shows up as a lane-i verification mismatch.
-            let seeds: Vec<u64> = vec![SEED; lanes];
-            let runs = run_kernel_lanes(
-                k.as_ref(),
-                &p.arch,
-                scale,
-                &seeds,
-                DEFAULT_MAX_CYCLES,
-                engine,
-            )
-            .map_err(|e| format!("{} on {}: {e}", p.kernel, p.arch.short))?;
-            let mut first = None;
-            for (li, r) in runs.into_iter().enumerate() {
-                let r =
-                    r.map_err(|e| format!("{} on {} lane {li}: {e}", p.kernel, p.arch.short))?;
-                if li == 0 {
-                    first = Some(r);
-                }
-            }
-            (first.expect("lanes >= 1"), false)
-        } else {
-            let mut spec = RunSpec {
-                faults,
-                engine,
-                max_cycles: DEFAULT_MAX_CYCLES,
-                tracer: None,
-            };
-            match run_kernel_with(k.as_ref(), &p.arch, scale, SEED, &mut spec) {
-                Ok(fr) => (fr.run, fr.remapped),
-                // The healthy compile of every shipped point succeeds,
-                // so a compile error under faults is the typed
-                // remap-infeasible outcome: the point is skipped, not a
-                // sweep failure.
-                Err(RunnerError::Compile(_)) if !faults.is_empty() => return Ok(None),
-                Err(e) => return Err(format!("{}: {e}", what(&p.kernel, p.arch.short, faults))),
-            }
-        };
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        let cycles_search = match search {
-            false => None,
-            true => {
-                let mut searched = p.arch.clone();
-                searched.opts.search = SearchBudget::default_on();
-                let rs = run_kernel(k.as_ref(), &searched, scale, SEED, DEFAULT_MAX_CYCLES)
-                    .map_err(|e| format!("{} on {} (search): {e}", p.kernel, p.arch.short))?;
-                Some(rs.cycles)
-            }
-        };
-        Ok(Some(Measured {
-            kernel: p.kernel.clone(),
-            arch: p.arch.short.to_string(),
-            cycles: r.cycles,
-            fires: r.stats.fires,
-            wall_ms,
-            cycles_search,
-            remapped,
-        }))
-    });
-    let mut measured = Vec::with_capacity(results.len());
-    let mut infeasible = 0usize;
-    for r in results {
-        match r? {
-            Some(m) => measured.push(m),
-            None => infeasible += 1,
-        }
-    }
-    Ok((measured, infeasible, t0.elapsed().as_secs_f64() * 1e3))
-}
-
-use marionette::report::json_escape;
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_flags(&args) {
-        Err(e) => {
-            eprintln!("bench_sim: {e}");
-            std::process::exit(2);
-        }
-        Ok(flags) => {
-            if let Err(e) = run(flags) {
-                eprintln!("bench_sim: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    SPEC.run(config, |cfg| run(&cfg));
 }
 
-struct Flags {
-    scale: Scale,
-    serial_only: bool,
-    compare: bool,
-    search: bool,
-    out_path: String,
-    fabric: FabricDims,
-    check: Option<String>,
-    replay: Option<String>,
-    wall_tolerance: f64,
-    fault_specs: Vec<String>,
-    faults: usize,
-    fault_seed: u64,
-    engine: EngineKind,
-    lanes: usize,
-    trace: Option<String>,
-    trace_point: Option<String>,
-}
-
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
-        scale: Scale::Small,
-        serial_only: false,
-        compare: false,
-        search: true,
-        out_path: "BENCH_sim.json".to_string(),
-        fabric: FabricDims::paper(),
-        check: None,
-        replay: None,
-        wall_tolerance: WALL_TOLERANCE,
-        fault_specs: Vec::new(),
-        faults: 0,
-        fault_seed: 1,
-        engine: EngineKind::default(),
-        lanes: 1,
-        trace: None,
-        trace_point: None,
+fn config(a: &Args) -> Result<Config, String> {
+    let fabric = a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper);
+    let faulted = !a.fault_set(fabric)?.is_empty();
+    let wall_tolerance = match a.parsed::<f64>("--wall-tolerance")? {
+        None => 0.25,
+        Some(pct) if pct >= 0.0 => pct / 100.0,
+        Some(pct) => return Err(format!("--wall-tolerance: `{pct}` must be >= 0")),
     };
-    // Single pass: a value consumed by a flag can never double as a flag.
-    // Each flag may appear once (`--fault` excepted: it accumulates) —
-    // a repeated flag is a typo'd command line, and silently letting the
-    // last occurrence win hides it.
-    let mut seen = std::collections::HashSet::new();
-    let mut i = 1;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        match args.get(*i) {
-            Some(p) if !p.starts_with("--") => Ok(p.clone()),
-            _ => Err(format!("{flag} needs a value")),
-        }
+    let str = |name| a.str(name).map(str::to_string);
+    let lanes = a.positive("--lanes", 1)?;
+    let mut cfg = Config {
+        scale: a.scale()?,
+        serial: a.has("--serial"),
+        compare: a.has("--compare"),
+        out: str("--out").unwrap_or_else(|| "BENCH_sim.json".to_string()),
+        check: str("--check"),
+        replay: str("--replay"),
+        wall_tolerance,
+        engine: a.parsed("--engine")?.unwrap_or_default(),
+        lanes,
+        trace: str("--trace"),
+        axes: Axes {
+            pinned: a.strings("--fault"),
+            fault_counts: vec![a.num("--faults", 0)?],
+            fault_seeds: vec![a.num("--fault-seed", 1)?],
+            // Fault runs measure self-healed greedy mappings, lane runs
+            // amortise the greedy sweep, and the gate compares greedy
+            // cycles: the search delta sweep would only add time to each.
+            search: (!(a.has("--no-search") || faulted || lanes > 1 || a.has("--check")))
+                .then(SearchBudget::default_on),
+            ..Axes::healthy(kernel_tags(None)?, vec![fabric], None)
+        },
     };
-    while i < args.len() {
-        if args[i] != "--fault" && !seen.insert(args[i].clone()) {
-            return Err(format!("duplicate flag `{}`", args[i]));
+    let (traced, check, point) = (
+        cfg.trace.is_some(),
+        cfg.check.is_some(),
+        a.has("--trace-point"),
+    );
+    // The self-healing fault path runs the production engine; cross-engine
+    // fault equivalence is pinned by the test suite.
+    let conflict = if cfg.replay.is_some() && !check {
+        "--replay only makes sense with --check BASELINE"
+    } else if faulted && check {
+        "--check compares against a healthy baseline; drop the fault flags"
+    } else if faulted && cfg.engine != EngineKind::default() {
+        "--engine combines with healthy sweeps only; drop the fault flags"
+    } else if faulted && lanes > 1 {
+        "--lanes combines with healthy sweeps only; drop the fault flags"
+    } else if lanes > 1 && check {
+        "--check compares single-lane wall times; drop --lanes for gate runs"
+    } else if traced != point {
+        match traced {
+            true => "--trace needs --trace-point KERNEL:PRESET to name the run",
+            false => "--trace-point only makes sense with --trace FILE",
         }
-        match args[i].as_str() {
-            "--paper" => flags.scale = Scale::Paper,
-            "--serial" => flags.serial_only = true,
-            "--compare" => flags.compare = true,
-            "--no-search" => flags.search = false,
-            "--out" => flags.out_path = value(args, &mut i, "--out")?,
-            "--fabric" => {
-                flags.fabric = value(args, &mut i, "--fabric")?
-                    .parse()
-                    .map_err(|e| format!("--fabric: {e}"))?
-            }
-            "--check" => flags.check = Some(value(args, &mut i, "--check")?),
-            "--replay" => flags.replay = Some(value(args, &mut i, "--replay")?),
-            "--wall-tolerance" => {
-                let v = value(args, &mut i, "--wall-tolerance")?;
-                let pct: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--wall-tolerance: `{v}` is not a percentage"))?;
-                if pct < 0.0 || pct.is_nan() {
-                    return Err(format!("--wall-tolerance: `{v}` must be >= 0"));
-                }
-                flags.wall_tolerance = pct / 100.0;
-            }
-            "--fault" => flags.fault_specs.push(value(args, &mut i, "--fault")?),
-            "--faults" => {
-                let v = value(args, &mut i, "--faults")?;
-                flags.faults = v
-                    .parse()
-                    .map_err(|_| format!("--faults needs a numeric count, got `{v}`"))?;
-            }
-            "--fault-seed" => {
-                let v = value(args, &mut i, "--fault-seed")?;
-                flags.fault_seed = v
-                    .parse()
-                    .map_err(|_| format!("--fault-seed must be numeric, got `{v}`"))?;
-            }
-            "--engine" => {
-                let v = value(args, &mut i, "--engine")?;
-                flags.engine = v.parse().map_err(|e| format!("--engine: {e}"))?;
-            }
-            "--lanes" => {
-                let v = value(args, &mut i, "--lanes")?;
-                flags.lanes = match v.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(format!("--lanes needs a count >= 1, got `{v}`")),
-                };
-            }
-            "--trace" => flags.trace = Some(value(args, &mut i, "--trace")?),
-            "--trace-point" => flags.trace_point = Some(value(args, &mut i, "--trace-point")?),
-            other => {
-                return Err(format!(
-                    "unknown argument `{other}` (flags: --paper --serial --compare \
-                     --no-search --fabric RxC --out PATH --check BASELINE --replay FRESH \
-                     --wall-tolerance PCT --fault SPEC --faults N --fault-seed S \
-                     --engine wheel|heap --lanes N --trace FILE --trace-point KERNEL:PRESET)"
-                ))
-            }
-        }
-        i += 1;
+    } else if traced && (check || cfg.replay.is_some() || cfg.compare || cfg.serial) {
+        "--trace records a single run; drop --check/--replay/--compare/--serial"
+    } else if traced && lanes > 1 {
+        "--trace records a single-lane run; drop --lanes"
+    } else if cfg.replay.is_none() && cfg.check.as_ref() == Some(&cfg.out) {
+        "--check BASELINE would be overwritten by --out; pass a different --out"
+    } else {
+        ""
+    };
+    if !conflict.is_empty() {
+        return Err(conflict.to_string());
     }
-    if flags.replay.is_some() && flags.check.is_none() {
-        return Err("--replay only makes sense with --check BASELINE".to_string());
-    }
-    // Fault specs are validated against the selected fabric here so a
-    // malformed or off-fabric `--fault` is a usage error (exit 2).
-    FaultSet::from_cli(
-        flags.fabric.rows,
-        flags.fabric.cols,
-        &flags.fault_specs,
-        flags.faults,
-        flags.fault_seed,
-    )?;
-    if flags.faults > 0 || !flags.fault_specs.is_empty() {
-        if flags.check.is_some() {
-            return Err(
-                "--check compares against a healthy baseline; drop the fault flags".to_string(),
-            );
-        }
-        if flags.engine != EngineKind::default() {
-            // The self-healing fault path runs the production engine;
-            // cross-engine fault equivalence is pinned by the test suite
-            // (`engine_equivalence.rs`), not this harness.
-            return Err(
-                "--engine combines with healthy sweeps only; drop the fault flags".to_string(),
-            );
-        }
-        if flags.lanes > 1 {
-            return Err(
-                "--lanes combines with healthy sweeps only; drop the fault flags".to_string(),
-            );
-        }
-        // The search delta sweep measures healthy mappings; on a damaged
-        // fabric only the (self-healing) greedy sweep is meaningful.
-        flags.search = false;
-    }
-    if flags.lanes > 1 {
-        if flags.check.is_some() {
-            return Err(
-                "--check compares single-lane wall times; drop --lanes for gate runs".to_string(),
-            );
-        }
-        // Lane batching amortizes the greedy sweep; the search delta
-        // re-compiles per point and would dominate the measurement.
-        flags.search = false;
-    }
-    match (&flags.trace, &flags.trace_point) {
-        (Some(_), None) => {
-            return Err("--trace needs --trace-point KERNEL:PRESET to name the run".to_string())
-        }
-        (None, Some(_)) => {
-            return Err("--trace-point only makes sense with --trace FILE".to_string())
-        }
-        (Some(path), Some(point)) => {
-            if flags.check.is_some() || flags.replay.is_some() || flags.compare || flags.serial_only
-            {
-                return Err(
-                    "--trace records a single run; drop --check/--replay/--compare/--serial"
-                        .to_string(),
-                );
-            }
-            if flags.lanes > 1 {
-                return Err("--trace records a single-lane run; drop --lanes".to_string());
-            }
-            // Resolve the point and open the file now so a typo'd
-            // selector or an unwritable path is a usage error (exit 2),
-            // not a mid-run failure.
-            resolve_trace_point(point, flags.fabric)?;
-            std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
-        }
-        (None, None) => {}
-    }
-    if let Some(base) = &flags.check {
-        // The gate compares greedy cycle counts: the search delta sweep
-        // would only add wall time without entering the comparison.
-        flags.search = false;
-        // Writing the fresh snapshot over the baseline would make the
-        // gate compare the run against itself (and destroy the committed
-        // reference) — the baseline is loaded before the sweep runs
-        // regardless, but an identical path is always a mistake.
-        if flags.replay.is_none() && *base == flags.out_path {
+    if let (Some(path), Some(point)) = (&cfg.trace, a.str("--trace-point")) {
+        let (ktag, ptag) = point.split_once(':').ok_or_else(|| {
+            format!("--trace-point wants KERNEL:PRESET (e.g. CRC:M), got `{point}`")
+        })?;
+        let kernel = sweep::canonical_kernel(ktag).map_err(|e| format!("--trace-point: {e}"))?;
+        cfg.axes.kernels = vec![kernel];
+        cfg.axes.presets = Some(ptag.to_string());
+        let n = cfg
+            .axes
+            .points()
+            .map_err(|e| format!("--trace-point: {e}"))?
+            .len();
+        if n != 1 {
             return Err(format!(
-                "--check {base} would be overwritten by --out {}; pass a different --out",
-                flags.out_path
+                "--trace-point: `{ptag}` selects {n} presets; name exactly one"
+            ));
+        }
+        // An unwritable path is a usage error, not a mid-run failure.
+        std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
+    }
+    Ok(cfg)
+}
+
+/// Measures one point: the greedy compile+simulate (timed), then the
+/// searched mapping's cycles under `search`, if any. `None` is the typed
+/// remap-infeasible outcome of a faulted point.
+fn measure(
+    p: &Point,
+    cfg: &Config,
+    search: Option<SearchBudget>,
+    tracer: Option<&mut Tracer>,
+) -> Result<Option<Measured>, String> {
+    let k = marionette::kernels::by_short(&p.kernel)
+        .ok_or_else(|| format!("{}: unknown kernel tag", p.kernel))?;
+    // `wall_ms` times the greedy compile+simulate only: it must not
+    // absorb the mapping-search compile time of the delta below.
+    let t = std::time::Instant::now();
+    let (r, remapped) = if cfg.lanes > 1 {
+        // Every lane replays the same seed: kernels that bake workload
+        // values into immediates are not batchable across seeds, and
+        // identical lanes still pin machine-reset isolation.
+        let seeds = vec![SEED; cfg.lanes];
+        let runs = run_kernel_lanes(
+            k.as_ref(),
+            &p.arch,
+            cfg.scale,
+            &seeds,
+            DEFAULT_MAX_CYCLES,
+            cfg.engine,
+        )
+        .map_err(|e| format!("{}: {e}", p.what()))?;
+        let mut first = None;
+        for (li, r) in runs.into_iter().enumerate() {
+            first.get_or_insert(r.map_err(|e| format!("{} lane {li}: {e}", p.what()))?);
+        }
+        (first.expect("lanes >= 1"), false)
+    } else {
+        let mut spec = RunSpec {
+            faults: &p.fault_set,
+            engine: cfg.engine,
+            max_cycles: DEFAULT_MAX_CYCLES,
+            tracer,
+        };
+        match run_kernel_with(k.as_ref(), &p.arch, cfg.scale, SEED, &mut spec) {
+            Ok(fr) => (fr.run, fr.remapped),
+            // Every shipped point compiles healthy, so a compile error
+            // under faults is the typed remap-infeasible outcome.
+            Err(RunnerError::Compile(_)) if !p.fault_set.is_empty() => return Ok(None),
+            Err(e) => return Err(format!("{}: {e}", p.what())),
+        }
+    };
+    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+    let cycles_search = match search {
+        None => None,
+        Some(budget) => {
+            let mut searched = p.arch.clone();
+            searched.opts.search = budget;
+            let rs = run_kernel(k.as_ref(), &searched, cfg.scale, SEED, DEFAULT_MAX_CYCLES)
+                .map_err(|e| format!("{} (search): {e}", p.what()))?;
+            Some(rs.cycles)
+        }
+    };
+    Ok(Some(Measured {
+        kernel: p.kernel.clone(),
+        arch: p.arch.short.to_string(),
+        cycles: r.cycles,
+        fires: r.stats.fires,
+        wall_ms,
+        cycles_search,
+        remapped,
+    }))
+}
+
+/// Refuses to compare snapshots of a different scale, fabric or engine.
+fn comparable(path: &str, base: &str, fresh: &str) -> Result<(), String> {
+    for key in ["scale", "fabric", "engine"] {
+        let (b, f) = (sweep::header_str(base, key), sweep::header_str(fresh, key));
+        let (b, f) = (b.unwrap_or_default(), f.unwrap_or_default());
+        if b != f {
+            return Err(format!(
+                "baseline {path} has {key} `{b}`, this run `{f}` — not comparable"
             ));
         }
     }
-    Ok(flags)
+    Ok(())
 }
 
-/// Resolves a `--trace-point KERNEL:PRESET` selector (kernel tags are
-/// matched case-insensitively, like `fault_sweep --kernels`) to the
-/// canonical kernel tag and the one architecture it names.
-fn resolve_trace_point(
-    point: &str,
-    fabric: FabricDims,
-) -> Result<(String, marionette::arch::Architecture), String> {
-    let (ktag, ptag) = point
-        .split_once(':')
-        .ok_or_else(|| format!("--trace-point wants KERNEL:PRESET (e.g. CRC:M), got `{point}`"))?;
-    let tags = kernel_tags(None).expect("no filter");
-    let tag = tags
-        .iter()
-        .find(|t| t.eq_ignore_ascii_case(ktag))
-        .ok_or_else(|| format!("--trace-point: `{ktag}` is not a kernel tag"))?
-        .clone();
-    let mut archs = marionette::arch::presets_by_tags_on(fabric, ptag)
-        .map_err(|e| format!("--trace-point: {e}"))?;
-    if archs.len() != 1 {
-        return Err(format!(
-            "--trace-point: `{ptag}` selects {} presets; name exactly one",
-            archs.len()
-        ));
+/// The `--check` gate between two snapshot texts: every cycle count
+/// exact, the normalised greedy wall within tolerance.
+fn gate(path: &str, base: &str, fresh: &str, tolerance: f64) -> Result<(), String> {
+    comparable(path, base, fresh)?;
+    let points = |json| sweep::parse_points(json).map_err(|e| format!("{path}: {e}"));
+    let (checked, mut violations) = sweep::compare_cycles(&points(base)?, &points(fresh)?, true);
+    let (b, f) = (WallGate::recorded(base), WallGate::recorded(fresh));
+    match (b, f) {
+        (Some(b), Some(f)) => violations.extend(sweep::check_wall(b, f, tolerance)),
+        _ => violations.push(format!(
+            "normalized_wall missing: baseline {b:?}, this run {f:?}"
+        )),
     }
-    Ok((tag, archs.remove(0)))
-}
-
-/// A parsed baseline (or replay) snapshot with its sweep metadata.
-struct Snapshot {
-    points: Vec<snapshot::BenchPoint>,
-    wall_ms: f64,
-    scale: String,
-    fabric: String,
-    engine: String,
-}
-
-/// Loads a `bench_sim` snapshot file up front — before anything is
-/// written — so the gate always compares against the pre-run contents.
-fn load_snapshot(path: &str) -> Result<Snapshot, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let points = snapshot::parse_points(&json).map_err(|e| format!("parsing {path}: {e}"))?;
-    let wall_ms = snapshot::greedy_wall_ms(&json, &points);
-    let meta = |key: &str, default: &str| {
-        json.lines()
-            .find_map(|l| snapshot::field_str(l, key))
-            .unwrap_or_else(|| default.to_string())
-    };
-    Ok(Snapshot {
-        points,
-        wall_ms,
-        scale: meta("scale", "small"),
-        // Snapshots written before the fabric axis existed are 4×4.
-        fabric: meta("fabric", "4x4"),
-        // Snapshots written before the engine selector existed were
-        // measured on the pre-wheel heap core — but their cycle counts
-        // are engine-independent, and the wheel has been the default
-        // since it landed, so missing means "wheel" for gate purposes.
-        engine: meta("engine", "wheel"),
-    })
-}
-
-/// The `--check` gate: compares fresh greedy points against the
-/// pre-loaded baseline snapshot. Refuses incomparable runs (different
-/// scale or fabric) with a single clear error instead of 126 bogus
-/// per-point violations.
-#[allow(clippy::too_many_arguments)]
-fn run_gate(
-    baseline_path: &str,
-    base: &Snapshot,
-    fresh: &[snapshot::BenchPoint],
-    fresh_wall_ms: f64,
-    fresh_scale: &str,
-    fresh_fabric: &str,
-    fresh_engine: &str,
-    wall_tolerance: f64,
-) -> Result<(), String> {
-    if (base.scale.as_str(), base.fabric.as_str()) != (fresh_scale, fresh_fabric) {
-        return Err(format!(
-            "baseline {baseline_path} is scale={} fabric={}, this run is scale={fresh_scale} fabric={fresh_fabric} — not comparable",
-            base.scale, base.fabric
-        ));
-    }
-    if base.engine != fresh_engine {
-        return Err(format!(
-            "baseline {baseline_path} was measured on the {} engine, this run on {fresh_engine} — wall times are not comparable",
-            base.engine
-        ));
-    }
-    let violations = snapshot::check_against_baseline(
-        &base.points,
-        base.wall_ms,
-        fresh,
-        fresh_wall_ms,
-        wall_tolerance,
-    );
     if violations.is_empty() {
         println!(
-            "bench_check: {} points match {baseline_path} bit for bit, greedy wall {fresh_wall_ms:.1} ms vs baseline {:.1} ms (gate <= +{:.0}%)",
-            fresh.len(),
-            base.wall_ms,
-            wall_tolerance * 100.0
+            "bench_check: {checked} points match {path} bit for bit, normalized greedy wall {:.1} vs baseline {:.1} slices (gate <= +{:.0}%)",
+            f.unwrap_or(0.0),
+            b.unwrap_or(0.0),
+            tolerance * 100.0
         );
         return Ok(());
     }
     for v in &violations {
         eprintln!("bench_check: {v}");
     }
-    Err(format!(
-        "{} regression(s) against {baseline_path}",
-        violations.len()
-    ))
+    Err(format!("{} regression(s) against {path}", violations.len()))
 }
 
-fn run(flags: Flags) -> Result<(), String> {
-    let Flags {
-        scale,
-        serial_only,
-        compare,
-        search,
-        out_path,
-        fabric,
-        check,
-        replay,
-        wall_tolerance,
-        fault_specs,
-        faults,
-        fault_seed,
-        engine,
-        lanes,
-        trace,
-        trace_point,
-    } = flags;
-    let faults = FaultSet::from_cli(fabric.rows, fabric.cols, &fault_specs, faults, fault_seed)
-        .expect("validated by parse_flags");
+/// Traces the one point `--trace-point` names.
+fn trace(cfg: &Config, path: &str) -> Result<(), String> {
+    let p = cfg.axes.points()?.pop().expect("validated to one point");
+    let mut tracer = Tracer::new();
+    let m = measure(&p, cfg, None, Some(&mut tracer))?
+        .ok_or_else(|| format!("{}: remap infeasible", p.what()))?;
+    std::fs::write(path, tracer.to_chrome_json()).map_err(|e| format!("writing {path}: {e}"))?;
+    println!(
+        "bench_sim: traced {} on {}: {} cycles, {} fires{}, {:.1} ms -> {} trace events in {path}",
+        m.kernel,
+        m.arch,
+        m.cycles,
+        m.fires,
+        if m.remapped { " (remapped)" } else { "" },
+        m.wall_ms,
+        tracer.len()
+    );
+    Ok(())
+}
 
-    // Trace mode: one named point with the cycle recorder attached, no
-    // sweep (tracing perturbs the wall times the snapshot tracks).
-    if let (Some(path), Some(point)) = (&trace, &trace_point) {
-        let (tag, arch) = resolve_trace_point(point, fabric).expect("validated by parse_flags");
-        let k = marionette::kernels::by_short(&tag).expect("tag from the registry");
-        let mut tracer = Tracer::new();
-        let t = Instant::now();
-        let mut spec = RunSpec {
-            faults: &faults,
-            engine,
-            max_cycles: DEFAULT_MAX_CYCLES,
-            tracer: Some(&mut tracer),
-        };
-        let fr = run_kernel_with(k.as_ref(), &arch, scale, SEED, &mut spec)
-            .map_err(|e| format!("{}: {e}", what(&tag, arch.short, &faults)))?;
-        let (r, remapped) = (fr.run, fr.remapped);
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        std::fs::write(path, tracer.to_chrome_json())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
-            "bench_sim: traced {tag} on {}: {} cycles, {} fires{}, {wall_ms:.1} ms -> {} trace events in {path}",
-            arch.short,
-            r.cycles,
-            r.stats.fires,
-            if remapped { " (remapped)" } else { "" },
-            tracer.len()
-        );
-        return Ok(());
+fn run(cfg: &Config) -> Result<(), String> {
+    if let Some(path) = &cfg.trace {
+        return trace(cfg, path);
+    }
+    // The baseline is read before anything is written.
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"));
+    let baseline = cfg.check.as_deref().map(read).transpose()?;
+    if let (Some(path), Some(base), Some(fresh)) = (&cfg.check, &baseline, &cfg.replay) {
+        return gate(path, base, &read(fresh)?, cfg.wall_tolerance);
+    }
+    let mut snap = Snapshot::new("marionette.bench_sim/v1");
+    snap.str("scale", sweep::scale_name(cfg.scale))
+        .field("seed", SEED)
+        .str("fabric", &cfg.axes.fabrics[0].to_string())
+        .str("engine", &cfg.engine.to_string());
+    if let (Some(path), Some(base)) = (&cfg.check, &baseline) {
+        // Refuse an incomparable gate run before spending a sweep on it.
+        comparable(path, base, &snap.render())?;
     }
 
-    // The baseline is loaded before the sweep runs (and before anything
-    // is written), so the gate always compares against the pre-run file.
-    let baseline = match &check {
-        Some(path) => Some(load_snapshot(path)?),
-        None => None,
+    let points = cfg.axes.points()?;
+    let faults = points[0].fault_set.clone();
+    let sweep_once = |threads| {
+        sweep::run(points.clone(), threads, |p| {
+            measure(p, cfg, cfg.axes.search, None)
+        })
     };
-
-    // --check --replay: compare two already-written snapshots without
-    // re-running the sweep (CI uses this to demonstrate the gate).
-    if let (Some(base_path), Some(fresh_path)) = (&check, &replay) {
-        let base = baseline.as_ref().expect("loaded above");
-        let fresh = load_snapshot(fresh_path)?;
-        return run_gate(
-            base_path,
-            base,
-            &fresh.points,
-            fresh.wall_ms,
-            &fresh.scale,
-            &fresh.fabric,
-            &fresh.engine,
-            wall_tolerance,
-        );
-    }
-
-    // Refuse an incomparable gate run before spending a sweep on it.
-    let scale_name = if matches!(scale, Scale::Paper) {
-        "paper"
-    } else {
-        "small"
+    let serial_wall = match cfg.compare && !cfg.serial {
+        true => Some(sweep_once(1)?.1),
+        false => None,
     };
-    if let (Some(path), Some(base)) = (&check, &baseline) {
-        if (base.scale.as_str(), base.fabric.as_str()) != (scale_name, fabric.to_string().as_str())
-        {
-            return Err(format!(
-                "baseline {path} is scale={} fabric={}, this run is scale={scale_name} fabric={fabric} — not comparable",
-                base.scale, base.fabric
-            ));
-        }
-        if base.engine != engine.to_string() {
-            return Err(format!(
-                "baseline {path} was measured on the {} engine, this run on {engine} — wall times are not comparable",
-                base.engine
-            ));
-        }
-    }
+    let threads = if cfg.serial { 1 } else { sweep_threads() };
+    let mode = if cfg.serial { "serial" } else { "parallel" };
+    let (results, wall_ms) = sweep_once(threads)?;
+    let infeasible = results.iter().filter(|m| m.is_none()).count();
+    let measured: Vec<Measured> = results.into_iter().flatten().collect();
+    let wall_gate = (faults.is_empty() && cfg.lanes == 1)
+        .then(|| {
+            WallGate::measure(points.len(), |i| {
+                measure(&points[i], cfg, None, None).map(drop)
+            })
+        })
+        .transpose()?;
 
-    let threads = sweep_threads();
-
-    let mut serial_wall: Option<f64> = None;
-    let (points, infeasible, wall_ms, mode, used_threads) = if serial_only {
-        let (p, inf, w) = sweep(scale, 1, search, fabric, &faults, engine, lanes)?;
-        (p, inf, w, "serial", 1)
-    } else {
-        if compare {
-            let (_, _, w) = sweep(scale, 1, search, fabric, &faults, engine, lanes)?;
-            serial_wall = Some(w);
-        }
-        let (p, inf, w) = sweep(scale, threads, search, fabric, &faults, engine, lanes)?;
-        (p, inf, w, "parallel", threads)
-    };
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"marionette.bench_sim/v1\",\n");
-    j.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
-    j.push_str(&format!("  \"seed\": {SEED},\n"));
-    j.push_str(&format!("  \"fabric\": \"{fabric}\",\n"));
-    j.push_str(&format!("  \"engine\": \"{engine}\",\n"));
-    if lanes > 1 {
-        j.push_str(&format!("  \"lanes\": {lanes},\n"));
+    if cfg.lanes > 1 {
+        snap.field("lanes", cfg.lanes);
     }
     if !faults.is_empty() {
-        j.push_str(&format!(
-            "  \"faults\": [{}],\n",
-            faults
-                .specs()
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(&s.to_string())))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        j.push_str(&format!("  \"remap_infeasible\": {infeasible},\n"));
+        snap.field("faults", report::str_list(faults.specs()))
+            .field("remap_infeasible", infeasible);
     }
-    j.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    j.push_str(&format!("  \"threads\": {used_threads},\n"));
-    j.push_str(&format!("  \"total_wall_ms\": {wall_ms:.3},\n"));
+    snap.str("mode", mode)
+        .field("threads", threads)
+        .field("total_wall_ms", format!("{wall_ms:.3}"));
     if let Some(sw) = serial_wall {
-        j.push_str(&format!("  \"serial_wall_ms\": {sw:.3},\n"));
-        j.push_str(&format!("  \"parallel_speedup\": {:.3},\n", sw / wall_ms));
+        snap.field("serial_wall_ms", format!("{sw:.3}"))
+            .field("parallel_speedup", format!("{:.3}", sw / wall_ms));
     }
-    let speedups: Vec<f64> = points
+    let speedups: Vec<f64> = measured
         .iter()
         .filter_map(|m| m.cycles_search.map(|cs| m.cycles as f64 / cs as f64))
         .collect();
     let search_geomean = marionette::experiments::geomean(&speedups);
-    if search {
-        let improved = speedups.iter().filter(|&&s| s > 1.0).count();
-        let regressed = speedups.iter().filter(|&&s| s < 1.0).count();
-        let greedy_wall: f64 = points.iter().map(|m| m.wall_ms).sum();
-        if let SearchBudget::Anneal {
-            moves, restarts, ..
-        } = SearchBudget::default_on()
-        {
-            j.push_str(&format!(
-                "  \"search\": {{\"moves\": {moves}, \"restarts\": {restarts}, \"geomean_speedup\": {search_geomean:.4}, \"improved\": {improved}, \"regressed\": {regressed}}},\n"
-            ));
-        }
-        // Per-point wall_ms times the greedy run only; this sum is the
-        // comparable simulator-throughput number across snapshots.
-        j.push_str(&format!("  \"greedy_wall_ms\": {greedy_wall:.3},\n"));
+    if let Some(SearchBudget::Anneal {
+        moves, restarts, ..
+    }) = cfg.axes.search
+    {
+        let count = |f: fn(f64) -> bool| speedups.iter().filter(|&&s| f(s)).count();
+        snap.field(
+            "search",
+            format!(
+                "{{\"moves\": {moves}, \"restarts\": {restarts}, \"geomean_speedup\": {search_geomean:.4}, \"improved\": {}, \"regressed\": {}}}",
+                count(|s| s > 1.0),
+                count(|s| s < 1.0)
+            ),
+        );
     }
-    j.push_str("  \"points\": [\n");
-    for (i, m) in points.iter().enumerate() {
-        let search_field = match m.cycles_search {
-            Some(cs) => format!(", \"cycles_search\": {cs}"),
-            None => String::new(),
-        };
-        let remap_field = if faults.is_empty() {
-            String::new()
-        } else {
-            format!(", \"remapped\": {}", m.remapped)
-        };
-        j.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"arch\": \"{}\", \"cycles\": {}, \"fires\": {}{}{}, \"wall_ms\": {:.3}}}{}\n",
-            json_escape(&m.kernel),
-            json_escape(&m.arch),
-            m.cycles,
-            m.fires,
-            search_field,
-            remap_field,
-            m.wall_ms,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
+    if let Some(g) = &wall_gate {
+        g.record(&mut snap);
     }
-    j.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &j).map_err(|e| format!("writing {out_path}: {e}"))?;
+    let rows: Vec<String> = measured
+        .iter()
+        .map(|m| {
+            let search = m.cycles_search.map(|cs| format!(", \"cycles_search\": {cs}"));
+            let remap = (!faults.is_empty()).then(|| format!(", \"remapped\": {}", m.remapped));
+            format!(
+                "{{\"kernel\": \"{}\", \"arch\": \"{}\", \"cycles\": {}, \"fires\": {}{}{}, \"wall_ms\": {:.3}}}",
+                m.kernel,
+                m.arch,
+                m.cycles,
+                m.fires,
+                search.unwrap_or_default(),
+                remap.unwrap_or_default(),
+                m.wall_ms
+            )
+        })
+        .collect();
+    snap.rows("points", &rows);
+    snap.write(&cfg.out)?;
 
-    let total_cycles: u64 = points.iter().map(|m| m.cycles).sum();
+    let total_cycles: u64 = measured.iter().map(|m| m.cycles).sum();
     println!(
-        "bench_sim: {} points, {total_cycles} total cycles, {wall_ms:.1} ms wall ({mode}, {used_threads} threads) -> {out_path}",
-        points.len()
+        "bench_sim: {} points, {total_cycles} total cycles, {wall_ms:.1} ms wall ({mode}, {threads} threads) -> {}",
+        measured.len(),
+        cfg.out
     );
     if !faults.is_empty() {
         println!(
             "bench_sim: injected {faults}; {} of {} points healed by remap, {infeasible} remap-infeasible (skipped)",
-            points.iter().filter(|m| m.remapped).count(),
-            points.len()
+            measured.iter().filter(|m| m.remapped).count(),
+            measured.len()
         );
     }
-    if search {
-        println!(
-            "bench_sim: mapping search geomean cycle speedup {search_geomean:.4} over the greedy baseline"
-        );
+    if cfg.axes.search.is_some() {
+        println!("bench_sim: mapping search geomean cycle speedup {search_geomean:.4} over the greedy baseline");
     }
     if let Some(sw) = serial_wall {
         println!(
@@ -753,28 +433,16 @@ fn run(flags: Flags) -> Result<(), String> {
             sw / wall_ms
         );
     }
-
-    if let Some(base_path) = &check {
-        let fresh: Vec<snapshot::BenchPoint> = points
-            .iter()
-            .map(|m| snapshot::BenchPoint {
-                kernel: m.kernel.clone(),
-                arch: m.arch.clone(),
-                cycles: m.cycles,
-                wall_ms: m.wall_ms,
-            })
-            .collect();
-        let fresh_wall: f64 = points.iter().map(|m| m.wall_ms).sum();
-        run_gate(
-            base_path,
-            baseline.as_ref().expect("loaded above"),
-            &fresh,
-            fresh_wall,
-            scale_name,
-            &fabric.to_string(),
-            &engine.to_string(),
-            wall_tolerance,
-        )?;
+    if let Some(g) = &wall_gate {
+        println!(
+            "bench_sim: wall gate: median of {} serial greedy runs = {:.1} calibration slices (spread {:.1}%)",
+            g.walls_ms.len(),
+            g.normalized(),
+            g.spread() * 100.0
+        );
     }
-    Ok(())
+    match (&cfg.check, &baseline) {
+        (Some(path), Some(base)) => gate(path, base, &snap.render(), cfg.wall_tolerance),
+        _ => Ok(()),
+    }
 }

@@ -14,15 +14,11 @@
 //! the server's `/metrics` histogram), throughput, per-phase cache-hit
 //! rates and the error count (which must be 0: the corpus is generated
 //! to be servable, and every 200 is bit-verified by the server itself).
-//!
-//! ```text
-//! loadgen [--requests N] [--concurrency C] [--programs P] [--seed S]
-//!         [--addr HOST:PORT] [--out FILE]
-//! ```
 
+use marionette::cli::{opt, Args, Spec};
+use marionette::report::num_list;
 use marionette_serve::metrics::{Histogram, BUCKET_BOUNDS_US};
 use marionette_serve::{ServeConfig, Server};
-use std::collections::HashSet;
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
@@ -30,84 +26,43 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
-loadgen: replay fuzz-corpus traffic against mard
-
-USAGE:
-  loadgen [OPTIONS]
-
-OPTIONS:
-  --requests N      total requests to send     [default: 500]
-  --concurrency C   client threads             [default: 4]
-  --programs P      distinct corpus programs   [default: 16]
-  --seed S          corpus generation seed     [default: 1]
-  --addr HOST:PORT  target an external mard (default: in-process server)
-  --out FILE        write the JSON report here (default: stdout)
-  --help            print this help
-";
+static SPEC: Spec = Spec {
+    name: "loadgen",
+    about: "replay fuzz-corpus traffic against mard",
+    positional: "",
+    flags: &[
+        opt("--requests", "N", "total requests to send [default: 500]"),
+        opt("--concurrency", "C", "client threads [default: 4]"),
+        opt("--programs", "P", "distinct corpus programs [default: 16]"),
+        opt("--seed", "S", "corpus generation seed [default: 1]"),
+        opt("--addr", "HOST:PORT", "target mard [default: in-process]"),
+        opt("--out", "FILE", "JSON report [default: stdout]"),
+    ],
+    notes: "",
+};
 
 /// Preset rotation for the corpus: a spread of control-flow planes so
 /// the cache holds heterogeneous artifacts.
 const PRESETS: &[&str] = &["M", "DF", "RT"];
-
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("loadgen: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
-}
 
 struct Flags {
     requests: usize,
     concurrency: usize,
     programs: usize,
     seed: u64,
-    addr: Option<String>,
+    addr: Option<SocketAddr>,
     out: Option<String>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut f = Flags {
-        requests: 500,
-        concurrency: 4,
-        programs: 16,
-        seed: 1,
-        addr: None,
-        out: None,
-    };
-    let mut seen: HashSet<&'static str> = HashSet::new();
-    let mut i = 0;
-    while i < args.len() {
-        let canon: &'static str = match args[i].as_str() {
-            "--requests" => "--requests",
-            "--concurrency" => "--concurrency",
-            "--programs" => "--programs",
-            "--seed" => "--seed",
-            "--addr" => "--addr",
-            "--out" => "--out",
-            other => return Err(format!("unknown flag `{other}`")),
-        };
-        if !seen.insert(canon) {
-            return Err(format!("duplicate flag `{canon}`"));
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("`{canon}` needs a value"))?;
-        let num = |what: &str| {
-            value
-                .parse::<u64>()
-                .map_err(|_| format!("`{what}`: `{value}` is not a number"))
-        };
-        match canon {
-            "--requests" => f.requests = num(canon)?.max(1) as usize,
-            "--concurrency" => f.concurrency = num(canon)?.max(1) as usize,
-            "--programs" => f.programs = num(canon)?.max(1) as usize,
-            "--seed" => f.seed = num(canon)?,
-            "--addr" => f.addr = Some(value.clone()),
-            "--out" => f.out = Some(value.clone()),
-            _ => unreachable!(),
-        }
-        i += 2;
-    }
-    Ok(f)
+fn flags(a: &Args) -> Result<Flags, String> {
+    Ok(Flags {
+        requests: a.num::<usize>("--requests", 500)?.max(1),
+        concurrency: a.num::<usize>("--concurrency", 4)?.max(1),
+        programs: a.num::<usize>("--programs", 16)?.max(1),
+        seed: a.num("--seed", 1)?,
+        addr: a.parsed("--addr")?,
+        out: a.str("--out").map(str::to_string),
+    })
 }
 
 /// One scheduled request: source body + query string.
@@ -129,12 +84,6 @@ fn restyle(src: &str, salt: usize) -> String {
         }
     }
     out
-}
-
-/// Renders a JSON array of u64s on one line.
-fn json_u64s(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(", "))
 }
 
 fn send(addr: SocketAddr, shot: &Shot) -> Result<(u16, String), String> {
@@ -226,22 +175,12 @@ fn cache_stats(addr: SocketAddr) -> (u64, u64) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => return usage_error(&e),
-    };
+    let a = SPEC.parse_env();
+    let flags = a.or_exit(flags(&a));
 
     // In-process server unless an external one was named.
-    let (addr, server) = match &flags.addr {
-        Some(a) => match a.parse::<SocketAddr>() {
-            Ok(addr) => (addr, None),
-            Err(e) => return usage_error(&format!("`--addr`: {e}")),
-        },
+    let (addr, server) = match flags.addr {
+        Some(addr) => (addr, None),
         None => {
             let server = match Server::start(ServeConfig {
                 workers: flags.concurrency.max(2),
@@ -364,8 +303,8 @@ fn main() -> ExitCode {
         hist.quantile_us(0.99),
         mean,
         hist.max_us(),
-        json_u64s(BUCKET_BOUNDS_US),
-        json_u64s(&bucket_counts),
+        num_list(BUCKET_BOUNDS_US),
+        num_list(&bucket_counts),
         hist.count(),
         hist.sum_us(),
         wall.as_secs_f64(),

@@ -6,88 +6,64 @@
 //! both mappings, and emits a JSON report with the cost-model breakdown,
 //! route statistics, per-route stall attribution and the cycle delta.
 //!
-//! ```text
-//! map_explore [--moves N] [--restarts K] [--seed S] [--kernels A,B]
-//!             [--presets M,vN,...] [--scale tiny|small|paper]
-//!             [--fabric RxC] [--no-sim] [--out PATH]
-//! ```
-//!
 //! `--no-sim` skips the simulations (cost model only), for quick smoke
 //! runs in CI.
 
-use marionette::arch::{Architecture, FabricDims};
+use marionette::arch::FabricDims;
+use marionette::cli::{opt, switch, Args, Spec};
 use marionette::compiler::explore::greedy_cost;
 use marionette::compiler::{compile, CostModel, SearchBudget, SearchReport};
 use marionette::kernels::traits::Scale;
-use marionette::parallel::{par_map, sweep_threads};
+use marionette::parallel::sweep_threads;
+use marionette::report::Snapshot;
 use marionette::runner::{compile_for_arch, run_kernel, DEFAULT_MAX_CYCLES};
-use marionette_bench::kernel_tags;
+use marionette_bench::sweep::{self, kernel_tags, Axes, Point, SEED};
 
-const SEED: u64 = 1;
+static SPEC: Spec = Spec {
+    name: "map_explore",
+    about: "greedy vs annealed mapping quality for every kernel x preset",
+    positional: "",
+    flags: &[
+        opt("--moves", "N", "annealing moves per chain [default: 1500]"),
+        opt("--restarts", "K", "annealing chains [default: 2]"),
+        opt("--seed", "S", "base seed of the chains [default: 41246]"),
+        opt("--kernels", "TAGS", "kernel tags [default: all]"),
+        opt("--presets", "TAGS", "preset tags [default: all]"),
+        opt("--scale", "NAME", "tiny, small or paper [default: small]"),
+        opt("--fabric", "RxC", "fabric [default: 4x4]"),
+        switch("--no-sim", "compile only (cost model smoke)"),
+        opt("--out", "PATH", "report path [default: MAP_explore.json]"),
+    ],
+    notes: "",
+};
 
-struct Args {
+struct Config {
+    axes: Axes,
     moves: u32,
     restarts: u32,
     base_seed: u64,
-    kernels: Option<String>,
-    presets: Option<String>,
     scale: Scale,
-    fabric: FabricDims,
     simulate: bool,
     out: String,
 }
 
-/// Parses a flag's value strictly: an absent flag yields the default, a
-/// present flag with a missing or malformed value is a usage error.
-fn numeric<T: std::str::FromStr>(argv: &[String], flag: &str, default: T) -> Result<T, String> {
-    match argv.iter().position(|a| a == flag) {
-        None => Ok(default),
-        Some(i) => {
-            let v = argv
-                .get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a value"))?;
-            v.parse()
-                .map_err(|_| format!("{flag}: `{v}` is not a valid value"))
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Result<Option<String>, String> {
-        match argv.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => match argv.get(i + 1) {
-                // A flag-like token is a forgotten value, not a value.
-                Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-                _ => Err(format!("{flag} needs a value")),
-            },
-        }
+fn config(a: &Args) -> Result<Config, String> {
+    let cfg = Config {
+        axes: Axes::healthy(
+            kernel_tags(a.list("--kernels")?.as_deref())?,
+            vec![a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper)],
+            a.str("--presets").map(str::to_string),
+        ),
+        moves: a.num("--moves", 1500)?,
+        restarts: a.num("--restarts", 2)?,
+        base_seed: a.num("--seed", 0xA11E)?,
+        scale: a.scale()?,
+        simulate: !a.has("--no-sim"),
+        out: a.str("--out").unwrap_or("MAP_explore.json").to_string(),
     };
-    let has = |flag: &str| argv.iter().any(|a| a == flag);
-    Ok(Args {
-        moves: numeric(&argv, "--moves", 1500)?,
-        restarts: numeric(&argv, "--restarts", 2)?,
-        base_seed: numeric(&argv, "--seed", 0xA11E)?,
-        kernels: get("--kernels")?,
-        presets: get("--presets")?,
-        scale: match get("--scale")?.as_deref() {
-            None | Some("small") => Scale::Small,
-            Some("tiny") => Scale::Tiny,
-            Some("paper") => Scale::Paper,
-            Some(other) => {
-                return Err(format!(
-                    "--scale: `{other}` is not one of tiny, small, paper"
-                ))
-            }
-        },
-        fabric: match get("--fabric")? {
-            None => FabricDims::paper(),
-            Some(spec) => spec.parse().map_err(|e| format!("--fabric: {e}"))?,
-        },
-        simulate: !has("--no-sim"),
-        out: get("--out")?.unwrap_or_else(|| "MAP_explore.json".to_string()),
-    })
+    // Resolve the selection now: unknown presets are usage errors.
+    cfg.axes.points()?;
+    Ok(cfg)
 }
 
 struct PointReport {
@@ -160,47 +136,14 @@ fn json_side(s: &Side) -> String {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("map_explore: {e}");
-            std::process::exit(2);
-        }
-    };
-    // Selection problems (unknown preset/kernel tags) are usage errors.
-    let (archs, tags) = match select(&args) {
-        Ok(sel) => sel,
-        Err(e) => {
-            eprintln!("map_explore: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = run(args, archs, tags) {
-        eprintln!("map_explore: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Resolves the preset and kernel selections.
-fn select(args: &Args) -> Result<(Vec<Architecture>, Vec<String>), String> {
-    let archs: Vec<Architecture> = match &args.presets {
-        None => marionette::arch::all_presets_on(args.fabric),
-        Some(tags) => marionette::arch::presets_by_tags_on(args.fabric, tags)?,
-    };
-    let tags = kernel_tags(args.kernels.as_deref())?;
-    Ok((archs, tags))
+    SPEC.run(config, |cfg| run(&cfg));
 }
 
 /// One kernel × architecture measurement; every stage failure becomes a
 /// tagged error instead of a panic.
-fn point_report(
-    tag: &str,
-    arch: &Architecture,
-    scale: Scale,
-    simulate: bool,
-    budget: SearchBudget,
-) -> Result<PointReport, String> {
-    let k = marionette::kernels::by_short(tag).ok_or("unknown kernel tag")?;
+fn point_report(p: &Point, cfg: &Config) -> Result<PointReport, String> {
+    let (arch, scale) = (&p.arch, cfg.scale);
+    let k = marionette::kernels::by_short(&p.kernel).ok_or("unknown kernel tag")?;
     let cm = CostModel::from_timing(&arch.tm);
     let wl = k.workload(scale, SEED);
     let g = k.build(&wl).map_err(|e| format!("build: {e}"))?;
@@ -216,8 +159,12 @@ fn point_report(
         ..Side::default()
     };
     let mut searched = arch.clone();
-    searched.opts.search = budget;
-    let (routes, e_side) = if simulate {
+    searched.opts.search = SearchBudget::Anneal {
+        moves: cfg.moves,
+        restarts: cfg.restarts,
+        base_seed: cfg.base_seed,
+    };
+    let (routes, e_side) = if cfg.simulate {
         // Greedy side: the preset as shipped (search off).
         let gr = run_kernel(k.as_ref(), arch, scale, SEED, DEFAULT_MAX_CYCLES)
             .map_err(|e| format!("greedy: {e}"))?;
@@ -252,7 +199,7 @@ fn point_report(
         (erep.routes, side_of_search(sr, erep.mean_data_hops))
     };
     Ok(PointReport {
-        kernel: tag.to_string(),
+        kernel: p.kernel.clone(),
         arch: arch.short.to_string(),
         nodes: g.nodes.len(),
         routes,
@@ -261,87 +208,59 @@ fn point_report(
     })
 }
 
-fn run(args: Args, archs: Vec<Architecture>, tags: Vec<String>) -> Result<(), String> {
-    let budget = SearchBudget::Anneal {
-        moves: args.moves,
-        restarts: args.restarts,
-        base_seed: args.base_seed,
-    };
-
-    let points: Vec<(String, Architecture)> = tags
-        .iter()
-        .flat_map(|t| archs.iter().map(move |a| (t.clone(), a.clone())))
-        .collect();
-    let scale = args.scale;
-    let simulate = args.simulate;
-    let outcomes = par_map(points, sweep_threads(), |(tag, arch)| {
-        point_report(&tag, &arch, scale, simulate, budget)
-            .map_err(|e| format!("{tag} on {}: {e}", arch.short))
-    });
-    // Report the first failing point in row-major order.
-    let mut reports = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        reports.push(o?);
-    }
+fn run(cfg: &Config) -> Result<(), String> {
+    let (reports, _) = sweep::run(cfg.axes.points()?, sweep_threads(), |p| {
+        point_report(p, cfg).map_err(|e| format!("{} on {}: {e}", p.kernel, p.arch.short))
+    })?;
 
     let mut speedups: Vec<f64> = Vec::new();
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"marionette.map_explore/v1\",\n");
-    j.push_str(&format!(
-        "  \"budget\": {{\"moves\": {}, \"restarts\": {}, \"base_seed\": {}}},\n",
-        args.moves, args.restarts, args.base_seed
-    ));
-    j.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match args.scale {
-            Scale::Tiny => "tiny",
-            Scale::Paper => "paper",
-            _ => "small",
-        }
-    ));
-    j.push_str(&format!("  \"fabric\": \"{}\",\n", args.fabric));
-    j.push_str(&format!("  \"simulated\": {},\n", args.simulate));
-    j.push_str("  \"points\": [\n");
-    for (i, p) in reports.iter().enumerate() {
-        let mut line = format!(
-            "    {{\"kernel\": \"{}\", \"arch\": \"{}\", \"nodes\": {}, \"routes\": {}, \"greedy\": {}, \"explored\": {}",
-            p.kernel,
-            p.arch,
-            p.nodes,
-            p.routes,
-            json_side(&p.greedy),
-            json_side(&p.explored)
-        );
-        if let (Some(gc), Some(ec)) = (p.greedy.cycles, p.explored.cycles) {
-            let sp = gc as f64 / ec as f64;
-            speedups.push(sp);
-            line.push_str(&format!(", \"cycle_speedup\": {sp:.4}"));
-        }
-        line.push('}');
-        line.push_str(if i + 1 == reports.len() { "\n" } else { ",\n" });
-        j.push_str(&line);
-    }
-    j.push_str("  ],\n");
+    let rows: Vec<String> = reports
+        .iter()
+        .map(|p| {
+            let mut line = format!(
+                "{{\"kernel\": \"{}\", \"arch\": \"{}\", \"nodes\": {}, \"routes\": {}, \"greedy\": {}, \"explored\": {}",
+                p.kernel,
+                p.arch,
+                p.nodes,
+                p.routes,
+                json_side(&p.greedy),
+                json_side(&p.explored)
+            );
+            if let (Some(gc), Some(ec)) = (p.greedy.cycles, p.explored.cycles) {
+                let sp = gc as f64 / ec as f64;
+                speedups.push(sp);
+                line.push_str(&format!(", \"cycle_speedup\": {sp:.4}"));
+            }
+            line.push('}');
+            line
+        })
+        .collect();
     let gm = marionette::experiments::geomean(&speedups);
-    j.push_str(&format!("  \"geomean_cycle_speedup\": {gm:.4}\n"));
-    j.push_str("}\n");
-    std::fs::write(&args.out, &j).map_err(|e| format!("writing {}: {e}", args.out))?;
+    let (moves, restarts, base_seed) = (cfg.moves, cfg.restarts, cfg.base_seed);
+    let mut snap = Snapshot::new("marionette.map_explore/v1");
+    snap.field(
+        "budget",
+        format!("{{\"moves\": {moves}, \"restarts\": {restarts}, \"base_seed\": {base_seed}}}"),
+    )
+    .str("scale", sweep::scale_name(cfg.scale))
+    .str("fabric", &cfg.axes.fabrics[0].to_string())
+    .field("simulated", cfg.simulate)
+    .rows("points", &rows)
+    .field("geomean_cycle_speedup", format!("{gm:.4}"));
+    snap.write(&cfg.out)?;
 
-    let improved = speedups.iter().filter(|&&s| s > 1.0).count();
-    let regressed = speedups.iter().filter(|&&s| s < 1.0).count();
     println!(
-        "map_explore: {} points ({} kernels x {} presets), budget {}x{} moves -> {}",
+        "map_explore: {} points ({} kernels x {} presets), budget {restarts}x{moves} moves -> {}",
         reports.len(),
-        tags.len(),
-        archs.len(),
-        args.restarts,
-        args.moves,
-        args.out
+        cfg.axes.kernels.len(),
+        reports.len() / cfg.axes.kernels.len(),
+        cfg.out
     );
-    if args.simulate {
+    if cfg.simulate {
         println!(
-            "map_explore: geomean cycle speedup {gm:.4} ({improved} improved, {regressed} regressed)"
+            "map_explore: geomean cycle speedup {gm:.4} ({} improved, {} regressed)",
+            speedups.iter().filter(|&&s| s > 1.0).count(),
+            speedups.iter().filter(|&&s| s < 1.0).count()
         );
     }
     Ok(())

@@ -7,14 +7,6 @@
 //! verifies each simulation bit-for-bit against the reference
 //! interpreter before reporting it.
 //!
-//! ```text
-//! marc FILE.mar [--presets M,vN,...] [--fabric RxC]
-//!               [--search MOVES[,RESTARTS]]
-//!               [--param NAME=VALUE]... [--max-cycles N]
-//!               [--fault SPEC]... [--faults N] [--fault-seed S]
-//!               [--engine wheel|heap] [--disasm] [--json PATH]
-//! ```
-//!
 //! `--fault SPEC` (repeatable: `pe:R,C`, `link:R,C-R,C`,
 //! `flaky:R,C-R,C@MULT`) and `--faults N` (seeded-random damage,
 //! `--fault-seed` to vary it) inject faults into every simulation; a
@@ -30,268 +22,162 @@
 //! verification failure, `2` usage errors.
 
 use marionette::arch::{Architecture, FabricDims};
-use marionette::cdfg::value::Value;
+use marionette::cdfg::Cdfg;
+use marionette::cli::{multi, opt, switch, usage_exit, Args, Spec};
 use marionette::compiler::SearchBudget;
+use marionette::report::{self, json_escape, json_sinks, Snapshot};
 use marionette::sim::{EngineKind, FaultSet, RunSpec};
 use marionette_lang::driver::{
-    frontend, reference, run_preset, typed_overrides, DriverError, FaultRun, DEFAULT_MAX_CYCLES,
-    INTERP_BUDGET,
+    frontend, reference, run_preset, typed_overrides, DriverError, FaultRun, Reference,
+    DEFAULT_MAX_CYCLES, INTERP_BUDGET,
 };
 
-struct Args {
+static SPEC: Spec = Spec {
+    name: "marc",
+    about: "compile a .mar program and run it, bit-verified, on every selected preset",
+    positional: "FILE.mar",
+    flags: &[
+        opt("--presets", "TAGS", "preset tags [default: all]"),
+        opt("--fabric", "RxC", "fabric [default: 4x4]"),
+        opt("--search", "M[,R]", "anneal M moves x R chains"),
+        multi("--param", "NAME=VALUE", "override a program parameter"),
+        opt("--max-cycles", "N", "per-run cycle cap"),
+        multi("--fault", "SPEC", "pin a fault (pe:, link: or flaky:)"),
+        opt("--faults", "N", "add N seeded-random faults"),
+        opt("--fault-seed", "S", "random fault seed [default: 1]"),
+        opt("--engine", "KIND", "wheel or heap [default: wheel]"),
+        switch("--disasm", "include each preset's disassembly in the JSON"),
+        opt("--json", "PATH", "write the JSON report (`-`: stdout)"),
+        opt("--trace", "PATH", "trace the one selected preset's run"),
+    ],
+    notes: "",
+};
+
+struct Config {
     file: String,
-    presets: Option<String>,
+    presets: Vec<Architecture>,
     fabric: FabricDims,
     search: Option<(u32, u32)>,
     params: Vec<(String, String)>,
     max_cycles: u64,
-    fault_specs: Vec<String>,
-    faults: usize,
-    fault_seed: u64,
+    faults: FaultSet,
     engine: EngineKind,
     disasm: bool,
     json: Option<String>,
     trace: Option<String>,
 }
 
-fn usage() -> String {
-    "usage: marc FILE.mar [--presets M,vN,...] [--fabric RxC] \
-     [--search MOVES[,RESTARTS]] \
-     [--param NAME=VALUE]... [--max-cycles N] \
-     [--fault SPEC]... [--faults N] [--fault-seed S] \
-     [--engine wheel|heap] [--disasm] [--json PATH] [--trace PATH]"
-        .to_string()
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        file: String::new(),
-        presets: None,
-        fabric: FabricDims::paper(),
-        search: None,
-        params: Vec::new(),
-        max_cycles: DEFAULT_MAX_CYCLES,
-        fault_specs: Vec::new(),
-        faults: 0,
-        fault_seed: 1,
-        engine: EngineKind::default(),
-        disasm: false,
-        json: None,
-        trace: None,
+fn config(a: &Args) -> Result<Config, String> {
+    let file = match a.positional() {
+        [file] => file.clone(),
+        [] => return Err("expected an input file FILE.mar".to_string()),
+        _ => return Err("more than one input file".to_string()),
     };
-    let rest: Vec<&String> = argv.iter().skip(1).collect();
-    let mut i = 0usize;
-    let value_of = |flag: &str, i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        match rest.get(*i) {
-            // A flag-like token is a forgotten value, not a value.
-            Some(s) if !s.starts_with("--") => Ok(s.to_string()),
-            _ => Err(format!("{flag} needs a value\n{}", usage())),
-        }
+    let fabric = a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper);
+    let presets = match a.str("--presets") {
+        None => marionette::arch::all_presets_on(fabric),
+        Some(tags) => marionette::arch::presets_by_tags_on(fabric, tags)?,
     };
-    // Each flag may appear once; `--fault` and `--param` accumulate by
-    // design. A repeated single flag is a typo'd command line — silently
-    // letting the last occurrence win hides it.
-    let mut seen = std::collections::HashSet::new();
-    while i < rest.len() {
-        let a = rest[i];
-        if a.starts_with("--") && a != "--fault" && a != "--param" && !seen.insert(a.clone()) {
-            return Err(format!("duplicate flag `{a}`\n{}", usage()));
-        }
-        match a.as_str() {
-            "--presets" => args.presets = Some(value_of("--presets", &mut i)?),
-            "--fabric" => {
-                args.fabric = value_of("--fabric", &mut i)?
-                    .parse()
-                    .map_err(|e| format!("--fabric: {e}\n{}", usage()))?
-            }
-            "--search" => {
-                let spec = value_of("--search", &mut i)?;
-                let mut parts = spec.split(',').map(str::trim);
-                let moves: u32 = parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("--search needs MOVES[,RESTARTS], got `{spec}`"))?;
-                let restarts: u32 = match parts.next() {
-                    None => 1,
-                    Some(v) => v
-                        .parse()
-                        .map_err(|_| format!("--search RESTARTS must be numeric, got `{v}`"))?,
-                };
-                args.search = Some((moves, restarts));
-            }
-            "--param" => {
-                let spec = value_of("--param", &mut i)?;
-                let (name, val) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--param needs NAME=VALUE, got `{spec}`"))?;
-                args.params.push((name.to_string(), val.to_string()));
-            }
-            "--max-cycles" => {
-                let v = value_of("--max-cycles", &mut i)?;
-                args.max_cycles = v
-                    .parse()
-                    .map_err(|_| format!("--max-cycles must be numeric, got `{v}`"))?;
-            }
-            "--fault" => args.fault_specs.push(value_of("--fault", &mut i)?),
-            "--faults" => {
-                let v = value_of("--faults", &mut i)?;
-                args.faults = v
-                    .parse()
-                    .map_err(|_| format!("--faults must be numeric, got `{v}`"))?;
-            }
-            "--fault-seed" => {
-                let v = value_of("--fault-seed", &mut i)?;
-                args.fault_seed = v
-                    .parse()
-                    .map_err(|_| format!("--fault-seed must be numeric, got `{v}`"))?;
-            }
-            "--engine" => {
-                let v = value_of("--engine", &mut i)?;
-                args.engine = v.parse().map_err(|e| format!("--engine: {e}"))?;
-            }
-            "--disasm" => args.disasm = true,
-            "--json" => args.json = Some(value_of("--json", &mut i)?),
-            "--trace" => args.trace = Some(value_of("--trace", &mut i)?),
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}`\n{}", usage()))
-            }
-            file => {
-                if !args.file.is_empty() {
-                    return Err(format!("more than one input file\n{}", usage()));
-                }
-                args.file = file.to_string();
-            }
-        }
-        i += 1;
-    }
-    if args.file.is_empty() {
-        return Err(usage());
-    }
-    Ok(args)
-}
-
-fn select_presets(fabric: FabricDims, filter: Option<&str>) -> Result<Vec<Architecture>, String> {
-    let Some(tags) = filter else {
-        return Ok(marionette::arch::all_presets_on(fabric));
-    };
-    let out = marionette::arch::presets_by_tags_on(fabric, tags)?;
-    if out.is_empty() {
+    if presets.is_empty() {
         return Err("empty preset selection".to_string());
     }
-    Ok(out)
-}
-
-use marionette::report::{json_escape, json_sinks};
-
-#[allow(clippy::too_many_arguments)]
-fn json_report(
-    file: &str,
-    prog_name: &str,
-    nodes: usize,
-    loops: usize,
-    sinks: &std::collections::HashMap<String, Vec<Value>>,
-    search: Option<(u32, u32)>,
-    fabric: FabricDims,
-    faults: &FaultSet,
-    runs: &[FaultRun],
-    disasm: bool,
-) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"marionette.marc/v1\",\n");
-    j.push_str(&format!("  \"file\": \"{}\",\n", json_escape(file)));
-    j.push_str(&format!("  \"program\": \"{}\",\n", json_escape(prog_name)));
-    j.push_str(&format!("  \"fabric\": \"{fabric}\",\n"));
-    j.push_str(&format!(
-        "  \"faults\": [{}],\n",
-        faults
-            .specs()
-            .iter()
-            .map(|s| format!("\"{}\"", json_escape(&s.to_string())))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    j.push_str(&format!("  \"nodes\": {nodes},\n"));
-    j.push_str(&format!("  \"loops\": {loops},\n"));
-    match search {
-        Some((m, r)) => j.push_str(&format!(
-            "  \"search\": {{\"moves\": {m}, \"restarts\": {r}}},\n"
-        )),
-        None => j.push_str("  \"search\": null,\n"),
-    }
-    j.push_str(&format!("  \"sinks\": {},\n", json_sinks(sinks)));
-    j.push_str("  \"presets\": [\n");
-    for (i, fr) in runs.iter().enumerate() {
-        let r = &fr.run;
-        let mut line = format!(
-            "    {{\"preset\": \"{}\", \"cycles\": {}, \"fires\": {}, \
-             \"link_stall_cycles\": {}, \"switch_stall_cycles\": {}, \"group_switches\": {}, \
-             \"routes\": {}, \"mean_data_hops\": {:.3}, \"verified\": true",
-            json_escape(&r.preset),
-            r.cycles,
-            r.fires,
-            r.link_stall_cycles,
-            r.switch_stall_cycles,
-            r.group_switches,
-            r.routes,
-            r.mean_data_hops
-        );
-        if !faults.is_empty() {
-            match &fr.wedged {
-                Some(w) => line.push_str(&format!(", \"wedged\": \"{}\"", json_escape(w))),
-                None => line.push_str(", \"wedged\": null"),
-            }
-            line.push_str(&format!(", \"remapped\": {}", fr.remapped));
-        }
-        if let Some(sr) = &r.search {
-            line.push_str(&format!(
-                ", \"search\": {{\"cost\": {:.3}, \"accepted\": {}, \"attempted\": {}, \"chain_seed\": {}}}",
-                sr.best_total, sr.accepted, sr.attempted, sr.seed
+    let trace = a.str("--trace").map(str::to_string);
+    if let Some(path) = &trace {
+        if presets.len() != 1 {
+            return Err(format!(
+                "--trace records one preset's run; narrow the {} selected presets \
+                 with --presets TAG",
+                presets.len()
             ));
         }
-        if disasm {
-            let d = marionette::isa::disasm::disassemble(&fr.compiled.prog);
-            line.push_str(&format!(", \"disasm\": \"{}\"", json_escape(&d)));
-        }
-        line.push('}');
-        line.push_str(if i + 1 == runs.len() { "\n" } else { ",\n" });
-        j.push_str(&line);
+        // Surface an unwritable trace path before spending cycles.
+        std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
     }
-    j.push_str("  ]\n}\n");
-    j
+    let params = a
+        .strings("--param")
+        .into_iter()
+        .map(|spec| match spec.split_once('=') {
+            Some((name, val)) => Ok((name.to_string(), val.to_string())),
+            None => Err(format!("--param needs NAME=VALUE, got `{spec}`")),
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(Config {
+        file,
+        presets,
+        fabric,
+        search: a.search("--search")?,
+        params,
+        max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
+        faults: a.fault_set(fabric)?,
+        engine: a.parsed("--engine")?.unwrap_or_default(),
+        disasm: a.has("--disasm"),
+        json: a.str("--json").map(str::to_string),
+        trace,
+    })
+}
+
+/// The `--json` report of a program's verified runs.
+fn json_report(args: &Config, program: &str, g: &Cdfg, r: &Reference, runs: &[FaultRun]) -> String {
+    let (faults, search) = (&args.faults, args.search);
+    let lines: Vec<String> = runs
+        .iter()
+        .map(|fr| {
+            let r = &fr.run;
+            let mut line = format!(
+                "{{\"preset\": \"{}\", \"cycles\": {}, \"fires\": {}, \
+                 \"link_stall_cycles\": {}, \"switch_stall_cycles\": {}, \"group_switches\": {}, \
+                 \"routes\": {}, \"mean_data_hops\": {:.3}, \"verified\": true",
+                json_escape(&r.preset),
+                r.cycles,
+                r.fires,
+                r.link_stall_cycles,
+                r.switch_stall_cycles,
+                r.group_switches,
+                r.routes,
+                r.mean_data_hops
+            );
+            if !faults.is_empty() {
+                match &fr.wedged {
+                    Some(w) => line.push_str(&format!(", \"wedged\": \"{}\"", json_escape(w))),
+                    None => line.push_str(", \"wedged\": null"),
+                }
+                line.push_str(&format!(", \"remapped\": {}", fr.remapped));
+            }
+            if let Some(sr) = &r.search {
+                line.push_str(&format!(
+                    ", \"search\": {{\"cost\": {:.3}, \"accepted\": {}, \"attempted\": {}, \"chain_seed\": {}}}",
+                    sr.best_total, sr.accepted, sr.attempted, sr.seed
+                ));
+            }
+            if args.disasm {
+                let d = marionette::isa::disasm::disassemble(&fr.compiled.prog);
+                line.push_str(&format!(", \"disasm\": \"{}\"", json_escape(&d)));
+            }
+            line.push('}');
+            line
+        })
+        .collect();
+    let mut snap = Snapshot::new("marionette.marc/v1");
+    let search = match search {
+        Some((m, r)) => format!("{{\"moves\": {m}, \"restarts\": {r}}}"),
+        None => "null".to_string(),
+    };
+    snap.str("file", &args.file)
+        .str("program", program)
+        .str("fabric", &args.fabric.to_string())
+        .field("faults", report::str_list(faults.specs()))
+        .field("nodes", g.nodes.len())
+        .field("loops", g.loops.len())
+        .field("search", search)
+        .field("sinks", json_sinks(&r.dropping.sinks))
+        .rows("presets", &lines);
+    snap.render()
 }
 
 fn run() -> Result<(), i32> {
-    let argv: Vec<String> = std::env::args().collect();
-    let args = parse_args(&argv).map_err(|e| {
-        eprintln!("marc: {e}");
-        2
-    })?;
-    let fail2 = |e: String| {
-        eprintln!("marc: {e}");
-        2
-    };
-    let presets = select_presets(args.fabric, args.presets.as_deref()).map_err(fail2)?;
-    if args.trace.is_some() && presets.len() != 1 {
-        return Err(fail2(format!(
-            "--trace records one preset's run; narrow the {} selected presets \
-             with --presets TAG",
-            presets.len()
-        )));
-    }
-    // Surface an unwritable trace path before spending cycles simulating.
-    if let Some(path) = &args.trace {
-        std::fs::File::create(path).map_err(|e| fail2(format!("--trace {path}: {e}")))?;
-    }
-    let faults = FaultSet::from_cli(
-        args.fabric.rows,
-        args.fabric.cols,
-        &args.fault_specs,
-        args.faults,
-        args.fault_seed,
-    )
-    .map_err(fail2)?;
+    let a = SPEC.parse_env();
+    let args = a.or_exit(config(&a));
+    let (presets, faults) = (&args.presets, &args.faults);
     let src = std::fs::read_to_string(&args.file).map_err(|e| {
         eprintln!("marc: reading {}: {e}", args.file);
         1
@@ -311,7 +197,8 @@ fn run() -> Result<(), i32> {
         }
         1
     })?;
-    let overrides = typed_overrides(&ast, &args.params).map_err(|e| fail2(format!("--{e}")))?;
+    let overrides = typed_overrides(&ast, &args.params)
+        .unwrap_or_else(|e| usage_exit(SPEC.name, format!("--{e}")));
 
     // Reference semantics (both interpreter modes, cross-checked).
     let r = reference(&g, &overrides, INTERP_BUDGET).map_err(|e| {
@@ -332,7 +219,7 @@ fn run() -> Result<(), i32> {
     }
     let mut runs = Vec::new();
     let mut tracer = args.trace.as_ref().map(|_| marionette::sim::Tracer::new());
-    for arch in &presets {
+    for arch in presets {
         let mut arch = arch.clone();
         if let Some((moves, restarts)) = args.search {
             arch.opts.search = SearchBudget::Anneal {
@@ -342,7 +229,7 @@ fn run() -> Result<(), i32> {
             };
         }
         let mut spec = RunSpec {
-            faults: &faults,
+            faults,
             engine: args.engine,
             max_cycles: args.max_cycles,
             tracer: tracer.as_mut(),
@@ -363,18 +250,7 @@ fn run() -> Result<(), i32> {
         runs.push(fr);
     }
 
-    let report = json_report(
-        &args.file,
-        &ast.name.name,
-        g.nodes.len(),
-        g.loops.len(),
-        &r.dropping.sinks,
-        args.search,
-        args.fabric,
-        &faults,
-        &runs,
-        args.disasm,
-    );
+    let report = json_report(&args, &ast.name.name, &g, &r, &runs);
     match &args.json {
         Some(path) if path != "-" => std::fs::write(path, &report).map_err(|e| {
             eprintln!("marc: writing {path}: {e}");

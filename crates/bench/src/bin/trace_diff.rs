@@ -9,65 +9,45 @@
 //! must be identical, and a healthy-vs-remapped pair shows exactly
 //! which links the healed mapping pays its extra cycles on.
 //!
-//! ```text
-//! trace_diff A.json B.json [--limit N]
-//! ```
-//!
 //! `--limit N` caps the number of per-track stall-delta lines printed
 //! (default 10; the summary always counts every differing track).
 //!
 //! Exit codes: `0` traces identical, `1` diverged, `2` usage errors
 //! (bad flags, unreadable files, schema violations).
 
+use marionette::cli::{opt, Args, Spec};
 use marionette::sim::trace::{parse, ParsedTrace};
 
-struct Args {
+static SPEC: Spec = Spec {
+    name: "trace_diff",
+    about: "report where two cycle traces diverge",
+    positional: "A.json B.json",
+    flags: &[opt(
+        "--limit",
+        "N",
+        "stall-delta lines to print [default: 10]",
+    )],
+    notes: "",
+};
+
+struct Config {
     a: String,
     b: String,
     limit: usize,
 }
 
-fn usage() -> String {
-    "usage: trace_diff A.json B.json [--limit N]".to_string()
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut pos: Vec<String> = Vec::new();
-    let mut limit = 10usize;
-    let mut seen = std::collections::HashSet::new();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--limit" => {
-                if !seen.insert("--limit") {
-                    return Err(format!("duplicate flag `--limit`\n{}", usage()));
-                }
-                i += 1;
-                let v = match argv.get(i) {
-                    Some(v) if !v.starts_with("--") => v,
-                    _ => return Err(format!("--limit needs a value\n{}", usage())),
-                };
-                limit = v
-                    .parse()
-                    .map_err(|_| format!("--limit needs a count, got `{v}`\n{}", usage()))?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown argument `{flag}`\n{}", usage()))
-            }
-            path => pos.push(path.to_string()),
-        }
-        i += 1;
-    }
-    if pos.len() != 2 {
+fn config(a: &Args) -> Result<Config, String> {
+    let [first, second] = a.positional() else {
         return Err(format!(
-            "expected exactly two trace files, got {}\n{}",
-            pos.len(),
-            usage()
+            "expected exactly two trace files, got {}",
+            a.positional().len()
         ));
-    }
-    let b = pos.pop().expect("two positionals");
-    let a = pos.pop().expect("two positionals");
-    Ok(Args { a, b, limit })
+    };
+    Ok(Config {
+        a: first.clone(),
+        b: second.clone(),
+        limit: a.num("--limit", 10)?,
+    })
 }
 
 fn load(path: &str) -> Result<ParsedTrace, String> {
@@ -112,7 +92,7 @@ fn stalls_by_name(t: &ParsedTrace) -> std::collections::BTreeMap<String, u64> {
 }
 
 /// Returns `true` when the traces are identical.
-fn run(args: &Args) -> Result<bool, String> {
+fn run(args: &Config) -> Result<bool, String> {
     let a = load(&args.a)?;
     let b = load(&args.b)?;
 
@@ -195,14 +175,8 @@ fn run(args: &Args) -> Result<bool, String> {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("trace_diff: {e}");
-            std::process::exit(2);
-        }
-    };
+    let a = SPEC.parse_env();
+    let args = a.or_exit(config(&a));
     match run(&args) {
         Ok(true) => {}
         Ok(false) => std::process::exit(1),

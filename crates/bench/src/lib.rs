@@ -1,21 +1,9 @@
-//! Shared helpers for the bench binaries: formatting for the `repro_*`
-//! binaries that regenerate the paper's tables and figures, and the
-//! kernel selection of the sweeps.
+//! Shared helpers for the bench binaries: formatting for `repro_all`,
+//! which regenerates the paper's tables and figures, and the shared
+//! sweep behind the perf and experiment sweeps.
 
 pub mod report;
-pub mod snapshot;
-
-use marionette::kernels::traits::Scale;
-
-/// Parses the common CLI convention: `--paper` selects Table 5 sizes,
-/// otherwise reduced sizes run in seconds.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--paper") {
-        Scale::Paper
-    } else {
-        Scale::Small
-    }
-}
+pub mod sweep;
 
 /// Prints a header banner.
 pub fn banner(title: &str, paper_ref: &str) {
@@ -41,32 +29,6 @@ pub fn header(first: &str, tags: &[String]) -> String {
         s.push_str(&format!(" {t:>7}"));
     }
     s
-}
-
-/// Every kernel tag the sweeps cover (the suite kernels plus the LDPC
-/// application), narrowed to a comma-separated `--kernels` filter
-/// (case-insensitive) when one is given.
-///
-/// # Errors
-/// Returns a message when the filter matches no kernel.
-pub fn kernel_tags(filter: Option<&str>) -> Result<Vec<String>, String> {
-    let mut tags: Vec<String> = marionette::kernels::all()
-        .iter()
-        .map(|k| k.short().to_string())
-        .collect();
-    tags.push("LDPC-APP".to_string());
-    if let Some(filter) = filter {
-        let want: Vec<String> = filter
-            .split(',')
-            .map(|s| s.trim().to_uppercase())
-            .filter(|s| !s.is_empty())
-            .collect();
-        tags.retain(|t| want.iter().any(|w| w == &t.to_uppercase()));
-        if tags.is_empty() {
-            return Err(format!("no kernels match --kernels {filter}"));
-        }
-    }
-    Ok(tags)
 }
 
 #[cfg(test)]

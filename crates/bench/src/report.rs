@@ -1,12 +1,12 @@
 //! Shared figure/table printers.
 //!
-//! Each `repro_*` binary and the in-process `repro_all` driver print
-//! through these functions, so the sweep driver can compute shared
-//! experiment results once (see `marionette::experiments::ladder`)
-//! without duplicating any formatting.
+//! `repro_all` prints through these functions, whether it runs one
+//! figure or all of them, so it can compute shared experiment results
+//! once (see `marionette::experiments::ladder`) without duplicating any
+//! formatting.
 
 use crate::{banner, header, row};
-use marionette::experiments::{geomean, Fig11, Fig12, Fig14, Fig15, Fig16, Fig17};
+use marionette::experiments::{geomean, CycleMatrix, Fig11, Fig12, Fig14, Fig15, Fig16, Fig17};
 use marionette::hw::breakdown::{area_power_breakdown, FabricParams};
 use marionette::hw::netcmp::network_comparison;
 use marionette::hw::netdelay::paper_sweep;
@@ -93,19 +93,19 @@ pub fn print_tables() {
     println!("(paper: Marionette network ratio 11.5%)");
 }
 
+/// Prints a cycle matrix: a kernel header, then one row per series.
+fn print_cycles(m: &CycleMatrix) {
+    println!("{}", header("kernel", &m.kernels));
+    for (a, cyc) in &m.series {
+        let cyc: Vec<f64> = cyc.iter().map(|&c| c as f64).collect();
+        println!("{}", row(&format!("cycles {a}"), &cyc));
+    }
+}
+
 /// Prints the Fig 11 comparison (PE execution models).
 pub fn print_fig11(f: &Fig11) {
     banner("Fig 11 — PE execution model comparison", "MICRO'23 Fig 11");
-    println!("{}", header("kernel", &f.cycles.kernels));
-    for (a, cyc) in &f.cycles.series {
-        println!(
-            "{}",
-            row(
-                &format!("cycles {a}"),
-                &cyc.iter().map(|&c| c as f64).collect::<Vec<_>>()
-            )
-        );
-    }
+    print_cycles(&f.cycles);
     println!("{}", row("speedup M-PE / vN", &f.speedup_vs_vn));
     println!("{}", row("speedup M-PE / DF", &f.speedup_vs_df));
     println!(
@@ -132,16 +132,7 @@ pub fn print_fig11(f: &Fig11) {
 /// Prints the Fig 12 ablation (control network).
 pub fn print_fig12(f: &Fig12) {
     banner("Fig 12 — control network speedup", "MICRO'23 Fig 12");
-    println!("{}", header("kernel", &f.cycles.kernels));
-    for (a, cyc) in &f.cycles.series {
-        println!(
-            "{}",
-            row(
-                &format!("cycles {a}"),
-                &cyc.iter().map(|&c| c as f64).collect::<Vec<_>>()
-            )
-        );
-    }
+    print_cycles(&f.cycles);
     println!("{}", row("speedup from ctrl net", &f.speedup));
     println!("----------------------------------------------------------------");
     println!(
@@ -173,16 +164,7 @@ pub fn print_fig13() {
 /// Prints the Fig 14 ablation (Agile PE Assignment).
 pub fn print_fig14(f: &Fig14) {
     banner("Fig 14 — Agile PE Assignment speedup", "MICRO'23 Fig 14");
-    println!("{}", header("kernel", &f.cycles.kernels));
-    for (a, cyc) in &f.cycles.series {
-        println!(
-            "{}",
-            row(
-                &format!("cycles {a}"),
-                &cyc.iter().map(|&c| c as f64).collect::<Vec<_>>()
-            )
-        );
-    }
+    print_cycles(&f.cycles);
     println!("{}", row("speedup from Agile", &f.speedup));
     println!("----------------------------------------------------------------");
     println!(
@@ -263,16 +245,7 @@ pub fn print_fig16(f: &Fig16) {
 pub fn print_fig17(f: &Fig17) {
     banner("Fig 17 — state-of-the-art comparison", "MICRO'23 Fig 17");
     println!("intensive control flow:");
-    println!("{}", header("kernel", &f.intensive.kernels));
-    for (a, cyc) in &f.intensive.series {
-        println!(
-            "{}",
-            row(
-                &format!("cycles {a}"),
-                &cyc.iter().map(|&c| c as f64).collect::<Vec<_>>()
-            )
-        );
-    }
+    print_cycles(&f.intensive);
     for a in ["SB", "TIA", "RV", "RT"] {
         println!(
             "{}",
@@ -280,16 +253,7 @@ pub fn print_fig17(f: &Fig17) {
         );
     }
     println!("\nnon-intensive control flow (must not regress):");
-    println!("{}", header("kernel", &f.non_intensive.kernels));
-    for (a, cyc) in &f.non_intensive.series {
-        println!(
-            "{}",
-            row(
-                &format!("cycles {a}"),
-                &cyc.iter().map(|&c| c as f64).collect::<Vec<_>>()
-            )
-        );
-    }
+    print_cycles(&f.non_intensive);
     println!("----------------------------------------------------------------");
     let paper = [("SB", 2.88), ("TIA", 3.38), ("RV", 1.55), ("RT", 2.66)];
     for (a, gm) in &f.geomeans {

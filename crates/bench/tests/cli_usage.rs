@@ -31,6 +31,9 @@ const MARC: &str = env!("CARGO_BIN_EXE_marc");
 const FAULT_SWEEP: &str = env!("CARGO_BIN_EXE_fault_sweep");
 const LOADGEN: &str = env!("CARGO_BIN_EXE_loadgen");
 const TRACE_DIFF: &str = env!("CARGO_BIN_EXE_trace_diff");
+const MAP_EXPLORE: &str = env!("CARGO_BIN_EXE_map_explore");
+const FABRIC_SWEEP: &str = env!("CARGO_BIN_EXE_fabric_sweep");
+const REPRO_ALL: &str = env!("CARGO_BIN_EXE_repro_all");
 
 #[test]
 fn bench_sim_rejects_duplicate_engine() {
@@ -91,7 +94,11 @@ fn fault_sweep_rejects_duplicate_fabric() {
 #[test]
 fn fault_sweep_rejects_unknown_argument() {
     let out = run(FAULT_SWEEP, &["--fault-count", "3"]);
-    assert_usage_error(&out, "unknown argument", "fault_sweep typo'd flag");
+    assert_usage_error(
+        &out,
+        "unknown flag `--fault-count`",
+        "fault_sweep typo'd flag",
+    );
 }
 
 #[test]
@@ -222,7 +229,7 @@ fn trace_diff_rejects_bad_argv_and_unreadable_files() {
     let out = run(TRACE_DIFF, &["a.json", "b.json", "--limit", "many"]);
     assert_usage_error(&out, "--limit needs a count", "trace_diff bad limit");
     let out = run(TRACE_DIFF, &["a.json", "b.json", "--nope"]);
-    assert_usage_error(&out, "unknown argument `--nope`", "trace_diff unknown flag");
+    assert_usage_error(&out, "unknown flag `--nope`", "trace_diff unknown flag");
     let out = run(TRACE_DIFF, &["/nonexistent-a.json", "/nonexistent-b.json"]);
     assert_usage_error(
         &out,
@@ -237,4 +244,42 @@ fn loadgen_rejects_duplicates_and_unknown_flags() {
     assert_usage_error(&out, "duplicate flag `--requests`", "loadgen dup requests");
     let out = run(LOADGEN, &["--nope"]);
     assert_usage_error(&out, "unknown flag `--nope`", "loadgen unknown flag");
+}
+
+#[test]
+fn map_explore_rejects_unknown_and_duplicate_flags() {
+    let out = run(MAP_EXPLORE, &["--nope"]);
+    assert_usage_error(&out, "unknown flag `--nope`", "map_explore unknown flag");
+    let out = run(MAP_EXPLORE, &["--kernels", "CRC", "--kernels", "MS"]);
+    assert_usage_error(
+        &out,
+        "duplicate flag `--kernels`",
+        "map_explore dup kernels",
+    );
+}
+
+#[test]
+fn fabric_sweep_rejects_duplicate_kernels() {
+    let out = run(FABRIC_SWEEP, &["--kernels", "CRC", "--kernels", "MS"]);
+    assert_usage_error(
+        &out,
+        "duplicate flag `--kernels`",
+        "fabric_sweep dup kernels",
+    );
+}
+
+#[test]
+fn repro_all_rejects_an_unknown_figure() {
+    let out = run(REPRO_ALL, &["--fig", "99"]);
+    assert_usage_error(&out, "no figure 99", "repro_all fig 99");
+}
+
+#[test]
+fn fabric_sides_above_255_are_usage_errors() {
+    let out = run(BENCH_SIM, &["--fabric", "300x300"]);
+    assert_usage_error(&out, "at most 255", "bench_sim 300x300");
+    let out = run(BENCH_SIM, &["--fabric", "999999x999999"]);
+    assert_usage_error(&out, "at most 255", "bench_sim 999999x999999");
+    let out = run(FABRIC_SWEEP, &["--fabrics", "256x256"]);
+    assert_usage_error(&out, "at most 255", "fabric_sweep 256x256");
 }

@@ -57,7 +57,8 @@ pub use explore::{
     explore_chain, explore_chain_with_faults, select_best, ExploreResult, SearchReport,
 };
 pub use options::{
-    CompileOptions, CtrlPlacement, FabricDims, MemPlacement, SearchBudget, SplitFabric,
+    CompileOptions, CtrlPlacement, FabricDims, FabricSpecError, MemPlacement, SearchBudget,
+    SplitFabric, MAX_FABRIC_SIDE,
 };
 pub use partition::{Partition, PartitionError, PartitionMap};
 pub use pipeline::{

@@ -58,19 +58,56 @@ impl std::fmt::Display for FabricDims {
     }
 }
 
-impl std::str::FromStr for FabricDims {
-    type Err = String;
+/// Largest fabric side: the bitstream stores rows and columns as bytes.
+pub const MAX_FABRIC_SIDE: usize = u8::MAX as usize;
 
-    /// Parses `"RxC"` (e.g. `6x6`, `4X6`).
-    fn from_str(s: &str) -> Result<Self, String> {
-        let err = || format!("`{s}` is not a fabric spec RxC (e.g. 6x6)");
-        let (r, c) = s.split_once(['x', 'X', '×']).ok_or_else(err)?;
-        let rows: usize = r.trim().parse().map_err(|_| err())?;
-        let cols: usize = c.trim().parse().map_err(|_| err())?;
-        if rows == 0 || cols == 0 {
-            return Err(err());
+/// Why a fabric or partition spec string was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FabricSpecError {
+    /// Not of the expected shape; the message names it.
+    Malformed(String),
+    /// A side (or a partition's far edge) exceeds [`MAX_FABRIC_SIDE`].
+    TooLarge(String),
+}
+
+impl std::fmt::Display for FabricSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FabricSpecError::Malformed(msg) => f.write_str(msg),
+            FabricSpecError::TooLarge(spec) => write!(
+                f,
+                "`{spec}`: fabric sides are at most {MAX_FABRIC_SIDE} (the bitstream stores them as bytes)"
+            ),
         }
-        Ok(FabricDims { rows, cols })
+    }
+}
+
+impl std::error::Error for FabricSpecError {}
+
+impl std::str::FromStr for FabricDims {
+    type Err = FabricSpecError;
+
+    /// Parses `"RxC"` (e.g. `6x6`, `4X6`); each side is 1..=255.
+    fn from_str(s: &str) -> Result<Self, FabricSpecError> {
+        let err =
+            || FabricSpecError::Malformed(format!("`{s}` is not a fabric spec RxC (e.g. 6x6)"));
+        let (r, c) = s.split_once(['x', 'X', '×']).ok_or_else(err)?;
+        let side = |v: &str| {
+            let v = v.trim();
+            let digits = v.bytes().all(|b| b.is_ascii_digit());
+            match v.parse::<usize>() {
+                Ok(n) if (1..=MAX_FABRIC_SIDE).contains(&n) => Ok(n),
+                // A positive number, but above 255 (or beyond a usize).
+                _ if digits && !v.trim_start_matches('0').is_empty() => {
+                    Err(FabricSpecError::TooLarge(s.to_string()))
+                }
+                _ => Err(err()),
+            }
+        };
+        Ok(FabricDims {
+            rows: side(r)?,
+            cols: side(c)?,
+        })
     }
 }
 
@@ -265,6 +302,29 @@ mod tests {
         assert!("6".parse::<FabricDims>().is_err());
         assert!("0x4".parse::<FabricDims>().is_err());
         assert!("axb".parse::<FabricDims>().is_err());
+    }
+
+    #[test]
+    fn fabric_sides_above_255_are_rejected() {
+        assert_eq!(
+            "255x255".parse::<FabricDims>().unwrap(),
+            FabricDims::new(255, 255)
+        );
+        for spec in [
+            "256x256",
+            "300x4",
+            "4x300",
+            "999999x999999",
+            "99999999999999999999x4",
+        ] {
+            assert_eq!(
+                spec.parse::<FabricDims>(),
+                Err(FabricSpecError::TooLarge(spec.to_string())),
+                "{spec}"
+            );
+        }
+        let e = "256x256".parse::<FabricDims>().unwrap_err().to_string();
+        assert!(e.contains("at most 255"), "{e}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! origin), e.g. `8x8@0,8` for an 8×8 region whose top-left tile is
 //! row 0, column 8 of the host fabric.
 
-use crate::options::FabricDims;
+use crate::options::{FabricDims, FabricSpecError, MAX_FABRIC_SIDE};
 use marionette_sim::{FaultSet, FaultSpec};
 use std::fmt;
 use std::str::FromStr;
@@ -128,16 +128,33 @@ impl fmt::Display for Partition {
 }
 
 impl FromStr for Partition {
-    type Err = String;
+    type Err = FabricSpecError;
 
-    /// Parses the shared CLI syntax `RxC@r,c` (e.g. `8x8@0,8`).
-    fn from_str(s: &str) -> Result<Self, String> {
-        let err = || format!("`{s}` is not a partition spec RxC@r,c (e.g. 8x8@0,8)");
+    /// Parses the shared CLI syntax `RxC@r,c` (e.g. `8x8@0,8`); the
+    /// region must end within a 255x255 fabric.
+    fn from_str(s: &str) -> Result<Self, FabricSpecError> {
+        let err = || {
+            FabricSpecError::Malformed(format!(
+                "`{s}` is not a partition spec RxC@r,c (e.g. 8x8@0,8)"
+            ))
+        };
+        let too_large = || FabricSpecError::TooLarge(s.to_string());
         let (dims, origin) = s.split_once('@').ok_or_else(err)?;
-        let dims: FabricDims = dims.trim().parse().map_err(|_| err())?;
+        let dims: FabricDims = dims.trim().parse().map_err(|e| match e {
+            FabricSpecError::TooLarge(_) => too_large(),
+            FabricSpecError::Malformed(_) => err(),
+        })?;
         let (r, c) = origin.split_once(',').ok_or_else(err)?;
         let row0: usize = r.trim().parse().map_err(|_| err())?;
         let col0: usize = c.trim().parse().map_err(|_| err())?;
+        let fits = |origin: usize, side: usize| {
+            origin
+                .checked_add(side)
+                .is_some_and(|end| end <= MAX_FABRIC_SIDE)
+        };
+        if !fits(row0, dims.rows) || !fits(col0, dims.cols) {
+            return Err(too_large());
+        }
         Ok(Partition::new(dims.rows, dims.cols, row0, col0))
     }
 }
@@ -363,6 +380,16 @@ mod tests {
         for s in ["8x8", "8x8@", "8x8@1", "@1,2", "0x4@0,0", "8x8@a,b", ""] {
             assert!(s.parse::<Partition>().is_err(), "`{s}` should not parse");
         }
+        for s in ["256x8@0,0", "8x8@250,0", "8x8@0,248"] {
+            assert!(
+                matches!(
+                    s.parse::<Partition>(),
+                    Err(FabricSpecError::TooLarge { .. })
+                ),
+                "`{s}` reaches past a 255x255 fabric"
+            );
+        }
+        assert!("8x8@247,247".parse::<Partition>().is_ok());
     }
 
     #[test]

@@ -110,10 +110,11 @@ fn compile_greedy(
     opts: &CompileOptions,
     faults: &FaultSet,
 ) -> Result<(MachineProgram, CompileReport), PlaceError> {
+    fabric_bytes(opts)?;
     let mesh = Mesh::new(opts.rows, opts.cols);
     let pl: PlacementResult = place_with_faults(g, opts, faults)?;
     let rr = route_with_faults(g, &pl.places, &mesh, faults)?;
-    Ok(build_program(g, opts, pl, rr, None))
+    build_program(g, opts, pl, rr, None)
 }
 
 /// The explored pipeline under an explicit cost model.
@@ -123,6 +124,7 @@ fn compile_with_cost(
     cm: &CostModel,
     faults: &FaultSet,
 ) -> Result<(MachineProgram, CompileReport), PlaceError> {
+    fabric_bytes(opts)?;
     let ex = explore_with_faults(g, opts, cm, faults)?.expect("nonzero search budget");
     finalize_explored_with_faults(g, opts, cm, ex, faults)
 }
@@ -153,7 +155,19 @@ pub fn finalize_explored_with_faults(
     )?;
     let mut sr = ex.report;
     sr.rerouted = moved;
-    Ok(build_program(g, opts, ex.placement, rr, Some(sr)))
+    build_program(g, opts, ex.placement, rr, Some(sr))
+}
+
+/// The fabric's rows and columns as the bytes the bitstream stores.
+fn fabric_bytes(opts: &CompileOptions) -> Result<(u8, u8), PlaceError> {
+    let too_large = || PlaceError::FabricTooLarge {
+        rows: opts.rows,
+        cols: opts.cols,
+    };
+    Ok((
+        u8::try_from(opts.rows).map_err(|_| too_large())?,
+        u8::try_from(opts.cols).map_err(|_| too_large())?,
+    ))
 }
 
 /// Configuration generation: the shared tail of both pipelines.
@@ -163,7 +177,8 @@ fn build_program(
     pl: PlacementResult,
     rr: RoutingResult,
     search: Option<SearchReport>,
-) -> (MachineProgram, CompileReport) {
+) -> Result<(MachineProgram, CompileReport), PlaceError> {
+    let (rows, cols) = fabric_bytes(opts)?;
     // Node configurations with operand selectors.
     let mut nodes = Vec::with_capacity(g.nodes.len());
     for (i, n) in g.iter_nodes() {
@@ -219,8 +234,8 @@ fn build_program(
 
     let program = MachineProgram {
         name: g.name.clone(),
-        rows: opts.rows as u8,
-        cols: opts.cols as u8,
+        rows,
+        cols,
         nodes,
         routes: rr.routes.clone(),
         pes,
@@ -277,7 +292,7 @@ fn build_program(
         },
         search,
     };
-    (program, report)
+    Ok((program, report))
 }
 
 #[cfg(test)]

@@ -47,6 +47,13 @@ pub enum PlaceError {
         /// Destination tile (linear index).
         dst_tile: u16,
     },
+    /// A fabric side exceeds the 255 the bitstream can encode.
+    FabricTooLarge {
+        /// Fabric rows.
+        rows: usize,
+        /// Fabric columns.
+        cols: usize,
+    },
 }
 
 impl fmt::Display for PlaceError {
@@ -63,6 +70,10 @@ impl fmt::Display for PlaceError {
             PlaceError::Unroutable { src_tile, dst_tile } => write!(
                 f,
                 "no fault-free XY/YX route from tile {src_tile} to tile {dst_tile}"
+            ),
+            PlaceError::FabricTooLarge { rows, cols } => write!(
+                f,
+                "a {rows}x{cols} fabric exceeds the 255x255 the bitstream encodes"
             ),
         }
     }

@@ -116,18 +116,6 @@ pub struct Fig12 {
     pub speedup: Vec<f64>,
 }
 
-/// Runs the Fig 12 experiment.
-///
-/// # Errors
-/// Propagates any compile/simulation/verification failure.
-pub fn fig12(scale: Scale, seed: u64) -> Result<Fig12, RunnerError> {
-    let kernels = intensive();
-    let archs = [arch::marionette_pe(), arch::marionette_cn()];
-    let (cycles, _) = run_matrix(&kernels, &archs, scale, seed)?;
-    let speedup = cycles.speedups("M-CN", "M-PE");
-    Ok(Fig12 { cycles, speedup })
-}
-
 /// Fig 14: Agile PE Assignment's contribution.
 #[derive(Clone, Debug)]
 pub struct Fig14 {
@@ -135,18 +123,6 @@ pub struct Fig14 {
     pub cycles: CycleMatrix,
     /// Per-kernel speedup from Agile PE Assignment.
     pub speedup: Vec<f64>,
-}
-
-/// Runs the Fig 14 experiment.
-///
-/// # Errors
-/// Propagates any compile/simulation/verification failure.
-pub fn fig14(scale: Scale, seed: u64) -> Result<Fig14, RunnerError> {
-    let kernels = intensive();
-    let archs = [arch::marionette_cn(), arch::marionette_full()];
-    let (cycles, _) = run_matrix(&kernels, &archs, scale, seed)?;
-    let speedup = cycles.speedups("M", "M-CN");
-    Ok(Fig14 { cycles, speedup })
 }
 
 /// Fig 15: utilization effects of Agile PE Assignment on the nested-loop
@@ -260,8 +236,7 @@ impl Ladder {
         }
     }
 
-    /// The Fig 12 view (M-PE vs M-CN): identical to [`fig12`], but
-    /// without re-running the shared points.
+    /// The Fig 12 view (M-PE vs M-CN).
     pub fn fig12(&self) -> Fig12 {
         let cycles = self.slice("M-PE", "M-CN");
         let speedup = cycles.speedups("M-CN", "M-PE");
@@ -307,16 +282,6 @@ pub struct Fig16 {
     pub cn_speedup: Vec<f64>,
     /// Agile speedup per kernel (from Fig 14).
     pub agile_speedup: Vec<f64>,
-}
-
-/// Runs the Fig 16 experiment by combining Figs 12 and 14.
-///
-/// # Errors
-/// Propagates any compile/simulation/verification failure.
-pub fn fig16(scale: Scale, seed: u64) -> Result<Fig16, RunnerError> {
-    // One ladder sweep covers both ablations: 3 architectures per kernel
-    // instead of the 4 a naive fig12-then-fig14 rerun would simulate.
-    Ok(ladder(scale, seed)?.fig16())
 }
 
 /// Fig 17: Marionette against the state of the art on all 13 kernels.

@@ -45,6 +45,7 @@
 //! | [`experiments`] | regeneration of every evaluation figure |
 //! | [`parallel`] | scoped-thread fan-out for experiment sweeps |
 //! | [`report`] | shared helpers for the JSON-report binaries |
+//! | [`cli`] | the one declarative flag parser behind every binary |
 
 #![warn(missing_docs)]
 
@@ -57,6 +58,7 @@ pub use marionette_kernels as kernels;
 pub use marionette_net as net;
 pub use marionette_sim as sim;
 
+pub mod cli;
 pub mod experiments;
 pub mod parallel;
 pub mod pipeline;

@@ -1,9 +1,10 @@
 //! Small helpers shared by the JSON-report-emitting binaries
 //! (`bench_sim`, `map_explore`, `marc`, `fuzz_stack`) and `mard`, so
-//! every report agrees on escaping and value rendering.
+//! every report agrees on escaping, value rendering and layout.
 
 use marionette_cdfg::value::Value;
 use std::collections::HashMap;
+use std::fmt::Display;
 
 /// Escapes a string for embedding in a JSON string literal: backslash,
 /// quote, and all control characters.
@@ -46,6 +47,82 @@ pub fn json_sinks(sinks: &HashMap<String, Vec<Value>>) -> String {
         })
         .collect();
     format!("{{{}}}", entries.join(", "))
+}
+
+/// A one-line JSON array of strings.
+pub fn str_list<T: Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items
+        .into_iter()
+        .map(|s| format!("\"{}\"", json_escape(&s.to_string())))
+        .collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// A one-line JSON array of numbers.
+pub fn num_list<T: Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|n| n.to_string()).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// A JSON array with one element per line, the array's own brackets
+/// indented by `indent` spaces and its elements by two more.
+pub fn rows(rows: &[String], indent: usize) -> String {
+    let pad = " ".repeat(indent + 2);
+    let mut s = String::from("[\n");
+    for (i, r) in rows.iter().enumerate() {
+        s.push_str(&pad);
+        s.push_str(r);
+        s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    }
+    s.push_str(&" ".repeat(indent));
+    s.push(']');
+    s
+}
+
+/// A snapshot in the shared layout: one top-level field per line, in
+/// insertion order; [`Snapshot::rows`] fields hold one object per line.
+pub struct Snapshot {
+    fields: Vec<(String, String)>,
+}
+
+impl Snapshot {
+    /// Starts a snapshot with its `schema` field.
+    pub fn new(schema: &str) -> Self {
+        let mut s = Snapshot { fields: Vec::new() };
+        s.str("schema", schema);
+        s
+    }
+
+    /// Adds a field whose value is already JSON (a number, `null`, …).
+    pub fn field(&mut self, key: &str, json: impl Display) -> &mut Self {
+        self.fields.push((key.to_string(), json.to_string()));
+        self
+    }
+
+    /// Adds a string field.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.field(key, format!("\"{}\"", json_escape(value)))
+    }
+
+    /// Adds an array field with one element per line.
+    pub fn rows(&mut self, key: &str, lines: &[String]) -> &mut Self {
+        self.field(key, rows(lines, 2))
+    }
+
+    /// The snapshot text.
+    pub fn render(&self) -> String {
+        let body: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        format!("{{\n{}\n}}\n", body.join(",\n"))
+    }
+
+    /// Writes the snapshot to `path`.
+    pub fn write(&self, path: &str) -> Result<(), String> {
+        std::fs::write(path, self.render()).map_err(|e| format!("writing {path}: {e}"))
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,9 @@ fn fig11_shape() {
 
 #[test]
 fn fig12_shape() {
-    let f = experiments::fig12(Scale::Small, 1).expect("fig12 runs");
+    let f = experiments::ladder(Scale::Small, 1)
+        .expect("fig12 runs")
+        .fig12();
     let gm = geomean(&f.speedup);
     println!("fig12 geomean: {gm:.3} (paper 1.14)");
     for (k, s) in f.cycles.kernels.iter().zip(&f.speedup) {
@@ -42,7 +44,9 @@ fn fig12_shape() {
 
 #[test]
 fn fig14_shape() {
-    let f = experiments::fig14(Scale::Small, 1).expect("fig14 runs");
+    let f = experiments::ladder(Scale::Small, 1)
+        .expect("fig14 runs")
+        .fig14();
     let gm = geomean(&f.speedup);
     println!("fig14 geomean: {gm:.3} (paper 2.03)");
     for (k, s) in f.cycles.kernels.iter().zip(&f.speedup) {

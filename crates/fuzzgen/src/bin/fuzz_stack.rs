@@ -2,15 +2,6 @@
 //! through the full compile→simulate stack on the architecture presets,
 //! in parallel across cores (`marionette::parallel`).
 //!
-//! ```text
-//! fuzz_stack [--start S] [--count N] [--presets M,vN,...] [--depth D]
-//!            [--max-stmts K] [--shrink] [--corpus-dir DIR]
-//!            [--json PATH] [--max-cycles C] [--serial]
-//!            [--search MOVES[,RESTARTS]] [--source] [--fabric RxC]
-//!            [--faults N] [--fault SPEC]... [--engine wheel|heap]
-//!            [--lanes N]
-//! ```
-//!
 //! `--engine wheel|heap` pins the simulator's event-queue core (default
 //! wheel, the production engine); fuzzing under `--engine heap` is the
 //! cross-engine differential axis. `--lanes N` runs every program as N
@@ -51,7 +42,8 @@
 //! `--print-seed S` prints seed S's program in the corpus text format and
 //! exits (handy for seeding the corpus or inspecting a failure).
 
-use marionette::arch::FabricDims;
+use marionette::arch::{Architecture, FabricDims};
+use marionette::cli::{multi, opt, switch, Args, Spec};
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::sim::{EngineKind, FaultSet, RunSpec};
 use marionette_fuzzgen::diff::{diff_program, diff_program_lanes, DEFAULT_MAX_CYCLES};
@@ -60,12 +52,38 @@ use marionette_fuzzgen::shrink::shrink;
 use marionette_fuzzgen::source::diff_both;
 use std::time::Instant;
 
-struct Args {
+static SPEC: Spec = Spec {
+    name: "fuzz_stack",
+    about: "differential fuzzing of generated programs through the full stack",
+    positional: "",
+    flags: &[
+        opt("--start", "S", "first seed [default: 0]"),
+        opt("--count", "N", "programs to generate [default: 1000]"),
+        opt("--presets", "TAGS", "preset tags [default: all]"),
+        opt("--depth", "D", "generator nesting depth [default: 3]"),
+        opt("--max-stmts", "K", "generator statement cap [default: 22]"),
+        switch("--shrink", "shrink divergences into the corpus"),
+        opt("--corpus-dir", "DIR", "[default: crates/fuzzgen/corpus]"),
+        opt("--json", "PATH", "write the counter summary"),
+        opt("--max-cycles", "N", "per-run cycle cap"),
+        switch("--serial", "run single-threaded"),
+        opt("--print-seed", "S", "print seed S's program and exit"),
+        opt("--search", "M[,R]", "anneal M moves x R chains"),
+        switch("--source", "also fuzz the .mar source axis"),
+        opt("--fabric", "RxC", "fabric [default: 4x4]"),
+        opt("--faults", "N", "random faults per seed"),
+        multi("--fault", "SPEC", "pin a fault under every seed"),
+        opt("--engine", "KIND", "wheel or heap [default: wheel]"),
+        opt("--lanes", "N", "run every program as N batched lanes"),
+    ],
+    notes: "",
+};
+
+struct Config {
     start: u64,
     count: u64,
-    presets: String,
-    depth: u32,
-    max_stmts: usize,
+    presets: Vec<Architecture>,
+    gen: GenConfig,
     do_shrink: bool,
     corpus_dir: String,
     json: Option<String>,
@@ -77,107 +95,72 @@ struct Args {
     fabric: FabricDims,
     faults: usize,
     fault_specs: Vec<String>,
+    base_faults: FaultSet,
     engine: EngineKind,
     lanes: usize,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
+fn config(a: &Args) -> Result<Config, String> {
+    let fabric = a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper);
+    let search = a.search("--search")?;
+    let mut presets = match a.str("--presets") {
+        None => marionette::arch::all_presets_on(fabric),
+        Some(tags) => marionette::arch::presets_by_tags_on(fabric, tags)?,
     };
-    let has = |flag: &str| argv.iter().any(|a| a == flag);
-    // `--fault` repeats; collect every occurrence.
-    let fault_specs: Vec<String> = argv
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--fault")
-        .map(|(i, _)| match argv.get(i + 1) {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => {
-                eprintln!(
-                    "fuzz_stack: --fault needs a spec (pe:R,C | link:R,C-R,C | flaky:R,C-R,C@MULT)"
-                );
-                std::process::exit(2);
-            }
-        })
-        .collect();
-    Args {
-        start: get("--start").and_then(|v| v.parse().ok()).unwrap_or(0),
-        count: get("--count").and_then(|v| v.parse().ok()).unwrap_or(1000),
-        presets: get("--presets").unwrap_or_default(),
-        depth: get("--depth").and_then(|v| v.parse().ok()).unwrap_or(3),
-        max_stmts: get("--max-stmts")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(22),
-        do_shrink: has("--shrink"),
-        corpus_dir: get("--corpus-dir").unwrap_or_else(|| "crates/fuzzgen/corpus".into()),
-        json: get("--json"),
-        max_cycles: get("--max-cycles")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MAX_CYCLES),
-        serial: has("--serial"),
-        print_seed: has("--print-seed").then(|| {
-            get("--print-seed")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("fuzz_stack: --print-seed needs a numeric seed");
-                    std::process::exit(2);
-                })
-        }),
-        search: has("--search").then(|| {
-            let spec = get("--search").unwrap_or_default();
-            let mut it = spec.split(',').map(str::trim);
-            let moves = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("fuzz_stack: --search needs MOVES[,RESTARTS]");
-                std::process::exit(2);
-            });
-            let restarts = match it.next() {
-                None => 1,
-                Some(v) => v.parse().unwrap_or_else(|_| {
-                    eprintln!("fuzz_stack: --search RESTARTS must be numeric, got {v:?}");
-                    std::process::exit(2);
-                }),
+    if let Some((moves, restarts)) = search {
+        for p in &mut presets {
+            p.opts.search = marionette::compiler::SearchBudget::Anneal {
+                moves,
+                restarts,
+                base_seed: 0xF022,
             };
-            (moves, restarts)
-        }),
-        source: has("--source"),
-        fabric: match get("--fabric") {
-            None => FabricDims::paper(),
-            Some(spec) => spec.parse().unwrap_or_else(|e| {
-                eprintln!("fuzz_stack: --fabric: {e}");
-                std::process::exit(2);
-            }),
-        },
-        faults: match get("--faults") {
-            None => 0,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("fuzz_stack: --faults needs a numeric count, got `{v}`");
-                std::process::exit(2);
-            }),
-        },
-        fault_specs,
-        engine: match get("--engine") {
-            None => EngineKind::default(),
-            Some(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("fuzz_stack: --engine: {e}");
-                std::process::exit(2);
-            }),
-        },
-        lanes: match get("--lanes") {
-            None => 1,
-            Some(v) => match v.parse() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!("fuzz_stack: --lanes needs a count >= 1, got `{v}`");
-                    std::process::exit(2);
-                }
-            },
-        },
+        }
     }
+    // Explicit `--fault` specs are pinned under every seed; `--faults N`
+    // adds fresh random faults per seed.
+    let fault_specs = a.strings("--fault");
+    let base_faults = FaultSet::from_cli(fabric.rows, fabric.cols, &fault_specs, 0, 0)?;
+    let cfg = Config {
+        start: a.num("--start", 0)?,
+        count: a.num("--count", 1000)?,
+        presets,
+        gen: GenConfig {
+            max_depth: a.num("--depth", 3)?,
+            max_stmts: a.num("--max-stmts", 22)?,
+            ..GenConfig::default()
+        },
+        do_shrink: a.has("--shrink"),
+        corpus_dir: a
+            .str("--corpus-dir")
+            .unwrap_or("crates/fuzzgen/corpus")
+            .to_string(),
+        json: a.str("--json").map(str::to_string),
+        max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
+        serial: a.has("--serial"),
+        print_seed: a
+            .str("--print-seed")
+            .map(|_| a.num("--print-seed", 0))
+            .transpose()?,
+        search,
+        source: a.has("--source"),
+        fabric,
+        faults: a.num("--faults", 0)?,
+        fault_specs,
+        base_faults,
+        engine: a.parsed("--engine")?.unwrap_or_default(),
+        lanes: a.positive("--lanes", 1)?,
+    };
+    let have_faults = cfg.faults > 0 || !cfg.base_faults.is_empty();
+    if have_faults && cfg.source {
+        return Err("--source and fault injection cannot be combined".to_string());
+    }
+    if cfg.lanes > 1 && (cfg.source || have_faults) {
+        return Err("--lanes combines with neither --source nor fault injection".to_string());
+    }
+    if cfg.source && cfg.engine != EngineKind::default() {
+        return Err("--source runs on the default engine only".to_string());
+    }
+    Ok(cfg)
 }
 
 struct SeedOutcome {
@@ -191,60 +174,15 @@ struct SeedOutcome {
     failure: Option<String>,
 }
 
-use marionette::report::json_escape;
+use marionette::report::{json_escape, str_list, Snapshot};
 
 fn main() {
-    let args = parse_args();
-    let mut presets = if args.presets.is_empty() {
-        marionette::arch::all_presets_on(args.fabric)
-    } else {
-        match marionette::arch::presets_by_tags_on(args.fabric, &args.presets) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("fuzz_stack: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
-    if let Some((moves, restarts)) = args.search {
-        for a in &mut presets {
-            a.opts.search = marionette::compiler::SearchBudget::Anneal {
-                moves,
-                restarts,
-                base_seed: 0xF022,
-            };
-        }
-    }
-    // Explicit `--fault` specs are pinned under every seed; `--faults N`
-    // adds fresh random faults per seed.
-    let base_faults =
-        match FaultSet::from_cli(args.fabric.rows, args.fabric.cols, &args.fault_specs, 0, 0) {
-            Ok(fs) => fs,
-            Err(e) => {
-                eprintln!("fuzz_stack: {e}");
-                std::process::exit(2);
-            }
-        };
+    let a = SPEC.parse_env();
+    let args = a.or_exit(config(&a));
+    let (presets, base_faults, cfg) = (&args.presets, &args.base_faults, &args.gen);
     let have_faults = args.faults > 0 || !base_faults.is_empty();
-    if have_faults && args.source {
-        eprintln!("fuzz_stack: --source and fault injection cannot be combined");
-        std::process::exit(2);
-    }
-    if args.lanes > 1 && (args.source || have_faults) {
-        eprintln!("fuzz_stack: --lanes combines with neither --source nor fault injection");
-        std::process::exit(2);
-    }
-    if args.source && args.engine != EngineKind::default() {
-        eprintln!("fuzz_stack: --source runs on the default engine only");
-        std::process::exit(2);
-    }
-    let cfg = GenConfig {
-        max_depth: args.depth,
-        max_stmts: args.max_stmts,
-        ..GenConfig::default()
-    };
     if let Some(seed) = args.print_seed {
-        print!("{}", generate(seed, &cfg).to_text());
+        print!("{}", generate(seed, cfg).to_text());
         return;
     }
     let threads = if args.serial { 1 } else { sweep_threads() };
@@ -262,9 +200,9 @@ fn main() {
     // interpretation of the builder graph.
     let diff = |q: &marionette_fuzzgen::Program, faults: &FaultSet| {
         if args.source {
-            diff_both(q, &presets, args.max_cycles)
+            diff_both(q, presets, args.max_cycles)
         } else if args.lanes > 1 {
-            diff_program_lanes(q, &presets, args.max_cycles, args.engine, args.lanes)
+            diff_program_lanes(q, presets, args.max_cycles, args.engine, args.lanes)
         } else {
             let mut spec = RunSpec {
                 faults,
@@ -272,11 +210,11 @@ fn main() {
                 max_cycles: args.max_cycles,
                 tracer: None,
             };
-            diff_program(q, &presets, &mut spec)
+            diff_program(q, presets, &mut spec)
         }
     };
     let outcomes = par_map(seeds, threads, |seed| {
-        let result = diff(&generate(seed, &cfg), &seed_faults(seed));
+        let result = diff(&generate(seed, cfg), &seed_faults(seed));
         match result {
             Ok(s) => SeedOutcome {
                 seed,
@@ -317,7 +255,7 @@ fn main() {
             // Reproduce under the same damage the seed originally saw.
             let faults = seed_faults(f.seed);
             let still_fails = |q: &marionette_fuzzgen::Program| diff(q, &faults).err();
-            let full = generate(f.seed, &cfg);
+            let full = generate(f.seed, cfg);
             let small = shrink(&full, 4000, |q| still_fails(q).is_some());
             let d = still_fails(&small).expect("shrunk case still fails");
             let path = format!("{}/shrunk_seed{}.txt", args.corpus_dir, f.seed);
@@ -343,65 +281,43 @@ fn main() {
     }
 
     if let Some(path) = &args.json {
-        let mut j = String::new();
-        j.push_str("{\n");
-        j.push_str("  \"schema\": \"marionette.fuzz_stack/v1\",\n");
-        j.push_str(&format!("  \"start\": {},\n", args.start));
-        j.push_str(&format!("  \"count\": {},\n", args.count));
-        j.push_str(&format!(
-            "  \"presets\": [{}],\n",
-            presets
-                .iter()
-                .map(|a| format!("\"{}\"", a.short))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        j.push_str(&format!("  \"fabric\": \"{}\",\n", args.fabric));
-        j.push_str(&format!("  \"threads\": {threads},\n"));
-        match args.search {
-            Some((m, r)) => j.push_str(&format!(
-                "  \"search\": {{\"moves\": {m}, \"restarts\": {r}}},\n"
-            )),
-            None => j.push_str("  \"search\": null,\n"),
-        }
-        j.push_str(&format!("  \"source_axis\": {},\n", args.source));
-        j.push_str(&format!("  \"engine\": \"{}\",\n", args.engine));
-        j.push_str(&format!("  \"lanes\": {},\n", args.lanes));
-        j.push_str(&format!("  \"faults\": {},\n", args.faults));
-        j.push_str(&format!(
-            "  \"pinned_faults\": [{}],\n",
-            args.fault_specs
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        j.push_str(&format!(
-            "  \"remaps\": {},\n",
-            outcomes.iter().map(|o| o.remaps).sum::<usize>()
-        ));
-        j.push_str(&format!(
-            "  \"remap_infeasible\": {},\n",
-            outcomes.iter().map(|o| o.infeasible).sum::<usize>()
-        ));
-        j.push_str(&format!("  \"programs\": {},\n", outcomes.len()));
-        j.push_str(&format!("  \"points\": {total_points},\n"));
-        j.push_str(&format!("  \"sim_cycles\": {total_cycles},\n"));
-        j.push_str(&format!("  \"sim_fires\": {total_fires},\n"));
-        j.push_str(&format!("  \"divergences\": {},\n", failures.len()));
-        j.push_str(&format!("  \"wall_ms\": {wall_ms:.3},\n"));
-        j.push_str("  \"failed_seeds\": [\n");
-        for (i, f) in failures.iter().enumerate() {
-            j.push_str(&format!(
-                "    {{\"seed\": {}, \"detail\": \"{}\"}}{}\n",
-                f.seed,
-                json_escape(f.failure.as_deref().unwrap_or("")),
-                if i + 1 == failures.len() { "" } else { "," }
-            ));
-        }
-        j.push_str("  ]\n}\n");
-        if let Err(e) = std::fs::write(path, &j) {
-            eprintln!("fuzz_stack: writing {path}: {e}");
+        let failed: Vec<String> = failures
+            .iter()
+            .map(|f| {
+                let detail = json_escape(f.failure.as_deref().unwrap_or(""));
+                format!("{{\"seed\": {}, \"detail\": \"{detail}\"}}", f.seed)
+            })
+            .collect();
+        let search = match args.search {
+            Some((m, r)) => format!("{{\"moves\": {m}, \"restarts\": {r}}}"),
+            None => "null".to_string(),
+        };
+        let mut snap = Snapshot::new("marionette.fuzz_stack/v1");
+        snap.field("start", args.start)
+            .field("count", args.count)
+            .field("presets", str_list(presets.iter().map(|a| a.short)))
+            .str("fabric", &args.fabric.to_string())
+            .field("threads", threads)
+            .field("search", search)
+            .field("source_axis", args.source)
+            .str("engine", &args.engine.to_string())
+            .field("lanes", args.lanes)
+            .field("faults", args.faults)
+            .field("pinned_faults", str_list(&args.fault_specs))
+            .field("remaps", outcomes.iter().map(|o| o.remaps).sum::<usize>())
+            .field(
+                "remap_infeasible",
+                outcomes.iter().map(|o| o.infeasible).sum::<usize>(),
+            )
+            .field("programs", outcomes.len())
+            .field("points", total_points)
+            .field("sim_cycles", total_cycles)
+            .field("sim_fires", total_fires)
+            .field("divergences", failures.len())
+            .field("wall_ms", format!("{wall_ms:.3}"))
+            .rows("failed_seeds", &failed);
+        if let Err(e) = snap.write(path) {
+            eprintln!("fuzz_stack: {e}");
         }
     }
 

@@ -16,7 +16,7 @@
 //! simulation is exact rather than approximate.
 
 use crate::driver::{compile_preset, Compiled, DriverError, PresetRun, Reference};
-use marionette::compiler::Partition;
+use marionette::compiler::{Partition, PlaceError};
 use marionette::isa::{MultiTenantImage, TenantImage};
 use marionette::pipeline::{Oracle, PipelineError};
 use marionette::sim::tenancy::{run_tenants, TenancyError, TenantWorkload};
@@ -141,12 +141,23 @@ pub fn run_tenancy(
             j.name
         );
         let c = compile_preset(j.g, j.arch)?;
+        // The layout check above bounds every partition by the u8 host
+        // fabric, so these only fail on a broken invariant.
+        let byte = |n: usize| {
+            u8::try_from(n).map_err(|_| DriverError::Compile {
+                preset: j.arch.short.to_string(),
+                e: PlaceError::FabricTooLarge {
+                    rows: dims.rows,
+                    cols: dims.cols,
+                },
+            })
+        };
         slots.push(TenantImage {
             name: j.name.clone(),
-            rows: dims.rows as u8,
-            cols: dims.cols as u8,
-            row0: j.partition.row0 as u8,
-            col0: j.partition.col0 as u8,
+            rows: byte(dims.rows)?,
+            cols: byte(dims.cols)?,
+            row0: byte(j.partition.row0)?,
+            col0: byte(j.partition.col0)?,
             bitstream: c.bitstream.clone(),
         });
         compiled.push(c);

@@ -3,34 +3,27 @@
 //! Binds a TCP listener, serves `.mar` compilation + simulation over
 //! HTTP/1.1 (see `docs/SERVING.md`), and runs until killed.
 //!
-//! ```text
-//! mard [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!      [--max-body BYTES] [--max-cycles N] [--interp-budget N]
-//! ```
-//!
 //! Usage errors (unknown flags, bad values, duplicate flags) exit 2;
 //! bind failures exit 1.
 
+use marionette::cli::{opt, Args, Spec};
 use marionette_serve::{ServeConfig, Server};
-use std::collections::HashSet;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-mard: marionette-as-a-service daemon
-
-USAGE:
-  mard [OPTIONS]
-
-OPTIONS:
-  --addr HOST:PORT     bind address            [default: 127.0.0.1:8431]
-  --workers N          worker threads          [default: 2]
-  --queue N            admission queue depth   [default: 8]
-  --cache N            compile-cache entries   [default: 64]
-  --max-body BYTES     request body limit      [default: 262144]
-  --max-cycles N       per-job sim cycle cap   [default: 10000000]
-  --interp-budget N    reference firing budget [default: 20000000]
-  --help               print this help
-
+static SPEC: Spec = Spec {
+    name: "mard",
+    about: "marionette-as-a-service daemon",
+    positional: "",
+    flags: &[
+        opt("--addr", "HOST:PORT", "[default: 127.0.0.1:8431]"),
+        opt("--workers", "N", "worker threads [default: 2]"),
+        opt("--queue", "N", "admission queue depth [default: 8]"),
+        opt("--cache", "N", "compile-cache entries [default: 64]"),
+        opt("--max-body", "BYTES", "body limit [default: 262144]"),
+        opt("--max-cycles", "N", "sim cycle cap [default: 10000000]"),
+        opt("--interp-budget", "N", "firing budget [default: 20000000]"),
+    ],
+    notes: "\
 ENDPOINTS:
   GET  /healthz   liveness probe
   GET  /stats     counters (requests, cache, queue, uptime, endpoints)
@@ -40,75 +33,29 @@ ENDPOINTS:
 
 One structured access-log line (JSON) per request goes to stderr;
 every response carries an X-Request-Id header matching its log line.
-";
+",
+};
 
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("mard: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ServeConfig {
-        addr: "127.0.0.1:8431".to_string(),
+fn config(a: &Args) -> Result<ServeConfig, String> {
+    let d = ServeConfig::default();
+    Ok(ServeConfig {
+        addr: a.str("--addr").unwrap_or("127.0.0.1:8431").to_string(),
+        workers: a.positive("--workers", d.workers)?,
+        queue_cap: a.positive("--queue", d.queue_cap)?,
+        cache_cap: a.num("--cache", d.cache_cap)?,
+        max_body: a.num("--max-body", d.max_body)?,
+        max_cycles: a.num("--max-cycles", d.max_cycles)?,
+        interp_budget: a.num("--interp-budget", d.interp_budget)?,
         // The daemon always writes access logs; only in-process tests
         // (which build ServeConfig directly) run quiet.
         access_log: true,
-        ..ServeConfig::default()
-    };
-    // Every mard flag takes exactly one value and may appear once; a
-    // repeated flag is a typo'd command line, not an intent.
-    let mut seen: HashSet<&'static str> = HashSet::new();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        let canon: &'static str = match flag {
-            "--addr" => "--addr",
-            "--workers" => "--workers",
-            "--queue" => "--queue",
-            "--cache" => "--cache",
-            "--max-body" => "--max-body",
-            "--max-cycles" => "--max-cycles",
-            "--interp-budget" => "--interp-budget",
-            other => return usage_error(&format!("unknown flag `{other}`")),
-        };
-        if !seen.insert(canon) {
-            return usage_error(&format!("duplicate flag `{canon}`"));
-        }
-        let Some(value) = args.get(i + 1) else {
-            return usage_error(&format!("`{canon}` needs a value"));
-        };
-        macro_rules! num {
-            ($t:ty) => {
-                match value.parse::<$t>() {
-                    Ok(v) => v,
-                    Err(_) => return usage_error(&format!("`{canon}`: `{value}` is not a number")),
-                }
-            };
-        }
-        match canon {
-            "--addr" => cfg.addr = value.clone(),
-            "--workers" => cfg.workers = num!(usize),
-            "--queue" => cfg.queue_cap = num!(usize),
-            "--cache" => cfg.cache_cap = num!(usize),
-            "--max-body" => cfg.max_body = num!(usize),
-            "--max-cycles" => cfg.max_cycles = num!(u64),
-            "--interp-budget" => cfg.interp_budget = num!(u64),
-            _ => unreachable!(),
-        }
-        if cfg.workers == 0 && canon == "--workers" {
-            return usage_error("`--workers` must be at least 1");
-        }
-        if cfg.queue_cap == 0 && canon == "--queue" {
-            return usage_error("`--queue` must be at least 1");
-        }
-        i += 2;
-    }
+        ..d
+    })
+}
 
+fn main() -> ExitCode {
+    let a = SPEC.parse_env();
+    let cfg = a.or_exit(config(&a));
     match Server::start(cfg) {
         Ok(server) => {
             println!("mard listening on http://{}", server.addr());
