@@ -12,16 +12,15 @@
 //! records the geomean cycle speedup of the searched mappings over the
 //! greedy baseline.
 //!
-//! A healthy single-lane sweep also records its [`WallGate`]: the
-//! greedy sweep re-run serially, normalised by a calibration slice
-//! timed in the same process. `--check BASELINE` fails when any
+//! A healthy sweep also records its [`WallGate`]: the greedy sweep
+//! re-run serially, normalised by a calibration slice timed in the same
+//! process. `--check BASELINE` fails when any
 //! per-point cycle count differs from BASELINE or when this normalised
 //! wall regresses by more than the tolerance over BASELINE's.
 //!
 //! Fault runs (`--fault`/`--faults`) imply `--no-search` and refuse
 //! `--check`: a damaged fabric is not comparable to the healthy
-//! baseline. `--lanes N` runs each point as N batched lanes of one
-//! compiled bitstream, recording lane 0's cycles and the batch's wall.
+//! baseline.
 
 use marionette::arch::FabricDims;
 use marionette::cli::{multi, opt, switch, Args, Spec};
@@ -29,9 +28,7 @@ use marionette::compiler::SearchBudget;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::sweep_threads;
 use marionette::report::{self, Snapshot};
-use marionette::runner::{
-    run_kernel, run_kernel_lanes, run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES,
-};
+use marionette::runner::{run_kernel, run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES};
 use marionette::sim::{EngineKind, RunSpec, Tracer};
 use marionette_bench::sweep::{self, kernel_tags, Axes, Point, WallGate, SEED};
 
@@ -53,7 +50,6 @@ static SPEC: Spec = Spec {
         opt("--faults", "N", "add N seeded-random faults"),
         opt("--fault-seed", "S", "random fault seed [default: 1]"),
         opt("--engine", "KIND", "wheel or heap [default: wheel]"),
-        opt("--lanes", "N", "N batched lanes per bitstream"),
         opt("--trace", "FILE", "trace one point instead of sweeping"),
         opt("--trace-point", "K:P", "the KERNEL:PRESET to trace"),
     ],
@@ -69,7 +65,6 @@ struct Config {
     replay: Option<String>,
     wall_tolerance: f64,
     engine: EngineKind,
-    lanes: usize,
     trace: Option<String>,
     axes: Axes,
 }
@@ -97,7 +92,6 @@ fn config(a: &Args) -> Result<Config, String> {
         Some(pct) => return Err(format!("--wall-tolerance: `{pct}` must be >= 0")),
     };
     let str = |name| a.str(name).map(str::to_string);
-    let lanes = a.positive("--lanes", 1)?;
     let mut cfg = Config {
         scale: a.scale()?,
         serial: a.has("--serial"),
@@ -107,16 +101,15 @@ fn config(a: &Args) -> Result<Config, String> {
         replay: str("--replay"),
         wall_tolerance,
         engine: a.parsed("--engine")?.unwrap_or_default(),
-        lanes,
         trace: str("--trace"),
         axes: Axes {
             pinned: a.strings("--fault"),
             fault_counts: vec![a.num("--faults", 0)?],
             fault_seeds: vec![a.num("--fault-seed", 1)?],
-            // Fault runs measure self-healed greedy mappings, lane runs
-            // amortise the greedy sweep, and the gate compares greedy
-            // cycles: the search delta sweep would only add time to each.
-            search: (!(a.has("--no-search") || faulted || lanes > 1 || a.has("--check")))
+            // Fault runs measure self-healed greedy mappings and the gate
+            // compares greedy cycles: the search delta sweep would only
+            // add time to each.
+            search: (!(a.has("--no-search") || faulted || a.has("--check")))
                 .then(SearchBudget::default_on),
             ..Axes::healthy(kernel_tags(None)?, vec![fabric], None)
         },
@@ -134,10 +127,6 @@ fn config(a: &Args) -> Result<Config, String> {
         "--check compares against a healthy baseline; drop the fault flags"
     } else if faulted && cfg.engine != EngineKind::default() {
         "--engine combines with healthy sweeps only; drop the fault flags"
-    } else if faulted && lanes > 1 {
-        "--lanes combines with healthy sweeps only; drop the fault flags"
-    } else if lanes > 1 && check {
-        "--check compares single-lane wall times; drop --lanes for gate runs"
     } else if traced != point {
         match traced {
             true => "--trace needs --trace-point KERNEL:PRESET to name the run",
@@ -145,8 +134,6 @@ fn config(a: &Args) -> Result<Config, String> {
         }
     } else if traced && (check || cfg.replay.is_some() || cfg.compare || cfg.serial) {
         "--trace records a single run; drop --check/--replay/--compare/--serial"
-    } else if traced && lanes > 1 {
-        "--trace records a single-lane run; drop --lanes"
     } else if cfg.replay.is_none() && cfg.check.as_ref() == Some(&cfg.out) {
         "--check BASELINE would be overwritten by --out; pass a different --out"
     } else {
@@ -192,39 +179,18 @@ fn measure(
     // `wall_ms` times the greedy compile+simulate only: it must not
     // absorb the mapping-search compile time of the delta below.
     let t = std::time::Instant::now();
-    let (r, remapped) = if cfg.lanes > 1 {
-        // Every lane replays the same seed: kernels that bake workload
-        // values into immediates are not batchable across seeds, and
-        // identical lanes still pin machine-reset isolation.
-        let seeds = vec![SEED; cfg.lanes];
-        let runs = run_kernel_lanes(
-            k.as_ref(),
-            &p.arch,
-            cfg.scale,
-            &seeds,
-            DEFAULT_MAX_CYCLES,
-            cfg.engine,
-        )
-        .map_err(|e| format!("{}: {e}", p.what()))?;
-        let mut first = None;
-        for (li, r) in runs.into_iter().enumerate() {
-            first.get_or_insert(r.map_err(|e| format!("{} lane {li}: {e}", p.what()))?);
-        }
-        (first.expect("lanes >= 1"), false)
-    } else {
-        let mut spec = RunSpec {
-            faults: &p.fault_set,
-            engine: cfg.engine,
-            max_cycles: DEFAULT_MAX_CYCLES,
-            tracer,
-        };
-        match run_kernel_with(k.as_ref(), &p.arch, cfg.scale, SEED, &mut spec) {
-            Ok(fr) => (fr.run, fr.remapped),
-            // Every shipped point compiles healthy, so a compile error
-            // under faults is the typed remap-infeasible outcome.
-            Err(RunnerError::Compile(_)) if !p.fault_set.is_empty() => return Ok(None),
-            Err(e) => return Err(format!("{}: {e}", p.what())),
-        }
+    let mut spec = RunSpec {
+        faults: &p.fault_set,
+        engine: cfg.engine,
+        max_cycles: DEFAULT_MAX_CYCLES,
+        tracer,
+    };
+    let (r, remapped) = match run_kernel_with(k.as_ref(), &p.arch, cfg.scale, SEED, &mut spec) {
+        Ok(fr) => (fr.run, fr.remapped),
+        // Every shipped point compiles healthy, so a compile error
+        // under faults is the typed remap-infeasible outcome.
+        Err(RunnerError::Compile(_)) if !p.fault_set.is_empty() => return Ok(None),
+        Err(e) => return Err(format!("{}: {e}", p.what())),
     };
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     let cycles_search = match search {
@@ -347,7 +313,8 @@ fn run(cfg: &Config) -> Result<(), String> {
     let (results, wall_ms) = sweep_once(threads)?;
     let infeasible = results.iter().filter(|m| m.is_none()).count();
     let measured: Vec<Measured> = results.into_iter().flatten().collect();
-    let wall_gate = (faults.is_empty() && cfg.lanes == 1)
+    let wall_gate = faults
+        .is_empty()
         .then(|| {
             WallGate::measure(points.len(), |i| {
                 measure(&points[i], cfg, None, None).map(drop)
@@ -355,9 +322,6 @@ fn run(cfg: &Config) -> Result<(), String> {
         })
         .transpose()?;
 
-    if cfg.lanes > 1 {
-        snap.field("lanes", cfg.lanes);
-    }
     if !faults.is_empty() {
         snap.field("faults", report::str_list(faults.specs()))
             .field("remap_infeasible", infeasible);

@@ -9,11 +9,12 @@
 //!   of them with whitespace/comment mutations that must still hit the
 //!   canonical-keyed cache.
 //!
-//! Emits a `BENCH_serve.json` report with a full latency histogram
-//! (p50/p90/p95/p99/max plus per-bucket counts, bucketed identically to
-//! the server's `/metrics` histogram), throughput, per-phase cache-hit
-//! rates and the error count (which must be 0: the corpus is generated
-//! to be servable, and every 200 is bit-verified by the server itself).
+//! Emits a `BENCH_serve.json` report with exact nearest-rank latency
+//! percentiles (p50/p90/p95/p99/max over every request's raw sample), a
+//! latency histogram bucketed identically to the server's `/metrics`
+//! histogram, throughput, per-phase cache-hit rates and the error count
+//! (which must be 0: the corpus is generated to be servable, and every
+//! 200 is bit-verified by the server itself).
 
 use marionette::cli::{opt, Args, Spec};
 use marionette::report::num_list;
@@ -154,6 +155,14 @@ fn replay(addr: SocketAddr, shots: &[Shot], threads: usize) -> (Vec<u64>, u64) {
     (latencies, errors.load(Ordering::Relaxed))
 }
 
+/// Nearest-rank percentile `pct` of `sorted` (ascending): the smallest
+/// sample with at least `pct`% of the samples at or below it — always a
+/// measured latency, never a bucket edge. Zero when there are no samples.
+fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+    let rank = (pct * sorted.len()).div_ceil(100).max(1);
+    sorted.get(rank - 1).copied().unwrap_or(0)
+}
+
 fn cache_stats(addr: SocketAddr) -> (u64, u64) {
     let mut s = TcpStream::connect(addr).expect("connect for stats");
     s.write_all(b"GET /stats HTTP/1.1\r\nHost: loadgen\r\n\r\n")
@@ -255,9 +264,13 @@ fn main() -> ExitCode {
     // /metrics endpoint, so client- and server-side latency bucket
     // identically and the two views can be compared directly.
     let hist = Histogram::new();
-    for &us in cold_lat.iter().chain(repeat_lat.iter()) {
+    let mut samples: Vec<u64> = cold_lat.iter().chain(&repeat_lat).copied().collect();
+    samples.sort_unstable();
+    for &us in &samples {
         hist.observe(us);
     }
+    let pct = |p| nearest_rank(&samples, p);
+    let max = samples.last().copied().unwrap_or(0);
     let repeat_hits = hits2 - hits1;
     let repeat_total = (hits2 + misses2) - (hits1 + misses1);
     let repeat_hit_rate = if repeat_total == 0 {
@@ -297,12 +310,12 @@ fn main() -> ExitCode {
         repeat_hits,
         repeat_total - repeat_hits,
         repeat_hit_rate,
-        hist.quantile_us(0.50),
-        hist.quantile_us(0.90),
-        hist.quantile_us(0.95),
-        hist.quantile_us(0.99),
+        pct(50),
+        pct(90),
+        pct(95),
+        pct(99),
         mean,
-        hist.max_us(),
+        max,
         num_list(BUCKET_BOUNDS_US),
         num_list(&bucket_counts),
         hist.count(),
@@ -320,9 +333,9 @@ fn main() -> ExitCode {
             println!(
                 "loadgen: {total} requests, {errors} errors, repeat hit rate {:.0}%, p50 {}us p99 {}us max {}us -> {path}",
                 repeat_hit_rate * 100.0,
-                hist.quantile_us(0.50),
-                hist.quantile_us(0.99),
-                hist.max_us(),
+                pct(50),
+                pct(99),
+                max,
             );
         }
         None => print!("{report}"),
@@ -336,4 +349,29 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentiles_are_samples_not_bucket_edges() {
+        // 101 samples, 1..=100 µs plus one slow tail: p90 and p99 are
+        // the 91st and 100th samples, while the `/metrics` histogram can
+        // only answer its first bucket's edge (100 µs) for both.
+        let mut sorted: Vec<u64> = (1..=100).collect();
+        sorted.push(9_747);
+        assert_eq!(nearest_rank(&sorted, 50), 51);
+        assert_eq!(nearest_rank(&sorted, 90), 91);
+        assert_eq!(nearest_rank(&sorted, 99), 100);
+        assert_eq!(nearest_rank(&sorted, 100), 9_747);
+        let hist = Histogram::new();
+        for &us in &sorted {
+            hist.observe(us);
+        }
+        assert_ne!(hist.quantile_us(0.90), nearest_rank(&sorted, 90));
+        assert_eq!(nearest_rank(&[], 99), 0);
+        assert_eq!(nearest_rank(&[7], 1), 7);
+    }
 }

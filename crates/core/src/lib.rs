@@ -41,7 +41,7 @@
 //! | [`arch`] | architecture presets (vN/DF/Marionette ablations/SOTA) |
 //! | [`hw`] | 28 nm area/power/delay models (Tables 4 & 6, Fig 13) |
 //! | [`pipeline`] | the one compile → bitstream → simulate → verify path, behind an [`pipeline::Oracle`] |
-//! | [`runner`] | kernel runs, lanes, sweeps and the self-heal policy |
+//! | [`runner`] | kernel runs, sweeps and the self-heal policy |
 //! | [`experiments`] | regeneration of every evaluation figure |
 //! | [`parallel`] | scoped-thread fan-out for experiment sweeps |
 //! | [`report`] | shared helpers for the JSON-report binaries |

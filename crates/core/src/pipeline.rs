@@ -11,8 +11,8 @@
 //!
 //! [`Stages`] is the one production [`HealStages`] implementation, so
 //! the self-heal policy ([`crate::runner::self_heal`]) drives every
-//! caller through the same compile and simulate code; [`simulate_lanes`]
-//! is the one batched-lane path.
+//! caller through the same compile and simulate code. Every simulation
+//! builds its own machine, so independent runs share no state.
 
 use crate::runner::{compile_for_arch_with_faults, HealStages};
 use marionette_arch::Architecture;
@@ -24,9 +24,7 @@ use marionette_isa::bitstream::{self, BitstreamError};
 use marionette_isa::MachineProgram;
 use marionette_kernels::traits::Golden;
 use marionette_kernels::verify::check_vs_golden;
-use marionette_sim::{
-    run_lanes_full, run_with, EngineKind, FaultSet, LaneSpec, RunResult, RunSpec, SimError,
-};
+use marionette_sim::{run_with, FaultSet, RunResult, RunSpec, SimError};
 
 /// A compiled, bitstream-round-tripped artifact: the unit the `mard`
 /// content-addressed cache stores and replays. `prog` is the *decoded*
@@ -298,60 +296,6 @@ impl<O: Oracle + ?Sized> HealStages for Stages<'_, O> {
     }
 }
 
-/// One lane of a batched simulation: its graph (for its array inputs),
-/// its parameter overrides and the oracle it is checked against.
-pub struct Lane<'a, O: ?Sized> {
-    /// The lane's graph.
-    pub g: &'a Cdfg,
-    /// The lane's oracle.
-    pub oracle: &'a O,
-    /// Scalar parameter overrides.
-    pub params: &'a [(String, Value)],
-}
-
-/// Simulates every lane of one artifact in a single batched pass
-/// ([`run_lanes_full`] on a healthy fabric) and checks each lane against
-/// its own oracle. A lane that wedges or mismatches reports its own error
-/// without poisoning its neighbours.
-///
-/// # Errors
-/// The outer `Err` is machine construction; per-lane failures come back
-/// in the inner results.
-pub fn simulate_lanes<O: Oracle + ?Sized>(
-    compiled: &Compiled,
-    arch: &Architecture,
-    lanes: &[Lane<'_, O>],
-    engine: EngineKind,
-    max_cycles: u64,
-) -> Result<Vec<Result<RunResult, PipelineError>>, SimError> {
-    let specs: Vec<LaneSpec> = lanes
-        .iter()
-        .map(|l| LaneSpec {
-            inputs: l.g.array_inputs(),
-            params: l.params.to_vec(),
-        })
-        .collect();
-    let results = run_lanes_full(
-        &compiled.prog,
-        &arch.tm,
-        &FaultSet::none(),
-        engine,
-        &specs,
-        max_cycles,
-    )?;
-    Ok(results
-        .into_iter()
-        .zip(lanes)
-        .map(|(r, lane)| {
-            let r = r.map_err(PipelineError::Sim)?;
-            lane.oracle
-                .check(lane.g, arch, &compiled.prog, &r)
-                .map_err(PipelineError::Verify)?;
-            Ok(r)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,40 +430,5 @@ mod tests {
             .check(&f.g, &vn, &f.compiled.prog, &f.run)
             .unwrap_err();
         assert_eq!(m.kind, MismatchKind::Fires);
-    }
-
-    #[test]
-    fn lanes_are_checked_against_their_own_oracles() {
-        let f = fixture();
-        let mut wrong = f.reference.clone();
-        wrong.dropping.firings += 1;
-        let lanes = [
-            Lane {
-                g: &f.g,
-                oracle: &f.reference,
-                params: &[],
-            },
-            Lane {
-                g: &f.g,
-                oracle: &wrong,
-                params: &[],
-            },
-        ];
-        let results = simulate_lanes(
-            &f.compiled,
-            &f.arch,
-            &lanes,
-            EngineKind::default(),
-            crate::runner::DEFAULT_MAX_CYCLES,
-        )
-        .unwrap();
-        assert_eq!(
-            results[0].as_ref().unwrap().stats.cycles,
-            f.run.stats.cycles
-        );
-        match &results[1] {
-            Err(PipelineError::Verify(m)) => assert_eq!(m.kind, MismatchKind::Fires),
-            other => panic!("expected the second lane to mismatch, got {other:?}"),
-        }
     }
 }

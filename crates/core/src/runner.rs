@@ -7,17 +7,17 @@
 //! experiment and the `bench_sim` perf harness.
 
 use crate::parallel::{par_map, sweep_threads};
-use crate::pipeline::{self, Lane, PipelineError, Stages};
+use crate::pipeline::{PipelineError, Stages};
 use marionette_arch::Architecture;
 use marionette_cdfg::Cdfg;
 use marionette_compiler::{
     compile_with_timing_and_faults, explore_chain_with_faults, finalize_explored_with_faults,
     select_best, CompileReport, CostModel, PlaceError, SearchBudget,
 };
-use marionette_isa::bitstream::{self, BitstreamError};
+use marionette_isa::bitstream::BitstreamError;
 use marionette_isa::MachineProgram;
 use marionette_kernels::traits::{Kernel, KernelError, Scale};
-use marionette_sim::{EngineKind, FaultSet, RunSpec, RunStats, SimError};
+use marionette_sim::{FaultSet, RunSpec, RunStats, SimError};
 use std::fmt;
 
 /// Default cycle budget per run.
@@ -61,15 +61,6 @@ pub enum RunnerError {
         /// Mismatch count (capped).
         count: usize,
     },
-    /// A lane's workload compiles to a different program than lane 0's,
-    /// so the lanes cannot share one configuration bitstream (the kernel
-    /// bakes workload-dependent constants into the fabric).
-    NotBatchable {
-        /// Which kernel/architecture refused batching.
-        what: String,
-        /// First lane whose program diverged from lane 0's.
-        lane: usize,
-    },
 }
 
 impl fmt::Display for RunnerError {
@@ -81,13 +72,6 @@ impl fmt::Display for RunnerError {
             RunnerError::Sim(e) => write!(f, "simulate: {e}"),
             RunnerError::Verification { what, first, count } => {
                 write!(f, "{what}: {count} mismatches, first: {first}")
-            }
-            RunnerError::NotBatchable { what, lane } => {
-                write!(
-                    f,
-                    "{what}: lane {lane} compiles to a different program than \
-                     lane 0 (workload-dependent constants); not lane-batchable"
-                )
             }
         }
     }
@@ -267,83 +251,6 @@ pub fn run_kernel_with(
             verified: true,
         },
     })
-}
-
-/// Compiles `kernel` **once** and simulates one lane per seed in a
-/// single batched pass ([`marionette_sim::run_lanes_full`]) on `engine`:
-/// the machine skeleton and the mapping are shared, only each lane's
-/// workload (arrays seeded per lane) differs. Every lane is verified
-/// against its own golden reference, so the result vector is
-/// bit-identical to calling [`run_kernel`] once per seed — the per-seed
-/// graphs of every shipped kernel differ only in array contents at a
-/// fixed scale, which is exactly what a lane carries. A lane that
-/// deadlocks or exhausts the budget reports its own `Err` without
-/// poisoning its neighbours.
-///
-/// # Errors
-/// The outer `Err` covers the shared stages (workload/golden
-/// construction, the one compile, the bitstream round-trip); per-lane
-/// simulation/verification failures come back in the inner results.
-pub fn run_kernel_lanes(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seeds: &[u64],
-    max_cycles: u64,
-    engine: EngineKind,
-) -> Result<Vec<Result<KernelRun, RunnerError>>, RunnerError> {
-    if seeds.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut per_seed = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let wl = kernel.workload(scale, seed);
-        let golden = kernel.golden(&wl)?;
-        let g = kernel.build(&wl)?;
-        per_seed.push((g, golden));
-    }
-    let stage = |e| RunnerError::stage(e, kernel, arch);
-    let compiled = pipeline::compile(&per_seed[0].0, arch, &FaultSet::none()).map_err(stage)?;
-    // All lanes execute lane 0's bitstream, so every other lane's graph
-    // must compile to the very same bytes. Kernels that unroll workload
-    // values into immediates (e.g. Conv-1d's filter taps) fail this for
-    // differing seeds and are rejected up front rather than silently
-    // running lane 0's constants against lane i's golden.
-    for (lane, (g, _)) in per_seed.iter().enumerate().skip(1) {
-        if seeds[lane] == seeds[0] {
-            continue; // identical workload, identical program
-        }
-        let (pi, _) = compile_for_arch(g, arch)?;
-        if bitstream::encode(&pi) != compiled.bitstream {
-            return Err(RunnerError::NotBatchable {
-                what: format!("{} on {}", kernel.name(), arch.name),
-                lane,
-            });
-        }
-    }
-    let lanes: Vec<Lane<'_, _>> = per_seed
-        .iter()
-        .map(|(g, golden)| Lane {
-            g,
-            oracle: golden,
-            params: &[],
-        })
-        .collect();
-    let results = pipeline::simulate_lanes(&compiled, arch, &lanes, engine, max_cycles)?;
-    Ok(results
-        .into_iter()
-        .map(|r| {
-            let r = r.map_err(stage)?;
-            Ok(KernelRun {
-                arch: arch.short.to_string(),
-                kernel: kernel.short().to_string(),
-                cycles: r.stats.cycles,
-                stats: r.stats,
-                report: compiled.report.clone(),
-                verified: true,
-            })
-        })
-        .collect())
 }
 
 /// One kernel × architecture measurement on a faulted fabric.

@@ -4,11 +4,8 @@
 //!
 //! `--engine wheel|heap` pins the simulator's event-queue core (default
 //! wheel, the production engine); fuzzing under `--engine heap` is the
-//! cross-engine differential axis. `--lanes N` runs every program as N
-//! batched lanes of one machine ([`marionette::sim::run_lanes_full`]) and
-//! requires each lane to match the reference interpreter bit for bit —
-//! the axis that fuzzes machine reuse/reset across lanes. Both combine
-//! with neither `--source` nor fault injection.
+//! cross-engine differential axis, and it does not combine with
+//! `--source`.
 //!
 //! `--faults N` injects N seeded-random faults (dead PEs, dead links,
 //! flaky links — a fresh set per program seed) into every simulation and
@@ -46,7 +43,7 @@ use marionette::arch::{Architecture, FabricDims};
 use marionette::cli::{multi, opt, switch, Args, Spec};
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::sim::{EngineKind, FaultSet, RunSpec};
-use marionette_fuzzgen::diff::{diff_program, diff_program_lanes, DEFAULT_MAX_CYCLES};
+use marionette_fuzzgen::diff::{diff_program, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::shrink::shrink;
 use marionette_fuzzgen::source::diff_both;
@@ -74,7 +71,6 @@ static SPEC: Spec = Spec {
         opt("--faults", "N", "random faults per seed"),
         multi("--fault", "SPEC", "pin a fault under every seed"),
         opt("--engine", "KIND", "wheel or heap [default: wheel]"),
-        opt("--lanes", "N", "run every program as N batched lanes"),
     ],
     notes: "",
 };
@@ -97,7 +93,6 @@ struct Config {
     fault_specs: Vec<String>,
     base_faults: FaultSet,
     engine: EngineKind,
-    lanes: usize,
 }
 
 fn config(a: &Args) -> Result<Config, String> {
@@ -148,14 +143,10 @@ fn config(a: &Args) -> Result<Config, String> {
         fault_specs,
         base_faults,
         engine: a.parsed("--engine")?.unwrap_or_default(),
-        lanes: a.positive("--lanes", 1)?,
     };
     let have_faults = cfg.faults > 0 || !cfg.base_faults.is_empty();
     if have_faults && cfg.source {
         return Err("--source and fault injection cannot be combined".to_string());
-    }
-    if cfg.lanes > 1 && (cfg.source || have_faults) {
-        return Err("--lanes combines with neither --source nor fault injection".to_string());
     }
     if cfg.source && cfg.engine != EngineKind::default() {
         return Err("--source runs on the default engine only".to_string());
@@ -201,8 +192,6 @@ fn main() {
     let diff = |q: &marionette_fuzzgen::Program, faults: &FaultSet| {
         if args.source {
             diff_both(q, presets, args.max_cycles)
-        } else if args.lanes > 1 {
-            diff_program_lanes(q, presets, args.max_cycles, args.engine, args.lanes)
         } else {
             let mut spec = RunSpec {
                 faults,
@@ -301,7 +290,6 @@ fn main() {
             .field("search", search)
             .field("source_axis", args.source)
             .str("engine", &args.engine.to_string())
-            .field("lanes", args.lanes)
             .field("faults", args.faults)
             .field("pinned_faults", str_list(&args.fault_specs))
             .field("remaps", outcomes.iter().map(|o| o.remaps).sum::<usize>())
@@ -335,18 +323,12 @@ fn main() {
     } else {
         String::new()
     };
-    let lane_note = if args.lanes > 1 {
-        format!(" x {} lanes", args.lanes)
-    } else {
-        String::new()
-    };
     println!(
-        "fuzz_stack: {} programs x {} presets on {} ({} engine{}) = {} points, {} sim cycles, ~{:.0} nodes/program, {} divergences{}, {:.1} ms ({} threads)",
+        "fuzz_stack: {} programs x {} presets on {} ({} engine) = {} points, {} sim cycles, ~{:.0} nodes/program, {} divergences{}, {:.1} ms ({} threads)",
         outcomes.len(),
         presets.len(),
         args.fabric,
         args.engine,
-        lane_note,
         total_points,
         total_cycles,
         mean_nodes,

@@ -7,9 +7,9 @@
 
 use crate::ast::Program;
 use crate::emit::emit;
-use marionette::pipeline::{self, Lane, MismatchKind, PipelineError, Stages};
+use marionette::pipeline::{MismatchKind, PipelineError, Stages};
 use marionette::runner::{self_heal, HealError};
-use marionette::sim::{EngineKind, FaultSet, RunSpec};
+use marionette::sim::RunSpec;
 use marionette_arch::Architecture;
 use marionette_cdfg::Cdfg;
 use marionette_lang::driver::{DriverError, Reference};
@@ -138,71 +138,6 @@ pub fn diff_program(
         ..DiffStats::default()
     };
     check_presets(&g, &reference, presets, spec, &mut stats)?;
-    Ok(stats)
-}
-
-/// Lane-batched differential check — the `fuzz_stack --lanes` axis.
-///
-/// Each preset compiles once and simulates `lanes` identical workloads
-/// of the bitstream in one batched [`pipeline::simulate_lanes`] pass;
-/// **every** lane must match the reference interpretation bit for bit
-/// and report the same cycle count, pinning that machine reuse across
-/// lanes (reset instead of rebuild) leaks no state between them.
-///
-/// # Errors
-/// Returns the first [`Divergence`] in preset order; lane-specific
-/// failures name the lane in the detail.
-pub fn diff_program_lanes(
-    p: &Program,
-    presets: &[Architecture],
-    max_cycles: u64,
-    engine: EngineKind,
-    lanes: usize,
-) -> Result<DiffStats, Divergence> {
-    let g = emit(p);
-    let reference = reference(&g)?;
-    let mut stats = DiffStats {
-        nodes: g.nodes.len(),
-        ..DiffStats::default()
-    };
-    let lanes: Vec<_> = (0..lanes.max(1))
-        .map(|_| Lane {
-            g: &g,
-            oracle: &reference,
-            params: &[],
-        })
-        .collect();
-    for arch in presets {
-        let compiled =
-            pipeline::compile(&g, arch, &FaultSet::none()).map_err(|e| diverged(arch, e, false))?;
-        let results = pipeline::simulate_lanes(&compiled, arch, &lanes, engine, max_cycles)
-            .map_err(|e| diverged(arch, PipelineError::Sim(e), false))?;
-        let mut lane0_cycles = None;
-        for (li, r) in results.into_iter().enumerate() {
-            let r = r.map_err(|e| {
-                let mut d = diverged(arch, e, false);
-                d.detail = format!("lane {li}: {}", d.detail);
-                d
-            })?;
-            match lane0_cycles {
-                None => lane0_cycles = Some(r.stats.cycles),
-                Some(c) if c != r.stats.cycles => {
-                    return Err(Divergence {
-                        preset: arch.short.to_string(),
-                        kind: DivergenceKind::Sim,
-                        detail: format!(
-                            "lane {li} took {} cycles, lane 0 took {c}",
-                            r.stats.cycles
-                        ),
-                    });
-                }
-                Some(_) => {}
-            }
-            stats.cycles += r.stats.cycles;
-            stats.fires += r.stats.fires;
-        }
-        stats.points += 1;
-    }
     Ok(stats)
 }
 

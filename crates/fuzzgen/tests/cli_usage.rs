@@ -28,3 +28,8 @@ fn malformed_count_is_a_usage_error() {
 fn unknown_flag_is_a_usage_error() {
     usage_error(&["--nope"], "unknown flag `--nope`");
 }
+
+#[test]
+fn lanes_flag_is_unknown() {
+    usage_error(&["--lanes", "2"], "unknown flag `--lanes`");
+}

@@ -3,7 +3,7 @@
 
 use marionette::arch::{all_presets, presets_by_tags_on, FabricDims};
 use marionette::sim::{EngineKind, FaultSet, RunSpec};
-use marionette_fuzzgen::diff::{diff_program, diff_program_lanes, DEFAULT_MAX_CYCLES};
+use marionette_fuzzgen::diff::{diff_program, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::source::diff_both;
 use marionette_fuzzgen::Program;
@@ -85,18 +85,6 @@ fn corpus_replays_divergence_free_on_both_engines() {
             diff_program(&p, &presets, &mut spec)
                 .unwrap_or_else(|d| panic!("{name} ({engine}): {d}"));
         }
-    }
-}
-
-#[test]
-fn corpus_replays_divergence_free_lane_batched() {
-    // The same regressions, three lanes per preset on one machine:
-    // every lane must match the interpreter bit for bit and take
-    // exactly lane 0's cycle count.
-    let presets = all_presets();
-    for (name, p) in corpus_entries() {
-        diff_program_lanes(&p, &presets, DEFAULT_MAX_CYCLES, EngineKind::default(), 3)
-            .unwrap_or_else(|d| panic!("{name}: {d}"));
     }
 }
 

@@ -119,6 +119,24 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, BitstreamError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// A `u32` record count. Every record takes at least one byte, so a
+    /// count beyond the bytes that remain is truncation — rejected
+    /// before it can size an allocation.
+    fn count32(&mut self) -> Result<usize, BitstreamError> {
+        let n = self.u32()? as usize;
+        self.within_rest(n)
+    }
+    /// A `u16` record count, bounded like [`Reader::count32`].
+    fn count16(&mut self) -> Result<usize, BitstreamError> {
+        let n = self.u16()? as usize;
+        self.within_rest(n)
+    }
+    fn within_rest(&self, n: usize) -> Result<usize, BitstreamError> {
+        if n > self.buf.len() - self.pos {
+            return Err(BitstreamError::Truncated);
+        }
+        Ok(n)
+    }
     fn str(&mut self) -> Result<String, BitstreamError> {
         let n = self.u16()? as usize;
         let b = self.take(n)?;
@@ -288,7 +306,7 @@ pub fn decode(bytes: &[u8]) -> Result<MachineProgram, BitstreamError> {
     let cols = r.u8()?;
     let name = r.str()?;
 
-    let nparams = r.u32()? as usize;
+    let nparams = r.count32()?;
     let mut params = Vec::with_capacity(nparams);
     for _ in 0..nparams {
         let name = r.str()?;
@@ -299,7 +317,7 @@ pub fn decode(bytes: &[u8]) -> Result<MachineProgram, BitstreamError> {
             default: value_untag(t, b)?,
         });
     }
-    let narrays = r.u32()? as usize;
+    let narrays = r.count32()?;
     let mut arrays = Vec::with_capacity(narrays);
     for _ in 0..narrays {
         let name = r.str()?;
@@ -317,7 +335,7 @@ pub fn decode(bytes: &[u8]) -> Result<MachineProgram, BitstreamError> {
             is_output,
         });
     }
-    let nnodes = r.u32()? as usize;
+    let nnodes = r.count32()?;
     let mut nodes = Vec::with_capacity(nnodes);
     for i in 0..nnodes {
         let word = r.u64()?;
@@ -343,7 +361,7 @@ pub fn decode(bytes: &[u8]) -> Result<MachineProgram, BitstreamError> {
             t => return Err(BitstreamError::Malformed(format!("placement {t}"))),
         };
         let label = if r.u8()? != 0 { Some(r.str()?) } else { None };
-        let next = r.u16()? as usize;
+        let next = r.count16()?;
         let mut exts = Vec::with_capacity(next);
         for _ in 0..next {
             exts.push(r.u32()?);
@@ -382,14 +400,14 @@ pub fn decode(bytes: &[u8]) -> Result<MachineProgram, BitstreamError> {
             label,
         });
     }
-    let nroutes = r.u32()? as usize;
+    let nroutes = r.count32()?;
     let mut routes = Vec::with_capacity(nroutes);
     for _ in 0..nroutes {
         let src = r.u32()?;
         let dst = r.u32()?;
         let dst_port = r.u8()?;
         let flags = r.u8()?;
-        let plen = r.u16()? as usize;
+        let plen = r.count16()?;
         let mut path = Vec::with_capacity(plen);
         for _ in 0..plen {
             path.push(r.u16()?);
@@ -408,10 +426,10 @@ pub fn decode(bytes: &[u8]) -> Result<MachineProgram, BitstreamError> {
             path,
         });
     }
-    let npes = r.u32()? as usize;
+    let npes = r.count32()?;
     let mut pes = Vec::with_capacity(npes);
     for _ in 0..npes {
-        let ncfg = r.u16()? as usize;
+        let ncfg = r.count16()?;
         let mut configs = Vec::with_capacity(ncfg);
         for _ in 0..ncfg {
             let bb = r.u16()?;
@@ -421,7 +439,7 @@ pub fn decode(bytes: &[u8]) -> Result<MachineProgram, BitstreamError> {
                 2 => CtrlMode::Loop,
                 t => return Err(BitstreamError::Malformed(format!("mode {t}"))),
             };
-            let nslots = r.u16()? as usize;
+            let nslots = r.count16()?;
             let mut slots = Vec::with_capacity(nslots);
             for _ in 0..nslots {
                 slots.push(r.u32()?);
@@ -453,6 +471,19 @@ mod tests {
         let bytes = encode(&p);
         let q = decode(&bytes).unwrap();
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn oversized_count_is_truncation_not_an_allocation() {
+        // Magic, version 1, a 4x4 fabric, an empty name, then a
+        // parameter count of u32::MAX backed by just two bytes.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&[4, 4, 0, 0]);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0]);
+        assert_eq!(bytes.len(), 16);
+        assert_eq!(decode(&bytes).unwrap_err(), BitstreamError::Truncated);
     }
 
     #[test]

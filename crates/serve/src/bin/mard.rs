@@ -29,7 +29,7 @@ ENDPOINTS:
   GET  /stats     counters (requests, cache, queue, uptime, endpoints)
   GET  /metrics   Prometheus text exposition
   POST /run       compile + simulate one .mar body
-  POST /batch     one compile, N parameter lanes
+  POST /batch     one cached compile, N verified runs (one per lane=)
 
 One structured access-log line (JSON) per request goes to stderr;
 every response carries an X-Request-Id header matching its log line.

@@ -12,7 +12,7 @@ use crate::http::Request;
 use crate::{RouteMeta, ServerState};
 use marionette::cdfg::value::Value;
 use marionette::compiler::SearchBudget;
-use marionette::pipeline::{simulate_lanes, Lane, PipelineError, Stages};
+use marionette::pipeline::{PipelineError, Stages};
 use marionette::report::{json_escape, json_sinks};
 use marionette::runner::{self_heal, HealStages};
 use marionette::sim::{EngineKind, FaultSet, RunResult, RunSpec, SimError};
@@ -496,10 +496,11 @@ pub fn handle_run(
     Ok(j)
 }
 
-/// Handles `POST /batch`: N parameter lanes of one source folded into a
-/// single compile (cache-shared) and one batched simulation pass. Lane
-/// failures are per-lane entries, not request failures — a wedging lane
-/// reports its typed error while its neighbours complete.
+/// Handles `POST /batch`: one cached compile of the source, then N
+/// verified runs — one per parameter lane, each exactly what `/run`
+/// with those overrides would simulate. Lane failures are per-lane
+/// entries, not request failures — a wedging lane reports its typed
+/// error while its neighbours complete.
 ///
 /// # Errors
 /// Returns [`ApiError`] for request-level failures (bad query, parse
@@ -533,22 +534,6 @@ pub fn handle_batch(
     let (ast, g) = frontend(&src).map_err(|e| map_driver_error(e, &src, false))?;
     let canonical = print(&ast);
 
-    // Per-lane references; a lane whose overrides or interpretation fail
-    // becomes a per-lane error without sinking the batch.
-    type LanePrep = Result<(Vec<(String, Value)>, Reference), ApiError>;
-    let mut lane_refs: Vec<LanePrep> = Vec::new();
-    for raw in &opts.lanes {
-        lane_refs.push(
-            typed_overrides(&ast, raw)
-                .map_err(|e| ApiError::bad("bad_param", e))
-                .and_then(|ovr| {
-                    reference(&g, &ovr, state.cfg.interp_budget)
-                        .map(|r| (ovr, r))
-                        .map_err(|e| map_driver_error(e, &src, false))
-                }),
-        );
-    }
-
     let key = CacheKey::derive(&canonical, &opts.arch, &opts.faults);
     let (artifact, hit) = match state.cache.lookup(&key) {
         Some(a) => (a, true),
@@ -568,77 +553,48 @@ pub fn handle_batch(
     };
     meta.cache_hit = Some(hit);
 
-    // One batched pass over the lanes whose reference survived.
+    // Each lane is one verified run of the cached artifact, on its own
+    // freshly built machine; a lane whose overrides, interpretation or
+    // run fail becomes a per-lane error without sinking the batch.
     let preset = opts.arch.short;
-    let stage = |e| map_driver_error(DriverError::stage(preset, e), &src, false);
-    let t_sim = std::time::Instant::now();
-    let lanes: Vec<Lane<'_, Reference>> = lane_refs
-        .iter()
-        .flatten()
-        .map(|(params, r)| Lane {
-            g: &g,
-            oracle: r,
-            params,
-        })
-        .collect();
-    let sim_results = if lanes.is_empty() {
-        Vec::new()
-    } else {
-        simulate_lanes(
-            &artifact.compiled,
-            &opts.arch,
-            &lanes,
-            opts.engine,
-            opts.max_cycles,
-        )
-        .map_err(|e| stage(PipelineError::Sim(e)))?
-    };
-    meta.sim_us += micros_since(t_sim);
-
-    let mut lane_json: Vec<String> = Vec::with_capacity(lane_refs.len());
-    let mut errors = 0usize;
-    let mut sim_iter = sim_results.into_iter();
-    for lr in &lane_refs {
-        match lr {
-            Err(e) => {
-                errors += 1;
-                lane_json.push(format!(
-                    "{{\"ok\": false, \"error\": {{\"kind\": \"{}\", \"detail\": \"{}\"}}}}",
-                    json_escape(e.kind),
-                    json_escape(&e.detail)
-                ));
-            }
-            Ok((_, r)) => match sim_iter.next().expect("one sim result per good lane") {
-                Ok(run) => lane_json.push(format!(
-                    "{{\"ok\": true, \"result\": {}}}",
-                    json_result(
-                        &PresetRun::new(preset.to_string(), &run, &artifact.compiled.report),
-                        &r.dropping.sinks
-                    )
-                )),
-                Err(e) => {
-                    errors += 1;
-                    let e = stage(e);
-                    lane_json.push(format!(
-                        "{{\"ok\": false, \"error\": {{\"kind\": \"{}\", \"detail\": \"{}\"}}}}",
-                        json_escape(e.kind),
-                        json_escape(&e.detail)
-                    ));
-                }
-            },
-        }
+    let mut lanes = Vec::with_capacity(opts.lanes.len());
+    for raw in &opts.lanes {
+        let overrides = typed_overrides(&ast, raw).map_err(|e| ApiError::bad("bad_param", e));
+        lanes.push(overrides.and_then(|overrides| {
+            let r = reference(&g, &overrides, state.cfg.interp_budget)
+                .map_err(|e| map_driver_error(e, &src, false))?;
+            let mut stages = MissStages {
+                inner: Stages::new(&g, &r, &opts.arch, &overrides),
+                meta: &mut *meta,
+            };
+            let mut spec = RunSpec {
+                engine: opts.engine,
+                ..RunSpec::new(opts.max_cycles)
+            };
+            let run = stages
+                .simulate(&artifact.compiled, &mut spec)
+                .map_err(|e| map_driver_error(DriverError::stage(preset, e), &src, false))?;
+            let run = PresetRun::new(preset.to_string(), &run, &artifact.compiled.report);
+            Ok(json_result(&run, &r.dropping.sinks))
+        }));
     }
+    let errors = lanes.iter().filter(|l| l.is_err()).count();
 
     let mut j = String::new();
     response_head(&mut j, "batch", &ast.name.name, &opts, &key, hit, &artifact);
     let _ = writeln!(j, "  \"lane_errors\": {errors},");
     j.push_str("  \"lanes\": [\n");
-    for (i, l) in lane_json.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {l}{}",
-            if i + 1 == lane_json.len() { "" } else { "," }
-        );
+    for (i, lane) in lanes.iter().enumerate() {
+        let _ = match lane {
+            Ok(result) => write!(j, "    {{\"ok\": true, \"result\": {result}}}"),
+            Err(e) => write!(
+                j,
+                "    {{\"ok\": false, \"error\": {{\"kind\": \"{}\", \"detail\": \"{}\"}}}}",
+                json_escape(e.kind),
+                json_escape(&e.detail)
+            ),
+        };
+        j.push_str(if i + 1 == lanes.len() { "\n" } else { ",\n" });
     }
     j.push_str("  ]\n}\n");
     Ok(j)

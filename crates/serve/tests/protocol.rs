@@ -183,6 +183,67 @@ fn batch_runs_lanes_and_isolates_lane_errors() {
     s.stop();
 }
 
+/// A program whose trip count — and so its cycle count — is a parameter.
+const TRIP: &str = "\
+program trip;
+param n: i32 = 4;
+let s = for i in 0..n with a = 0 {
+  yield a + i;
+};
+sink s = s;
+";
+
+/// The text after `"result": ` on `line`, without a list comma.
+fn result_of(line: &str) -> &str {
+    let at = line.find("\"result\": ").expect("a result field") + "\"result\": ".len();
+    line[at..].trim_end().trim_end_matches(',')
+}
+
+#[test]
+fn batch_equals_one_run_per_lane() {
+    let s = server();
+    // n=40 runs ~170 cycles on M and busts the lowered 100-cycle budget;
+    // n=2 and n=4 finish well inside it.
+    let budget = "preset=M&max-cycles=100";
+    let (status, body) = http(
+        s.addr(),
+        "POST",
+        &format!("/batch?{budget}&lane=n%3D2&lane=n%3D40&lane=n%3D4"),
+        TRIP.as_bytes(),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"lane_errors\": 1,"), "{body}");
+    let lanes: Vec<&str> = body.lines().filter(|l| l.contains("\"ok\": ")).collect();
+    assert_eq!(lanes.len(), 3, "{body}");
+    for (lane, n) in [(lanes[0], 2), (lanes[2], 4)] {
+        assert!(
+            lane.starts_with("    {\"ok\": true, \"result\": {"),
+            "{lane}"
+        );
+        let (status, solo) = run(s.addr(), &format!("{budget}&param=n%3D{n}"), TRIP);
+        assert_eq!(status, 200, "{solo}");
+        let solo_line = solo.lines().find(|l| l.contains("\"result\": ")).unwrap();
+        // The lane entry closes its own object after the result's.
+        let lane_result = result_of(lane).strip_suffix('}').unwrap();
+        assert_eq!(lane_result, result_of(solo_line), "n={n}");
+    }
+    // The budget-busting lane reports the very error `/run` gives it.
+    assert!(lanes[1].contains("\"ok\": false"), "{}", lanes[1]);
+    assert!(
+        lanes[1].contains("\"kind\": \"cycle_limit\""),
+        "{}",
+        lanes[1]
+    );
+    let (status, solo) = run(s.addr(), &format!("{budget}&param=n%3D40"), TRIP);
+    assert_eq!(status, 422, "{solo}");
+    let detail = |b: &str| {
+        let at = b.find("\"detail\": ").expect("an error detail");
+        b[at..].split('"').nth(3).unwrap().to_string()
+    };
+    assert_eq!(detail(lanes[1]), detail(&solo));
+    s.stop();
+}
+
 #[test]
 fn batch_without_lanes_and_run_with_lanes_are_400() {
     let s = server();

@@ -21,14 +21,13 @@
 //! Architectural presets live in `marionette-arch`; this crate provides
 //! the neutral machine plus the [`TimingModel`] parameter space. A run
 //! is described by one [`RunSpec`] — injected faults, event-queue
-//! engine, cycle budget, optional tracer — and executed by [`run_with`];
-//! [`run`] and [`run_full`] spell the common cases out, and
-//! [`run_lanes_full`] batches N workloads of one bitstream. On top
-//! of the core engine sit the [`fault`] plane (dead/flaky PEs and
-//! links, shared with the compiler as an avoid-mask), the [`trace`]
-//! plane (opt-in Perfetto-loadable cycle traces), and the [`tenancy`]
-//! runner (disjoint fabric partitions simulated as independent
-//! factors).
+//! engine, cycle budget, optional tracer — and executed by [`run_with`]
+//! on a freshly built machine; [`run`] and [`run_full`] spell the common
+//! cases out. On top of the core engine sit the [`fault`] plane
+//! (dead/flaky PEs and links, shared with the compiler as an
+//! avoid-mask), the [`trace`] plane (opt-in Perfetto-loadable cycle
+//! traces), and the [`tenancy`] runner (disjoint fabric partitions
+//! simulated as independent factors).
 //!
 //! The pieces that don't need a compiled program are directly usable;
 //! for example a [`FaultSet`] parses from the CLI fault syntax and
@@ -57,9 +56,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use fault::{FaultSet, FaultSpec};
-pub use machine::{
-    run, run_full, run_lanes_full, run_with, EngineKind, LaneSpec, RunResult, RunSpec, SimError,
-};
+pub use machine::{run, run_full, run_with, EngineKind, RunResult, RunSpec, SimError};
 pub use stats::{GroupStats, RunStats, UnitStats};
 pub use tenancy::{run_tenants, TenancyError, TenancyRun, TenantOutcome, TenantWorkload};
 pub use timing::{CtrlTransport, TimingModel};

@@ -41,11 +41,7 @@
 //! - issue work comes from a maintained list of *active units* (units
 //!   holding at least one ready candidate), walked in sorted order with a
 //!   per-unit count of active-group candidates so exclusive models skip
-//!   units whose whole backlog belongs to a parked group;
-//! - batched lanes ([`run_lanes_full`]) reuse one machine skeleton across N
-//!   workloads of the same bitstream: static tables are built once and
-//!   dynamic state is `reset()` between lanes, bit-identical to N fresh
-//!   runs.
+//!   units whose whole backlog belongs to a parked group.
 
 use crate::fault::FaultSet;
 use crate::stats::{GroupStats, RunStats, UnitStats};
@@ -284,16 +280,6 @@ impl EventQueue {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    fn clear(&mut self) {
-        match self {
-            EventQueue::Heap { heap, seq } => {
-                heap.clear();
-                *seq = 0;
-            }
-            EventQueue::Wheel(w) => w.clear(),
-        }
-    }
 }
 
 /// Dense token storage: every capacity-bounded input queue is a
@@ -384,16 +370,6 @@ impl TokenQueues {
         self.qhead[qi] = if h + 1 == self.cap { 0 } else { (h + 1) as u32 };
         self.qlen[qi] -= 1;
         v
-    }
-
-    /// Empties every queue (slab contents need no scrubbing: reads are
-    /// gated by `qlen`).
-    fn reset(&mut self) {
-        self.qhead.fill(0);
-        self.qlen.fill(0);
-        for s in &mut self.spill {
-            s.clear();
-        }
     }
 }
 
@@ -739,55 +715,6 @@ pub fn run_with(
     }
     run?;
     Ok(m.finish())
-}
-
-/// One lane of a batched [`run_lanes_full`] call: a workload (array
-/// contents and parameter overrides) for the shared bitstream.
-#[derive(Clone, Debug, Default)]
-pub struct LaneSpec {
-    /// Array contents by name (missing arrays zero-fill), as in [`run`].
-    pub inputs: Vec<(String, Vec<Value>)>,
-    /// Scalar parameter overrides by name, as in [`run`].
-    pub params: Vec<(String, Value)>,
-}
-
-/// Runs N workloads ("lanes") of the same bitstream in one pass.
-///
-/// The machine skeleton — every static table derived from the program
-/// (unit topology, flattened route/operand metadata, consumer CSR, sink
-/// interning) plus all dynamic-state allocations — is built **once** and
-/// reused across lanes; only the dynamic state is reset in between. Each
-/// lane is bit-identical to an independent [`run_full`] with the same
-/// workload: values, cycles, stats, and per-lane errors (a lane that
-/// deadlocks or exhausts the budget reports its own `Err` without
-/// poisoning its neighbours).
-///
-/// # Errors
-/// The outer `Err` is construction-time only (fault screening of the
-/// bitstream, see [`RunSpec::faults`]); per-lane failures — deadlock,
-/// cycle budget, unknown workload names — come back in the inner
-/// results.
-pub fn run_lanes_full(
-    prog: &MachineProgram,
-    tm: &TimingModel,
-    faults: &FaultSet,
-    engine: EngineKind,
-    lanes: &[LaneSpec],
-    max_cycles: u64,
-) -> Result<Vec<Result<RunResult, SimError>>, SimError> {
-    let mut m = Machine::new(prog, tm, faults, engine)?;
-    let mut out = Vec::with_capacity(lanes.len());
-    for (li, lane) in lanes.iter().enumerate() {
-        if li > 0 {
-            m.reset();
-        }
-        let run = m.apply_workload(&lane.inputs, &lane.params).and_then(|()| {
-            m.boot();
-            m.run_to_quiescence(max_cycles)
-        });
-        out.push(run.map(|()| m.finish()));
-    }
-    Ok(out)
 }
 
 /// Dense directed-link id (`from * 4 + dir`, east/west/south/north =
@@ -1196,94 +1123,14 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Rewinds every piece of dynamic state to the fresh-construction
-    /// value, reusing allocations. A `reset()` machine is bit-identical
-    /// to a newly built one — the batched-lane equivalence tests pin
-    /// this against independent serial runs.
-    fn reset(&mut self) {
-        self.last_fire_cycle.fill(u64::MAX);
-        self.unit_free_at.fill(0);
-        for q in &mut self.unit_candidates {
-            q.clear();
-        }
-        self.in_candidates.fill(false);
-        self.unit_next.fill(0);
-        self.unit_work.fill(0);
-        self.issue_floor = usize::MAX;
-        self.unit_queued.fill(false);
-        self.cand_count = 0;
-        self.unit_grp_cands.fill(0);
-        self.grp_cand_total = 0;
-        self.cand_units.clear();
-        self.in_cand_units.fill(false);
-        self.queues.reset();
-        self.reserved.fill(0);
-        for b in &mut self.blocked_on_queue {
-            b.clear();
-        }
-        self.route_inflight.fill(0);
-        for b in &mut self.blocked_on_route {
-            b.clear();
-        }
-        self.route_next_free.fill(0);
-        self.link_used.fill(u64::MAX);
-        self.flits.clear();
-        for q in &mut self.link_waiters {
-            q.clear();
-        }
-        self.waiting_links.clear();
-        self.link_wait_count = 0;
-        self.flit_serial = 0;
-        for p in &mut self.parked {
-            p.clear();
-        }
-        self.queue_parked.fill(false);
-        self.parked_count = 0;
-        self.deliver_buf.clear();
-        self.waked_queues.clear();
-        self.queue_waked.fill(false);
-        self.events.clear();
-        self.seq_state.fill(SeqState::Fresh);
-        self.params.clear();
-        self.params
-            .extend(self.prog.params.iter().map(|p| p.default));
-        self.memory = self
-            .prog
-            .arrays
-            .iter()
-            .map(|a| vec![a.elem.zero(); a.len as usize])
-            .collect();
-        self.oob = 0;
-        self.sink_data = vec![Vec::new(); self.sink_labels.len()];
-        self.active_group = 0;
-        self.switch_until = 0;
-        self.last_active_fire = 0;
-        self.group_inflight.fill(0);
-        self.stats = RunStats {
-            pe_data: vec![UnitStats::default(); self.npes],
-            pe_ctrl: vec![UnitStats::default(); self.npes],
-            groups: Vec::new(),
-            link_stall_by_route: vec![0; self.prog.routes.len()],
-            ..Default::default()
-        };
-        self.cycle = 0;
-        self.progressed = false;
-    }
-
-    /// Moves the run outputs out of the machine (leaving it in need of a
-    /// [`Machine::reset`] before the next lane).
-    fn finish(&mut self) -> RunResult {
-        let mut stats = std::mem::take(&mut self.stats);
+    /// Consumes the machine into its run outputs.
+    fn finish(self) -> RunResult {
+        let mut stats = self.stats;
         stats.cycles = self.cycle;
         RunResult {
             stats,
-            memory: std::mem::take(&mut self.memory),
-            sinks: self
-                .sink_labels
-                .iter()
-                .cloned()
-                .zip(std::mem::take(&mut self.sink_data))
-                .collect(),
+            memory: self.memory,
+            sinks: self.sink_labels.into_iter().zip(self.sink_data).collect(),
             oob_events: self.oob,
         }
     }

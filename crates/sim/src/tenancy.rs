@@ -15,11 +15,11 @@
 //! machines**: no event in one partition can enable, block or reorder an
 //! event in another, so simulating each factor independently and taking
 //! the cycle-wise union is bit-identical to stepping one monolithic
-//! machine hosting all tenants. This is the same argument behind
-//! [`crate::machine::run_lanes_full`]'s lane isolation, applied
-//! spatially instead of temporally — and it is what makes each
-//! co-resident tenant *bit-identical to a solo run on an equal-sized
-//! fabric*, the property the tenancy test suite pins for all presets.
+//! machine hosting all tenants. Each partition is therefore run on its
+//! own freshly built machine, sharing no state with its neighbours —
+//! which is what makes each co-resident tenant *bit-identical to a solo
+//! run on an equal-sized fabric*, the property the tenancy test suite
+//! pins for all presets.
 //!
 //! Isolation of failure follows from the same factorization: a tenant
 //! that wedges (deadlock or cycle-budget exhaustion) reports its own

@@ -156,8 +156,7 @@ proptest! {
     }
 }
 
-/// `clear()` must behave like building a fresh wheel: the lane-reset
-/// path depends on it.
+/// `clear()` must behave like building a fresh wheel.
 #[test]
 fn clear_is_equivalent_to_new() {
     let mut w: EventWheel<u32> = EventWheel::new();
