@@ -601,8 +601,8 @@ impl<'a> Evaluator<'a> {
         }
 
         // Header clusters: same-header-bb edges are combinational inside
-        // one loop unit (see `sim::machine::Machine::emit`) and never
-        // touch the network, so they carry no mapping cost.
+        // one loop unit (see `Data::emit` in the simulator's data plane)
+        // and never touch the network, so they carry no mapping cost.
         let header_bb = crate::cost::header_blocks(g);
 
         // Edge extraction mirrors `route::route`'s classification.

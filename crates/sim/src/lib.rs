@@ -47,8 +47,12 @@
 
 #![warn(missing_docs)]
 
+mod ctrl;
+mod data;
 pub mod fault;
 pub mod machine;
+mod mem;
+mod net;
 pub mod stats;
 pub mod tenancy;
 pub mod timing;

@@ -1,4 +1,8 @@
-//! Run statistics: PE utilization, group activity, firing profiles.
+//! Run statistics: PE utilization, group activity, firing profiles, and
+//! the machine's one `Observer` that fills them in.
+
+use crate::trace::{RecKind, Tracer, TrackKey};
+use marionette_isa::Placement;
 
 /// Per-execution-unit counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -124,6 +128,170 @@ impl RunStats {
             0.0
         } else {
             poison as f64 / (poison + useful) as f64
+        }
+    }
+}
+
+/// The machine's measurement plane: every architectural event the planes
+/// report lands in one method here, which updates [`RunStats`] and, when
+/// a tracer is installed, records the matching trace event. The traced
+/// run is bit-identical to the untraced one.
+#[derive(Debug)]
+pub(crate) struct Observer {
+    pub(crate) stats: RunStats,
+    pub(crate) trace: Option<Box<Tracer>>,
+}
+
+impl Observer {
+    pub(crate) fn new(npes: usize, nroutes: usize) -> Self {
+        let stats = RunStats {
+            pe_data: vec![UnitStats::default(); npes],
+            pe_ctrl: vec![UnitStats::default(); npes],
+            link_stall_by_route: vec![0; nroutes],
+            ..Default::default()
+        };
+        Observer { stats, trace: None }
+    }
+
+    #[inline]
+    fn record(&mut self, key: TrackKey, ts: u64, dur: u64, kind: RecKind) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.record(key, ts, dur, kind);
+        }
+    }
+
+    /// `node` of `group` fired on `place`, busy for `occ` cycles.
+    #[inline]
+    pub(crate) fn fire(
+        &mut self,
+        cycle: u64,
+        occ: u64,
+        node: u32,
+        place: Placement,
+        group: u16,
+        poisoned: bool,
+    ) {
+        let s = &mut self.stats;
+        s.fires += 1;
+        let grp = group as usize;
+        if s.groups.len() <= grp {
+            s.groups.resize(grp + 1, GroupStats::default());
+        }
+        let gs = &mut s.groups[grp];
+        gs.fires += 1;
+        gs.busy += 1;
+        gs.first_fire.get_or_insert(cycle);
+        gs.last_fire = cycle;
+        let npes = s.pe_ctrl.len();
+        let unit = match place {
+            Placement::Pe { pe } => Some(&mut s.pe_data[pe as usize]),
+            Placement::CtrlPlane { pe } | Placement::NetSwitch { sw: pe } => {
+                Some(&mut s.pe_ctrl[pe as usize % npes])
+            }
+            Placement::MemUnit { .. } => None,
+        };
+        if let Some(u) = unit {
+            u.busy += occ;
+            *if poisoned {
+                &mut u.poison_fires
+            } else {
+                &mut u.useful_fires
+            } += 1;
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            let key = match place {
+                Placement::Pe { pe } => TrackKey::PeData(pe.into()),
+                Placement::CtrlPlane { pe } => TrackKey::PeCtrl(pe.into()),
+                Placement::NetSwitch { sw } => TrackKey::Switch(sw.into()),
+                Placement::MemUnit { unit } => TrackKey::Mem(unit.into()),
+            };
+            t.record(key, cycle, occ, RecKind::Fire { node, poisoned });
+        }
+    }
+
+    /// A flit of `route` took directed link `lid` for `lat` cycles.
+    #[inline]
+    pub(crate) fn grant(&mut self, cycle: u64, lid: usize, route: usize, lat: u64) {
+        self.stats.mesh_hops += 1;
+        let kind = RecKind::Grant {
+            route: route as u32,
+        };
+        self.record(TrackKey::Link(lid as u32), cycle, lat, kind);
+    }
+
+    /// A flit of `route` waited `stall` cycles from `first_attempt` for
+    /// link `lid` after losing arbitration.
+    #[inline]
+    pub(crate) fn stall(&mut self, lid: usize, route: usize, first_attempt: u64, stall: u64) {
+        self.link_stall(route, stall);
+        if stall > 0 {
+            let kind = RecKind::Stall {
+                route: route as u32,
+            };
+            self.record(TrackKey::Link(lid as u32), first_attempt, stall, kind);
+        }
+    }
+
+    /// A flit of `route` waited `stall` cycles from `first_attempt` at a
+    /// full destination queue, charged to its final link (`lid`, looked
+    /// up only when tracing).
+    #[inline]
+    pub(crate) fn park(
+        &mut self,
+        route: u32,
+        first_attempt: u64,
+        stall: u64,
+        lid: impl FnOnce() -> u32,
+    ) {
+        self.link_stall(route as usize, stall);
+        if let (Some(t), true) = (self.trace.as_deref_mut(), stall > 0) {
+            let kind = RecKind::Park { route };
+            t.record(TrackKey::Link(lid()), first_attempt, stall, kind);
+        }
+    }
+
+    /// Charges `cycles` of link stall to `route`; a flaky link's
+    /// stretched traversal is charged here directly.
+    #[inline]
+    pub(crate) fn link_stall(&mut self, route: usize, cycles: u64) {
+        self.stats.link_stall_cycles += cycles;
+        self.stats.link_stall_by_route[route] += cycles;
+    }
+
+    /// The CCU switched to `group`, stalling the array for `cost` cycles.
+    #[inline]
+    pub(crate) fn switch(&mut self, cycle: u64, cost: u64, group: u16) {
+        self.stats.group_switches += 1;
+        self.record(TrackKey::Ccu, cycle, cost, RecKind::Switch { group });
+    }
+
+    #[inline]
+    pub(crate) fn switch_stall(&mut self) {
+        self.stats.switch_stall_cycles += 1;
+    }
+
+    /// A token left on a control (`ctrl`) or data route.
+    #[inline]
+    pub(crate) fn token(&mut self, ctrl: bool) {
+        *if ctrl {
+            &mut self.stats.ctrl_tokens
+        } else {
+            &mut self.stats.data_tokens
+        } += 1;
+    }
+
+    #[inline]
+    pub(crate) fn mem(&mut self, cycle: u64, store: bool, array: u32) {
+        self.record(TrackKey::Mem(0), cycle, 0, RecKind::Mem { store, array });
+    }
+
+    /// The end-of-cycle counter sample; `sample` (event-queue depth,
+    /// flits in flight) runs only when tracing.
+    #[inline]
+    pub(crate) fn counters(&mut self, cycle: u64, sample: impl FnOnce() -> (u64, u64)) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            let (queue_depth, flits) = sample();
+            t.counters(cycle, queue_depth, flits);
         }
     }
 }

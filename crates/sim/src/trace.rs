@@ -52,8 +52,9 @@ pub(crate) enum TrackKey {
     Flits,
 }
 
+/// What a trace event records.
 #[derive(Clone, Debug)]
-enum RecKind {
+pub(crate) enum RecKind {
     Fire { node: u32, poisoned: bool },
     Grant { route: u32 },
     Stall { route: u32 },
@@ -108,28 +109,11 @@ impl Tracer {
     pub fn mark(&mut self, cycle: u64, label: &str) {
         let li = self.labels.len() as u32;
         self.labels.push(label.to_string());
-        let track = self.track(TrackKey::Marks);
-        self.push(Rec {
-            track,
-            ts: cycle,
-            dur: 0,
-            kind: RecKind::Mark { label: li },
-        });
+        self.record(TrackKey::Marks, cycle, 0, RecKind::Mark { label: li });
     }
 
     pub(crate) fn set_cols(&mut self, cols: usize) {
         self.cols = cols;
-    }
-
-    fn push(&mut self, rec: Rec) {
-        match self.chunks.last_mut() {
-            Some(c) if c.len() < CHUNK => c.push(rec),
-            _ => {
-                let mut c = Vec::with_capacity(CHUNK);
-                c.push(rec);
-                self.chunks.push(c);
-            }
-        }
     }
 
     fn track(&mut self, key: TrackKey) -> u32 {
@@ -165,92 +149,33 @@ impl Tracer {
         tid
     }
 
-    pub(crate) fn fire(&mut self, key: TrackKey, cycle: u64, occ: u64, node: u32, poisoned: bool) {
+    /// Records one event of `kind` on `key`'s track.
+    pub(crate) fn record(&mut self, key: TrackKey, ts: u64, dur: u64, kind: RecKind) {
         let track = self.track(key);
-        self.push(Rec {
+        let rec = Rec {
             track,
-            ts: cycle,
-            dur: occ,
-            kind: RecKind::Fire { node, poisoned },
-        });
-    }
-
-    pub(crate) fn grant(&mut self, lid: u32, route: u32, cycle: u64, lat: u64) {
-        let track = self.track(TrackKey::Link(lid));
-        self.push(Rec {
-            track,
-            ts: cycle,
-            dur: lat,
-            kind: RecKind::Grant { route },
-        });
-    }
-
-    pub(crate) fn stall(&mut self, lid: u32, route: u32, first_attempt: u64, stall: u64) {
-        if stall == 0 {
-            return;
+            ts,
+            dur,
+            kind,
+        };
+        match self.chunks.last_mut() {
+            Some(c) if c.len() < CHUNK => c.push(rec),
+            _ => {
+                let mut c = Vec::with_capacity(CHUNK);
+                c.push(rec);
+                self.chunks.push(c);
+            }
         }
-        let track = self.track(TrackKey::Link(lid));
-        self.push(Rec {
-            track,
-            ts: first_attempt,
-            dur: stall,
-            kind: RecKind::Stall { route },
-        });
     }
 
-    pub(crate) fn park(&mut self, lid: u32, route: u32, first_attempt: u64, stall: u64) {
-        if stall == 0 {
-            return;
-        }
-        let track = self.track(TrackKey::Link(lid));
-        self.push(Rec {
-            track,
-            ts: first_attempt,
-            dur: stall,
-            kind: RecKind::Park { route },
-        });
-    }
-
-    pub(crate) fn switch(&mut self, cycle: u64, cost: u64, group: u16) {
-        let track = self.track(TrackKey::Ccu);
-        self.push(Rec {
-            track,
-            ts: cycle,
-            dur: cost,
-            kind: RecKind::Switch { group },
-        });
-    }
-
-    pub(crate) fn mem(&mut self, cycle: u64, store: bool, array: u32) {
-        let track = self.track(TrackKey::Mem(0));
-        self.push(Rec {
-            track,
-            ts: cycle,
-            dur: 0,
-            kind: RecKind::Mem { store, array },
-        });
-    }
-
+    /// Samples the counter tracks, recording only values that changed.
     pub(crate) fn counters(&mut self, cycle: u64, queue_depth: u64, flits: u64) {
-        if self.last_queue_depth != Some(queue_depth) {
-            self.last_queue_depth = Some(queue_depth);
-            let track = self.track(TrackKey::QueueDepth);
-            self.push(Rec {
-                track,
-                ts: cycle,
-                dur: 0,
-                kind: RecKind::Counter { value: queue_depth },
-            });
+        if self.last_queue_depth.replace(queue_depth) != Some(queue_depth) {
+            let kind = RecKind::Counter { value: queue_depth };
+            self.record(TrackKey::QueueDepth, cycle, 0, kind);
         }
-        if self.last_flits != Some(flits) {
-            self.last_flits = Some(flits);
-            let track = self.track(TrackKey::Flits);
-            self.push(Rec {
-                track,
-                ts: cycle,
-                dur: 0,
-                kind: RecKind::Counter { value: flits },
-            });
+        if self.last_flits.replace(flits) != Some(flits) {
+            self.record(TrackKey::Flits, cycle, 0, RecKind::Counter { value: flits });
         }
     }
 
@@ -285,68 +210,40 @@ impl Tracer {
         for rec in self.chunks.iter().flatten() {
             buf.clear();
             let tid = rec.track + 1;
-            match &rec.kind {
+            let (ts, dur) = (rec.ts, rec.dur);
+            let mut slice = |name: std::fmt::Arguments| {
+                write!(
+                    buf,
+                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"name\":\"{name}\"}}"
+                )
+            };
+            let _ = match &rec.kind {
                 RecKind::Fire { node, poisoned } => {
                     let what = if *poisoned { "poison" } else { "fire" };
-                    let _ = write!(
-                        buf,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"{what} n{node}\"}}",
-                        rec.ts, rec.dur
-                    );
+                    slice(format_args!("{what} n{node}"))
                 }
-                RecKind::Grant { route } => {
-                    let _ = write!(
-                        buf,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"grant r{route}\"}}",
-                        rec.ts, rec.dur
-                    );
-                }
-                RecKind::Stall { route } => {
-                    let _ = write!(
-                        buf,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"stall r{route}\"}}",
-                        rec.ts, rec.dur
-                    );
-                }
-                RecKind::Park { route } => {
-                    let _ = write!(
-                        buf,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"park r{route}\"}}",
-                        rec.ts, rec.dur
-                    );
-                }
-                RecKind::Switch { group } => {
-                    let _ = write!(
-                        buf,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"switch g{group}\"}}",
-                        rec.ts, rec.dur
-                    );
-                }
+                RecKind::Grant { route } => slice(format_args!("grant r{route}")),
+                RecKind::Stall { route } => slice(format_args!("stall r{route}")),
+                RecKind::Park { route } => slice(format_args!("park r{route}")),
+                RecKind::Switch { group } => slice(format_args!("switch g{group}")),
                 RecKind::Mem { store, array } => {
                     let what = if *store { "store" } else { "load" };
-                    let _ = write!(
+                    write!(
                         buf,
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"name\":\"{what} a{array}\"}}",
-                        rec.ts
-                    );
+                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"{what} a{array}\"}}"
+                    )
                 }
-                RecKind::Counter { value } => {
-                    let _ = write!(
-                        buf,
-                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{value}}}}}",
-                        rec.ts,
-                        escape(&self.tracks[rec.track as usize])
-                    );
-                }
-                RecKind::Mark { label } => {
-                    let _ = write!(
-                        buf,
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"name\":\"{}\"}}",
-                        rec.ts,
-                        escape(&self.labels[*label as usize])
-                    );
-                }
-            }
+                RecKind::Counter { value } => write!(
+                    buf,
+                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":\"{}\",\"args\":{{\"value\":{value}}}}}",
+                    escape(&self.tracks[rec.track as usize])
+                ),
+                RecKind::Mark { label } => write!(
+                    buf,
+                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"{}\"}}",
+                    escape(&self.labels[*label as usize])
+                ),
+            };
             line(&mut s, &buf);
         }
         s.push_str("\n]}\n");
@@ -408,7 +305,7 @@ impl ParsedTrace {
         let mut out = vec![0u64; self.tracks.len()];
         for e in &self.events {
             if e.ph == 'X' && (e.name.starts_with("stall ") || e.name.starts_with("park ")) {
-                out[e.track as usize] += e.dur;
+                out[e.track as usize] = out[e.track as usize].saturating_add(e.dur);
             }
         }
         out
@@ -465,8 +362,8 @@ fn str_field(line: &str, pat: &str) -> Option<String> {
 ///
 /// # Errors
 /// Returns a description of the first schema violation: bad envelope,
-/// unknown phase, missing field, a counter without a value, or an event
-/// referencing an undeclared track.
+/// unknown phase, missing field, a counter without a value, an event
+/// referencing an undeclared track, or an event ending past `u64::MAX`.
 pub fn parse(s: &str) -> Result<ParsedTrace, String> {
     let body = s.trim();
     let body = body
@@ -511,6 +408,9 @@ pub fn parse(s: &str) -> Result<ParsedTrace, String> {
                     "X" => u64_field(line, "dur").ok_or_else(|| err("complete without dur"))?,
                     _ => 0,
                 };
+                if ts.checked_add(dur).is_none() {
+                    return Err(err("ts + dur overflows u64"));
+                }
                 if ph == "i" && !line.contains("\"s\":\"t\"") {
                     return Err(err("instant without thread scope"));
                 }
@@ -544,13 +444,18 @@ mod tests {
     fn roundtrip_through_parse() {
         let mut t = Tracer::new();
         t.set_cols(4);
-        t.fire(TrackKey::PeData(5), 3, 1, 7, false);
-        t.fire(TrackKey::PeCtrl(5), 4, 1, 8, true);
-        t.grant(21, 2, 5, 1);
-        t.stall(21, 2, 5, 3);
-        t.park(21, 2, 6, 2);
-        t.switch(9, 4, 1);
-        t.mem(10, true, 0);
+        let fire = |node, poisoned| RecKind::Fire { node, poisoned };
+        t.record(TrackKey::PeData(5), 3, 1, fire(7, false));
+        t.record(TrackKey::PeCtrl(5), 4, 1, fire(8, true));
+        t.record(TrackKey::Link(21), 5, 1, RecKind::Grant { route: 2 });
+        t.record(TrackKey::Link(21), 5, 3, RecKind::Stall { route: 2 });
+        t.record(TrackKey::Link(21), 6, 2, RecKind::Park { route: 2 });
+        t.record(TrackKey::Ccu, 9, 4, RecKind::Switch { group: 1 });
+        let store = RecKind::Mem {
+            store: true,
+            array: 0,
+        };
+        t.record(TrackKey::Mem(0), 10, 0, store);
         t.counters(11, 3, 2);
         t.counters(12, 3, 5); // queue depth unchanged: one event only
         t.mark(13, "remap after pe:0,0");
@@ -573,10 +478,11 @@ mod tests {
 
     #[test]
     fn zero_length_stalls_are_elided() {
-        let mut t = Tracer::new();
-        t.stall(0, 0, 5, 0);
-        t.park(0, 0, 5, 0);
-        assert!(t.is_empty());
+        let mut o = crate::stats::Observer::new(1, 1);
+        o.trace = Some(Box::default());
+        o.stall(0, 0, 5, 0);
+        o.park(0, 5, 0, || 0);
+        assert!(o.trace.is_some_and(|t| t.is_empty()));
     }
 
     #[test]
@@ -589,6 +495,29 @@ mod tests {
         assert!(parse(bad_pid).unwrap_err().contains("pid"));
         let no_dur = "{\"traceEvents\":[\n{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"t\"}},\n{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0,\"name\":\"x\"}\n]}";
         assert!(parse(no_dur).unwrap_err().contains("dur"));
+        let meta =
+            "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"t\"}}";
+        let huge = format!(
+            "{{\"traceEvents\":[\n{meta},\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":18446744073709551615,\"dur\":5,\"name\":\"x\"}}\n]}}"
+        );
+        assert!(parse(&huge)
+            .unwrap_err()
+            .starts_with("line 3: ts + dur overflows u64"));
+        // Stall sums saturate instead of wrapping.
+        let big = ParsedTrace {
+            tracks: vec!["link 0,0>E".into()],
+            events: [u64::MAX, 5]
+                .map(|dur| ParsedEvent {
+                    track: 0,
+                    ph: 'X',
+                    ts: 0,
+                    dur,
+                    name: "stall r0".into(),
+                    value: None,
+                })
+                .to_vec(),
+        };
+        assert_eq!(big.stall_by_track(), vec![u64::MAX]);
     }
 
     #[test]
@@ -596,8 +525,12 @@ mod tests {
         let mk = || {
             let mut t = Tracer::new();
             t.set_cols(2);
-            t.fire(TrackKey::PeData(1), 0, 1, 3, false);
-            t.grant(4, 0, 1, 1);
+            let fire = RecKind::Fire {
+                node: 3,
+                poisoned: false,
+            };
+            t.record(TrackKey::PeData(1), 0, 1, fire);
+            t.record(TrackKey::Link(4), 1, 1, RecKind::Grant { route: 0 });
             t.counters(2, 1, 1);
             t.to_chrome_json()
         };

@@ -193,19 +193,6 @@ impl<T> EventWheel<T> {
         Some(item)
     }
 
-    /// Removes all pending events and rewinds the base to cycle 0.
-    pub fn clear(&mut self) {
-        self.slots.fill(EMPTY_SLOT);
-        self.occ = [0; 2];
-        self.nodes.clear();
-        self.free.clear();
-        self.overflow.clear();
-        self.wheel_len = 0;
-        self.len = 0;
-        self.base = 0;
-        self.seq = 0;
-    }
-
     fn alloc(&mut self, at: u64, item: T) -> u32 {
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = Node {
@@ -343,19 +330,6 @@ mod tests {
         w.push(far, 8);
         assert_eq!(w.pop_due(far), Some(7));
         assert_eq!(w.pop_due(far), Some(8));
-    }
-
-    #[test]
-    fn clear_resets_base_and_reuses_arena() {
-        let mut w = EventWheel::new();
-        for i in 0..10u32 {
-            w.push(1000 + u64::from(i), i);
-        }
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.next_at(), None);
-        w.push(1, 42u32);
-        assert_eq!(w.pop_due(1), Some(42));
     }
 
     #[test]

@@ -155,38 +155,3 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 }
-
-/// `clear()` must behave like building a fresh wheel.
-#[test]
-fn clear_is_equivalent_to_new() {
-    let mut w: EventWheel<u32> = EventWheel::new();
-    for i in 0..200u32 {
-        w.push(u64::from(i) * 3 + 1, i);
-    }
-    // Pop a prefix so base, freelist, and occupancy are all mid-flight.
-    let mut now = 0;
-    for _ in 0..50 {
-        while w.pop_due(now).is_none() {
-            now = w.next_at().expect("events pending");
-        }
-    }
-    w.clear();
-    assert!(w.is_empty());
-    // After clear, a fresh schedule replays exactly like a new wheel.
-    let mut fresh: EventWheel<u32> = EventWheel::new();
-    let mut reference = RefQueue::default();
-    for i in 0..100u32 {
-        let at = u64::from(i % 7) * 40 + 1;
-        w.push(at, i);
-        fresh.push(at, i);
-        reference.push(at, i);
-    }
-    let mut now = 0;
-    while let Some(at) = reference.next_at() {
-        now = now.max(at);
-        let expect = reference.pop_due(now);
-        assert_eq!(w.pop_due(now), expect, "cleared wheel diverges");
-        assert_eq!(fresh.pop_due(now), expect, "fresh wheel diverges");
-    }
-    assert!(w.is_empty() && fresh.is_empty());
-}
