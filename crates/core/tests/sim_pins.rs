@@ -8,11 +8,19 @@
 //! per-route stalls, mesh hops, group activity, PE busy counts and the
 //! exact trace, so a refactor of the cycle loop that moves any counter
 //! or reorders any event fails here at a named point.
+//!
+//! Two more tables pin raw (unhealed) simulator outcomes: four fault
+//! sets on every preset, digesting either the typed error or the whole
+//! result (stats, memory, out-of-bounds count, sinks), and the typed
+//! cycle-budget bust.
 
-use marionette::arch::{all_presets, Architecture};
+use marionette::arch::{all_presets, marionette_full, Architecture};
+use marionette::compiler::compile;
 use marionette::kernels::traits::{Kernel, Scale};
 use marionette::runner::{run_kernel_with, DEFAULT_MAX_CYCLES};
-use marionette::sim::{trace, FaultSet, RunSpec, Tracer};
+use marionette::sim::{
+    run_full, trace, EngineKind, FaultSet, RunResult, RunSpec, SimError, Tracer,
+};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -110,6 +118,99 @@ fn faulted_runs_are_pinned() {
             );
         }
         check(&format!("{tag} on M [{fault}]"), (stats, trace), (ps, pt));
+    }
+}
+
+/// Digest of a whole run outcome: the typed error, or the stats, every
+/// array's bits, the out-of-bounds count and the sinks sorted by label.
+fn outcome_digest(run: &Result<RunResult, SimError>) -> u64 {
+    let r = match run {
+        Err(e) => return fnv(FNV_OFFSET, format!("{e:?}").as_bytes()),
+        Ok(r) => r,
+    };
+    let mut h = fnv(FNV_OFFSET, format!("{:?}", r.stats).as_bytes());
+    for array in &r.memory {
+        let bits: Vec<_> = array.iter().map(|v| v.to_bits()).collect();
+        h = fnv(h, format!("{bits:?}").as_bytes());
+    }
+    h = fnv(h, &r.oob_events.to_le_bytes());
+    let mut labels: Vec<&String> = r.sinks.keys().collect();
+    labels.sort();
+    for label in labels {
+        let bits: Vec<_> = r.sinks[label].iter().map(|v| v.to_bits()).collect();
+        h = fnv(h, format!("{label}={bits:?}").as_bytes());
+    }
+    h
+}
+
+/// Raw simulator outcomes under injected faults, with no self-heal: a
+/// dead PE and a dead link wedge with a typed [`SimError::Fault`] where
+/// the mapping touches them, and flaky links stretch the run without
+/// changing a value. `kernel` at `Scale::Tiny`, seed 7, on every preset.
+#[test]
+fn fault_outcomes_are_pinned() {
+    let mut pins = FAULT_OUTCOME_PINS.iter();
+    for (tag, fault) in [
+        ("CRC", "pe:0,0"),
+        ("MS", "link:0,0-0,1"),
+        ("CRC", "flaky:0,0-0,1@2"),
+        ("GP", "flaky:1,0-1,1@7"),
+    ] {
+        let k = marionette::kernels::by_short(tag).expect("kernel tag");
+        let g = k.build(&k.workload(Scale::Tiny, 7)).expect("kernel builds");
+        let inputs = g.array_inputs();
+        for arch in all_presets() {
+            let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
+            faults
+                .add(fault.parse().expect("fault spec"))
+                .expect("in range");
+            let (prog, _) = compile(&g, &arch.opts)
+                .unwrap_or_else(|e| panic!("{tag} on {}: compile: {e}", arch.short));
+            let run = run_full(
+                &prog,
+                &arch.tm,
+                &faults,
+                EngineKind::default(),
+                &inputs,
+                &[],
+                DEFAULT_MAX_CYCLES,
+            );
+            let &(kt, at, ft, want) = pins.next().expect("a pin per point");
+            assert_eq!((kt, at, ft), (tag, arch.short, fault), "pin table order");
+            let got = outcome_digest(&run);
+            assert_eq!(
+                got, want,
+                "first differing point: {tag} on {} [{fault}]: outcome digest {got:#018x}, pinned {want:#018x}",
+                arch.short
+            );
+        }
+    }
+    assert!(pins.next().is_none(), "stale pins past the last point");
+}
+
+/// A busted cycle budget is exactly the typed [`SimError::CycleLimit`].
+#[test]
+fn cycle_budget_busts_are_typed() {
+    let k = marionette::kernels::by_short("CRC").expect("kernel tag");
+    let g = k.build(&k.workload(Scale::Tiny, 7)).expect("kernel builds");
+    let inputs = g.array_inputs();
+    let arch = marionette_full();
+    let (prog, _) = compile(&g, &arch.opts).expect("compiles");
+    for limit in [1u64, 16, 100] {
+        let run = run_full(
+            &prog,
+            &arch.tm,
+            &FaultSet::none(),
+            EngineKind::default(),
+            &inputs,
+            &[],
+            limit,
+        );
+        assert_eq!(
+            run.err(),
+            Some(SimError::CycleLimit { limit }),
+            "budget {limit}"
+        );
     }
 }
 
@@ -252,4 +353,44 @@ const PINS: &[(&str, &str, u64, u64)] = &[
     ("LDPC-APP", "TIA", 0xde39572607617104, 0x8f4035affe9a0109),
     ("LDPC-APP", "RV", 0xcd70971b00c2e6ef, 0xab48cd47dc7d66a3),
     ("LDPC-APP", "RT", 0xff0e8efbb9562d0d, 0x731085b275f454af),
+];
+
+/// `(kernel, preset, fault, outcome digest)` in test order.
+const FAULT_OUTCOME_PINS: &[(&str, &str, &str, u64)] = &[
+    ("CRC", "vN", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "DF", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "M-PE", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "M-CN", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "M", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "SB", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "TIA", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "RV", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("CRC", "RT", "pe:0,0", 0x15b1b600fbc7b6af),
+    ("MS", "vN", "link:0,0-0,1", 0x094f0b59621c4d36),
+    ("MS", "DF", "link:0,0-0,1", 0x094f0b59621c4d36),
+    ("MS", "M-PE", "link:0,0-0,1", 0x504221a11caf8347),
+    ("MS", "M-CN", "link:0,0-0,1", 0x849b6775bfa26efc),
+    ("MS", "M", "link:0,0-0,1", 0x4962edd0a0ce7e64),
+    ("MS", "SB", "link:0,0-0,1", 0x094f0b59621c4d36),
+    ("MS", "TIA", "link:0,0-0,1", 0x094f0b59621c4d36),
+    ("MS", "RV", "link:0,0-0,1", 0xcbb6e8ee71579a75),
+    ("MS", "RT", "link:0,0-0,1", 0x504221a11caf8347),
+    ("CRC", "vN", "flaky:0,0-0,1@2", 0x9445354f8e8aaa00),
+    ("CRC", "DF", "flaky:0,0-0,1@2", 0x2b418f992b1b6e9f),
+    ("CRC", "M-PE", "flaky:0,0-0,1@2", 0xc834fee1363a1cd7),
+    ("CRC", "M-CN", "flaky:0,0-0,1@2", 0x98d3eabf79c5e763),
+    ("CRC", "M", "flaky:0,0-0,1@2", 0x659333ec57e100cf),
+    ("CRC", "SB", "flaky:0,0-0,1@2", 0x84b895036952dc30),
+    ("CRC", "TIA", "flaky:0,0-0,1@2", 0xbc00d3b26674de6a),
+    ("CRC", "RV", "flaky:0,0-0,1@2", 0x79e641f746361ea5),
+    ("CRC", "RT", "flaky:0,0-0,1@2", 0x1aefb19fb3698560),
+    ("GP", "vN", "flaky:1,0-1,1@7", 0x49920f4a53af408b),
+    ("GP", "DF", "flaky:1,0-1,1@7", 0xff377d91d4a61c26),
+    ("GP", "M-PE", "flaky:1,0-1,1@7", 0xa8d63146768352e9),
+    ("GP", "M-CN", "flaky:1,0-1,1@7", 0x8bdb0b5cb53e4034),
+    ("GP", "M", "flaky:1,0-1,1@7", 0xcb59ae3a831447b0),
+    ("GP", "SB", "flaky:1,0-1,1@7", 0x5ee742697f3f3b9a),
+    ("GP", "TIA", "flaky:1,0-1,1@7", 0x6a4d5c79a243a2d4),
+    ("GP", "RV", "flaky:1,0-1,1@7", 0x89bf30ce6ad7b83c),
+    ("GP", "RT", "flaky:1,0-1,1@7", 0x422c6c0433ca1064),
 ];
