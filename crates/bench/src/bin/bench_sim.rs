@@ -29,7 +29,7 @@ use marionette::kernels::traits::Scale;
 use marionette::parallel::sweep_threads;
 use marionette::report::{self, Snapshot};
 use marionette::runner::{run_kernel, run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES};
-use marionette::sim::{EngineKind, RunSpec, Tracer};
+use marionette::sim::{RunSpec, Tracer};
 use marionette_bench::sweep::{self, kernel_tags, Axes, Point, WallGate, SEED};
 
 static SPEC: Spec = Spec {
@@ -49,7 +49,6 @@ static SPEC: Spec = Spec {
         multi("--fault", "SPEC", "pin a fault (pe:, link: or flaky:)"),
         opt("--faults", "N", "add N seeded-random faults"),
         opt("--fault-seed", "S", "random fault seed [default: 1]"),
-        opt("--engine", "KIND", "wheel or heap [default: wheel]"),
         opt("--trace", "FILE", "trace one point instead of sweeping"),
         opt("--trace-point", "K:P", "the KERNEL:PRESET to trace"),
     ],
@@ -64,7 +63,6 @@ struct Config {
     check: Option<String>,
     replay: Option<String>,
     wall_tolerance: f64,
-    engine: EngineKind,
     trace: Option<String>,
     axes: Axes,
 }
@@ -100,7 +98,6 @@ fn config(a: &Args) -> Result<Config, String> {
         check: str("--check"),
         replay: str("--replay"),
         wall_tolerance,
-        engine: a.parsed("--engine")?.unwrap_or_default(),
         trace: str("--trace"),
         axes: Axes {
             pinned: a.strings("--fault"),
@@ -119,14 +116,10 @@ fn config(a: &Args) -> Result<Config, String> {
         cfg.check.is_some(),
         a.has("--trace-point"),
     );
-    // The self-healing fault path runs the production engine; cross-engine
-    // fault equivalence is pinned by the test suite.
     let conflict = if cfg.replay.is_some() && !check {
         "--replay only makes sense with --check BASELINE"
     } else if faulted && check {
         "--check compares against a healthy baseline; drop the fault flags"
-    } else if faulted && cfg.engine != EngineKind::default() {
-        "--engine combines with healthy sweeps only; drop the fault flags"
     } else if traced != point {
         match traced {
             true => "--trace needs --trace-point KERNEL:PRESET to name the run",
@@ -181,7 +174,6 @@ fn measure(
     let t = std::time::Instant::now();
     let mut spec = RunSpec {
         faults: &p.fault_set,
-        engine: cfg.engine,
         max_cycles: DEFAULT_MAX_CYCLES,
         tracer,
     };
@@ -214,9 +206,9 @@ fn measure(
     }))
 }
 
-/// Refuses to compare snapshots of a different scale, fabric or engine.
+/// Refuses to compare snapshots of a different scale or fabric.
 fn comparable(path: &str, base: &str, fresh: &str) -> Result<(), String> {
-    for key in ["scale", "fabric", "engine"] {
+    for key in ["scale", "fabric"] {
         let (b, f) = (sweep::header_str(base, key), sweep::header_str(fresh, key));
         let (b, f) = (b.unwrap_or_default(), f.unwrap_or_default());
         if b != f {
@@ -290,8 +282,7 @@ fn run(cfg: &Config) -> Result<(), String> {
     let mut snap = Snapshot::new("marionette.bench_sim/v1");
     snap.str("scale", sweep::scale_name(cfg.scale))
         .field("seed", SEED)
-        .str("fabric", &cfg.axes.fabrics[0].to_string())
-        .str("engine", &cfg.engine.to_string());
+        .str("fabric", &cfg.axes.fabrics[0].to_string());
     if let (Some(path), Some(base)) = (&cfg.check, &baseline) {
         // Refuse an incomparable gate run before spending a sweep on it.
         comparable(path, base, &snap.render())?;

@@ -204,13 +204,8 @@ fn tenancy_preset(
     let side = |n: usize| {
         u8::try_from(n).map_err(|_| format!("tenancy host fabric {host} exceeds 255x255"))
     };
-    let report = run_tenancy(
-        side(host.rows)?,
-        side(host.cols)?,
-        &jobs,
-        Default::default(),
-    )
-    .map_err(|e| format!("tenancy on {ptag} at {host}: {e}"))?;
+    let report = run_tenancy(side(host.rows)?, side(host.cols)?, &jobs)
+        .map_err(|e| format!("tenancy on {ptag} at {host}: {e}"))?;
     // Every tenant must complete AND bit-match its solo run.
     let mut tenants = Vec::new();
     for (t, solo) in report.tenants.iter().zip(&solos) {

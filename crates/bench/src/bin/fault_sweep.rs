@@ -33,7 +33,7 @@ use marionette::kernels::traits::Scale;
 use marionette::parallel::sweep_threads;
 use marionette::report::{self, Snapshot};
 use marionette::runner::{run_kernel_with, RunnerError, DEFAULT_MAX_CYCLES};
-use marionette::sim::{EngineKind, RunSpec, Tracer};
+use marionette::sim::{RunSpec, Tracer};
 use marionette_bench::sweep::{self, kernel_tags, Axes, CyclePoint, Point, SEED};
 use std::sync::Mutex;
 
@@ -52,7 +52,6 @@ static SPEC: Spec = Spec {
         opt("--max-cycles", "N", "per-run cycle cap"),
         opt("--out", "PATH", "snapshot path [default: BENCH_fault.json]"),
         opt("--check", "SNAPSHOT", "gate the 0-fault cycles"),
-        opt("--engine", "KIND", "wheel or heap [default: wheel]"),
         opt("--trace", "FILE", "trace the one selected point"),
     ],
     notes: "",
@@ -64,7 +63,6 @@ struct Config {
     max_cycles: u64,
     out: String,
     check: Option<String>,
-    engine: EngineKind,
     trace: Option<String>,
 }
 
@@ -98,7 +96,6 @@ fn config(a: &Args) -> Result<(Config, Vec<Point>), String> {
         max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
         out: a.str("--out").unwrap_or("BENCH_fault.json").to_string(),
         check: a.str("--check").map(str::to_string),
-        engine: a.parsed("--engine")?.unwrap_or_default(),
         trace: a.str("--trace").map(str::to_string),
     };
     let points = cfg.axes.points()?;
@@ -131,7 +128,6 @@ fn measure(p: &Point, cfg: &Config, tracer: Option<&mut Tracer>) -> Result<Measu
     let specs = specs.join("+");
     let mut spec = RunSpec {
         faults: &p.fault_set,
-        engine: cfg.engine,
         max_cycles: cfg.max_cycles,
         tracer,
     };
@@ -247,7 +243,6 @@ fn run(cfg: &Config, points: Vec<Point>) -> Result<(), String> {
     snap.str("scale", sweep::scale_name(cfg.scale))
         .field("seed", SEED)
         .str("fabric", &cfg.axes.fabrics[0].to_string())
-        .str("engine", &cfg.engine.to_string())
         .field("presets", report::str_list(&preset_order))
         .field("fault_counts", report::num_list(&cfg.axes.fault_counts))
         .field("fault_seeds", cfg.axes.fault_seeds.len())

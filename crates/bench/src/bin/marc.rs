@@ -13,10 +13,6 @@
 //! bitstream wedged on a dead resource is re-mapped around the damage
 //! and the remap is bit-verified like any other run.
 //!
-//! `--engine` selects the simulator's event-scheduling core (the
-//! calendar-wheel default or the reference binary heap); both produce
-//! bit-identical results, so the flag exists to cross-check them.
-//!
 //! Parse and semantic errors are rendered with their source line and a
 //! caret. Exit codes: `0` verified on every preset, `1` any pipeline or
 //! verification failure, `2` usage errors.
@@ -26,7 +22,7 @@ use marionette::cdfg::Cdfg;
 use marionette::cli::{multi, opt, switch, usage_exit, Args, Spec};
 use marionette::compiler::SearchBudget;
 use marionette::report::{self, json_escape, json_sinks, Snapshot};
-use marionette::sim::{EngineKind, FaultSet, RunSpec};
+use marionette::sim::{FaultSet, RunSpec};
 use marionette_lang::driver::{
     frontend, reference, run_preset, typed_overrides, DriverError, FaultRun, Reference,
     DEFAULT_MAX_CYCLES, INTERP_BUDGET,
@@ -45,7 +41,6 @@ static SPEC: Spec = Spec {
         multi("--fault", "SPEC", "pin a fault (pe:, link: or flaky:)"),
         opt("--faults", "N", "add N seeded-random faults"),
         opt("--fault-seed", "S", "random fault seed [default: 1]"),
-        opt("--engine", "KIND", "wheel or heap [default: wheel]"),
         switch("--disasm", "include each preset's disassembly in the JSON"),
         opt("--json", "PATH", "write the JSON report (`-`: stdout)"),
         opt("--trace", "PATH", "trace the one selected preset's run"),
@@ -61,7 +56,6 @@ struct Config {
     params: Vec<(String, String)>,
     max_cycles: u64,
     faults: FaultSet,
-    engine: EngineKind,
     disasm: bool,
     json: Option<String>,
     trace: Option<String>,
@@ -109,7 +103,6 @@ fn config(a: &Args) -> Result<Config, String> {
         params,
         max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
         faults: a.fault_set(fabric)?,
-        engine: a.parsed("--engine")?.unwrap_or_default(),
         disasm: a.has("--disasm"),
         json: a.str("--json").map(str::to_string),
         trace,
@@ -230,7 +223,6 @@ fn run() -> Result<(), i32> {
         }
         let mut spec = RunSpec {
             faults,
-            engine: args.engine,
             max_cycles: args.max_cycles,
             tracer: tracer.as_mut(),
         };

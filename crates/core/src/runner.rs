@@ -206,21 +206,20 @@ pub fn run_kernel_faulted(
 }
 
 /// Compiles and simulates `kernel` on `arch` as `spec` says (faults,
-/// engine, cycle budget, tracer) and bit-verifies the surviving run
-/// against the golden reference:
+/// cycle budget, tracer) and bit-verifies the surviving run against the
+/// golden reference:
 ///
 /// 1. compile normally and simulate with the faults injected;
 /// 2. on a typed [`SimError::Fault`], remap around the faulty resources
 ///    and simulate the remap ([`self_heal`]);
 /// 3. either way, bit-verify the run against the golden reference.
 ///
-/// Engines and tracing never change the result: both engines are
-/// bit-identical (`crates/core/tests/engine_equivalence.rs`), and so are
-/// traced and untraced runs (`crates/core/tests/trace_plane.rs`). A
-/// remap that still cannot fit surfaces as [`RunnerError::Compile`] —
-/// the typed "remap infeasible" outcome degradation sweeps count as a
-/// failure (the healthy compile of every shipped kernel × preset
-/// succeeds, so a compile error under faults always means the remap).
+/// Tracing never changes the result: traced and untraced runs are
+/// bit-identical (`crates/core/tests/trace_plane.rs`). A remap that
+/// still cannot fit surfaces as [`RunnerError::Compile`] — the typed
+/// "remap infeasible" outcome degradation sweeps count as a failure
+/// (the healthy compile of every shipped kernel × preset succeeds, so a
+/// compile error under faults always means the remap).
 ///
 /// # Errors
 /// Returns [`RunnerError`] on compile/simulation failure (of whichever

@@ -2,10 +2,9 @@
 //!
 //! A traced run must be bit-identical to the untraced run it observes
 //! (same cycles, same full stats), the exported Chrome trace JSON must
-//! be byte-for-byte deterministic for a fixed seed + engine, both event
-//! cores must emit the same trace, and the committed example trace in
-//! `examples/traces/` must validate against the schema documented in
-//! `docs/OBSERVABILITY.md`.
+//! be byte-for-byte deterministic for a fixed seed, and the committed
+//! example trace in `examples/traces/` must validate against the schema
+//! documented in `docs/OBSERVABILITY.md`.
 
 use marionette::arch::marionette_full;
 use marionette::arch::Architecture;
@@ -13,19 +12,17 @@ use marionette::kernels::by_short;
 use marionette::kernels::traits::Kernel;
 use marionette::kernels::traits::Scale;
 use marionette::runner::{run_kernel_with, KernelRun, RunnerError};
-use marionette::sim::{trace, EngineKind, RunSpec, Tracer};
+use marionette::sim::{trace, RunSpec, Tracer};
 
 const MAX_CYCLES: u64 = 500_000_000;
 
-/// `kernel` at `Scale::Tiny`, seed 7, on `engine`, optionally traced.
+/// `kernel` at `Scale::Tiny`, seed 7, optionally traced.
 fn run_seven(
     kernel: &dyn Kernel,
     arch: &Architecture,
-    engine: EngineKind,
     tracer: Option<&mut Tracer>,
 ) -> Result<KernelRun, RunnerError> {
     let mut spec = RunSpec {
-        engine,
         tracer,
         ..RunSpec::new(MAX_CYCLES)
     };
@@ -39,18 +36,16 @@ fn run_seven(
 fn traced_run_is_bit_identical_to_untraced() {
     let k = by_short("CRC").expect("kernel tag");
     let arch = marionette_full();
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let plain = run_seven(k.as_ref(), &arch, engine, None).expect("untraced run");
-        let mut tracer = Tracer::new();
-        let traced = run_seven(k.as_ref(), &arch, engine, Some(&mut tracer)).expect("traced run");
-        assert_eq!(plain.cycles, traced.cycles, "{engine}: cycles diverge");
-        assert_eq!(plain.stats, traced.stats, "{engine}: stats diverge");
-        assert!(traced.verified, "{engine}: traced run must still verify");
-        assert!(!tracer.is_empty(), "{engine}: tracer saw no events");
-    }
+    let plain = run_seven(k.as_ref(), &arch, None).expect("untraced run");
+    let mut tracer = Tracer::new();
+    let traced = run_seven(k.as_ref(), &arch, Some(&mut tracer)).expect("traced run");
+    assert_eq!(plain.cycles, traced.cycles, "cycles diverge");
+    assert_eq!(plain.stats, traced.stats, "stats diverge");
+    assert!(traced.verified, "traced run must still verify");
+    assert!(!tracer.is_empty(), "tracer saw no events");
 }
 
-/// Same kernel, seed, and engine ⇒ byte-identical trace JSON. The trace
+/// Same kernel and seed ⇒ byte-identical trace JSON. The trace
 /// is evidence; it must not wobble between runs.
 #[test]
 fn trace_json_is_deterministic() {
@@ -58,29 +53,11 @@ fn trace_json_is_deterministic() {
     let arch = marionette_full();
     let dump = || {
         let mut tracer = Tracer::new();
-        run_seven(k.as_ref(), &arch, EngineKind::Wheel, Some(&mut tracer)).expect("traced run");
+        run_seven(k.as_ref(), &arch, Some(&mut tracer)).expect("traced run");
         tracer.to_chrome_json()
     };
     let (a, b) = (dump(), dump());
-    assert_eq!(a, b, "same seed + engine must produce identical bytes");
-}
-
-/// The two event cores are observationally identical, so they must emit
-/// the same trace — the cycle-level schedule, not just the end state.
-#[test]
-fn heap_and_wheel_traces_are_identical() {
-    let k = by_short("CRC").expect("kernel tag");
-    let arch = marionette_full();
-    let dump = |engine| {
-        let mut tracer = Tracer::new();
-        run_seven(k.as_ref(), &arch, engine, Some(&mut tracer)).expect("traced run");
-        tracer.to_chrome_json()
-    };
-    assert_eq!(
-        dump(EngineKind::Wheel),
-        dump(EngineKind::Heap),
-        "engines must trace identically"
-    );
+    assert_eq!(a, b, "same seed must produce identical bytes");
 }
 
 /// A fresh trace must round-trip through the parser the trace tooling
@@ -90,7 +67,7 @@ fn fresh_trace_parses_and_attributes_stalls() {
     let k = by_short("MS").expect("kernel tag");
     let arch = marionette_full();
     let mut tracer = Tracer::new();
-    run_seven(k.as_ref(), &arch, EngineKind::Wheel, Some(&mut tracer)).expect("traced run");
+    run_seven(k.as_ref(), &arch, Some(&mut tracer)).expect("traced run");
     let parsed = trace::parse(&tracer.to_chrome_json()).expect("fresh trace parses");
     assert_eq!(parsed.events.len(), tracer.len());
     assert!(parsed.last_cycle() > 0);

@@ -2,11 +2,6 @@
 //! through the full compile→simulate stack on the architecture presets,
 //! in parallel across cores (`marionette::parallel`).
 //!
-//! `--engine wheel|heap` pins the simulator's event-queue core (default
-//! wheel, the production engine); fuzzing under `--engine heap` is the
-//! cross-engine differential axis, and it does not combine with
-//! `--source`.
-//!
 //! `--faults N` injects N seeded-random faults (dead PEs, dead links,
 //! flaky links — a fresh set per program seed) into every simulation and
 //! differentially fuzzes the self-healing remap loop: wedged bitstreams
@@ -42,7 +37,7 @@
 use marionette::arch::{Architecture, FabricDims};
 use marionette::cli::{multi, opt, switch, Args, Spec};
 use marionette::parallel::{par_map, sweep_threads};
-use marionette::sim::{EngineKind, FaultSet, RunSpec};
+use marionette::sim::{FaultSet, RunSpec};
 use marionette_fuzzgen::diff::{diff_program, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::shrink::shrink;
@@ -70,7 +65,6 @@ static SPEC: Spec = Spec {
         opt("--fabric", "RxC", "fabric [default: 4x4]"),
         opt("--faults", "N", "random faults per seed"),
         multi("--fault", "SPEC", "pin a fault under every seed"),
-        opt("--engine", "KIND", "wheel or heap [default: wheel]"),
     ],
     notes: "",
 };
@@ -92,7 +86,6 @@ struct Config {
     faults: usize,
     fault_specs: Vec<String>,
     base_faults: FaultSet,
-    engine: EngineKind,
 }
 
 fn config(a: &Args) -> Result<Config, String> {
@@ -142,14 +135,10 @@ fn config(a: &Args) -> Result<Config, String> {
         faults: a.num("--faults", 0)?,
         fault_specs,
         base_faults,
-        engine: a.parsed("--engine")?.unwrap_or_default(),
     };
     let have_faults = cfg.faults > 0 || !cfg.base_faults.is_empty();
     if have_faults && cfg.source {
         return Err("--source and fault injection cannot be combined".to_string());
-    }
-    if cfg.source && cfg.engine != EngineKind::default() {
-        return Err("--source runs on the default engine only".to_string());
     }
     Ok(cfg)
 }
@@ -195,7 +184,6 @@ fn main() {
         } else {
             let mut spec = RunSpec {
                 faults,
-                engine: args.engine,
                 max_cycles: args.max_cycles,
                 tracer: None,
             };
@@ -289,7 +277,6 @@ fn main() {
             .field("threads", threads)
             .field("search", search)
             .field("source_axis", args.source)
-            .str("engine", &args.engine.to_string())
             .field("faults", args.faults)
             .field("pinned_faults", str_list(&args.fault_specs))
             .field("remaps", outcomes.iter().map(|o| o.remaps).sum::<usize>())
@@ -324,11 +311,10 @@ fn main() {
         String::new()
     };
     println!(
-        "fuzz_stack: {} programs x {} presets on {} ({} engine) = {} points, {} sim cycles, ~{:.0} nodes/program, {} divergences{}, {:.1} ms ({} threads)",
+        "fuzz_stack: {} programs x {} presets on {} = {} points, {} sim cycles, ~{:.0} nodes/program, {} divergences{}, {:.1} ms ({} threads)",
         outcomes.len(),
         presets.len(),
         args.fabric,
-        args.engine,
         total_points,
         total_cycles,
         mean_nodes,

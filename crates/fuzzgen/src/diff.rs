@@ -106,7 +106,7 @@ pub struct DiffStats {
 }
 
 /// Differentially checks `p` on `presets`, each simulation run as
-/// `spec` says (faults, engine, cycle budget, tracer).
+/// `spec` says (faults, cycle budget, tracer).
 ///
 /// The dropping-mode interpretation is the specification; each preset's
 /// simulation (on the bitstream-decoded program) must match it bit for

@@ -2,7 +2,7 @@
 //! both part of the ordinary `cargo test` run.
 
 use marionette::arch::{all_presets, presets_by_tags_on, FabricDims};
-use marionette::sim::{EngineKind, FaultSet, RunSpec};
+use marionette::sim::{FaultSet, RunSpec};
 use marionette_fuzzgen::diff::{diff_program, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::source::diff_both;
@@ -66,25 +66,6 @@ fn corpus_replays_divergence_free_on_all_presets() {
         let stats =
             diff_both(&p, &presets, DEFAULT_MAX_CYCLES).unwrap_or_else(|d| panic!("{name}: {d}"));
         assert_eq!(stats.points, 2 * presets.len(), "{name}: preset skipped");
-    }
-}
-
-#[test]
-fn corpus_replays_divergence_free_on_both_engines() {
-    // Every committed regression, replayed under the wheel (default)
-    // and the reference heap core: a corpus entry that ever exposes an
-    // engine-dependent result is exactly the regression this suite
-    // exists to catch.
-    let presets = all_presets();
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        for (name, p) in corpus_entries() {
-            let mut spec = RunSpec {
-                engine,
-                ..RunSpec::new(DEFAULT_MAX_CYCLES)
-            };
-            diff_program(&p, &presets, &mut spec)
-                .unwrap_or_else(|d| panic!("{name} ({engine}): {d}"));
-        }
     }
 }
 

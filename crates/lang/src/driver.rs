@@ -266,11 +266,11 @@ pub fn simulate_compiled(
     overrides: &[(String, Value)],
     max_cycles: u64,
     faults: &FaultSet,
-    engine: EngineKind,
+    // Selects nothing; the next change to perfbench, which passes it, deletes it.
+    _engine: EngineKind,
 ) -> Result<PresetRun, DriverError> {
     let mut spec = RunSpec {
         faults,
-        engine,
         max_cycles,
         tracer: None,
     };
@@ -295,10 +295,10 @@ pub struct FaultRun {
     pub compiled: Compiled,
 }
 
-/// Runs `g` on `arch` as `spec` says (faults, engine, cycle budget,
-/// tracer): compiles, round-trips the bitstream, simulates the decoded
-/// program and bit-verifies it against `reference` — every array, every
-/// sink stream, the out-of-bounds count and the firing count. When the
+/// Runs `g` on `arch` as `spec` says (faults, cycle budget, tracer):
+/// compiles, round-trips the bitstream, simulates the decoded program
+/// and bit-verifies it against `reference` — every array, every sink
+/// stream, the out-of-bounds count and the firing count. When the
 /// fault-oblivious bitstream touches a dead resource the run self-heals
 /// by remap ([`self_heal`]); a remap that still cannot fit
 /// ([`DriverError::Compile`]) is the typed "remap infeasible" outcome
@@ -362,17 +362,13 @@ sink sum = sum;
         let compiled = compile_preset(&g, &arch).unwrap();
         let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
         faults.add("pe:0,0".parse().unwrap()).unwrap();
-        let inputs = g.array_inputs();
-        let err = marionette::sim::run_full(
-            &compiled.prog,
-            &arch.tm,
-            &faults,
-            EngineKind::default(),
-            &inputs,
-            &[],
-            DEFAULT_MAX_CYCLES,
-        )
-        .unwrap_err();
+        let mut spec = RunSpec {
+            faults: &faults,
+            ..RunSpec::new(DEFAULT_MAX_CYCLES)
+        };
+        let err =
+            marionette::sim::run_with(&compiled.prog, &arch.tm, &g.array_inputs(), &[], &mut spec)
+                .unwrap_err();
         match err {
             marionette::sim::SimError::Fault { what, .. } => assert_eq!(what, "pe:0,0"),
             other => panic!("expected a typed fault, got {other}"),

@@ -20,7 +20,7 @@ use marionette::compiler::{Partition, PlaceError};
 use marionette::isa::{MultiTenantImage, TenantImage};
 use marionette::pipeline::{Oracle, PipelineError};
 use marionette::sim::tenancy::{run_tenants, TenancyError, TenantWorkload};
-use marionette::sim::{EngineKind, SimError};
+use marionette::sim::SimError;
 use marionette_arch::Architecture;
 use marionette_cdfg::{Cdfg, Value};
 
@@ -121,7 +121,6 @@ pub fn run_tenancy(
     rows: u8,
     cols: u8,
     jobs: &[TenantJob<'_>],
-    engine: EngineKind,
 ) -> Result<TenancyReport, DriverError> {
     use marionette::compiler::{FabricDims, PartitionMap};
     // Validate the layout first: typed overlap/out-of-fabric rejection.
@@ -176,7 +175,7 @@ pub fn run_tenancy(
             max_cycles: j.max_cycles,
         })
         .collect();
-    let run = run_tenants(&image, &tms, &loads, engine).map_err(|e| match e {
+    let run = run_tenants(&image, &tms, &loads).map_err(|e| match e {
         TenancyError::Image(e) => DriverError::Image(e),
         other => DriverError::Mismatch {
             preset: "tenancy".to_string(),

@@ -11,7 +11,7 @@
 use marionette::arch::{all_presets, preset_for_partition};
 use marionette::compiler::{Partition, PartitionError};
 use marionette::kernels::traits::Scale;
-use marionette::sim::{EngineKind, RunSpec, SimError};
+use marionette::sim::{RunSpec, SimError};
 use marionette_cdfg::Cdfg;
 use marionette_lang::driver::{reference, run_preset, Reference, INTERP_BUDGET};
 use marionette_lang::tenancy::{run_tenancy, TenancyReport, TenantJob, TenantOutcome};
@@ -56,7 +56,7 @@ fn two_tenant_report(preset: &str, budgets: [u64; 2]) -> Result<TenancyReport, D
             max_cycles: budgets[1],
         },
     ];
-    run_tenancy(4, 8, &jobs, EngineKind::default())
+    run_tenancy(4, 8, &jobs)
 }
 
 #[test]
@@ -150,7 +150,7 @@ fn overlapping_layout_is_rejected_typed() {
             max_cycles: MAX_CYCLES,
         },
     ];
-    match run_tenancy(4, 8, &jobs, EngineKind::default()) {
+    match run_tenancy(4, 8, &jobs) {
         Err(DriverError::Partition(PartitionError::Overlap { .. })) => {}
         other => panic!("expected typed Overlap rejection, got {other:?}"),
     }
@@ -171,7 +171,7 @@ fn off_fabric_layout_is_rejected_typed() {
         max_cycles: MAX_CYCLES,
     }];
     // 4x6 host: the partition's columns 4..8 spill off the fabric.
-    match run_tenancy(4, 6, &jobs, EngineKind::default()) {
+    match run_tenancy(4, 6, &jobs) {
         Err(DriverError::Partition(PartitionError::OutOfFabric { .. })) => {}
         other => panic!("expected typed OutOfFabric rejection, got {other:?}"),
     }

@@ -135,11 +135,19 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 pub fn read_request<S: Read>(stream: S, max_body: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut head = 0usize;
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // Each line is read through what is left of the head budget (plus
+    // one byte to detect overrun), so a client streaming a newline-free
+    // head is cut off at the budget, not after it has sent everything.
     let mut read_line =
         |reader: &mut BufReader<S>, head: &mut usize| -> Result<String, HttpError> {
             line.clear();
-            let n = reader.read_line(&mut line).map_err(HttpError::Io)?;
+            let budget = (MAX_HEAD_BYTES - *head + 1) as u64;
+            let n = reader
+                .by_ref()
+                .take(budget)
+                .read_until(b'\n', &mut line)
+                .map_err(HttpError::Io)?;
             if n == 0 {
                 return Err(HttpError::Malformed("connection closed mid-request".into()));
             }
@@ -147,7 +155,9 @@ pub fn read_request<S: Read>(stream: S, max_body: usize) -> Result<Request, Http
             if *head > MAX_HEAD_BYTES {
                 return Err(HttpError::Malformed("request head too large".into()));
             }
-            Ok(line.trim_end_matches(['\r', '\n']).to_string())
+            let text = std::str::from_utf8(&line)
+                .map_err(|_| HttpError::Malformed("request head is not UTF-8".into()))?;
+            Ok(text.trim_end_matches(['\r', '\n']).to_string())
         };
 
     let request_line = read_line(&mut reader, &mut head)?;
@@ -325,6 +335,28 @@ mod tests {
             parse("GET /x SPDY/9\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+        assert!(matches!(
+            read_request(&b"GET /run\xff HTTP/1.1\r\n\r\n"[..], 1024),
+            Err(HttpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn newline_free_head_is_cut_off_at_the_budget() {
+        let flood = vec![b'a'; 1 << 20];
+        // Reading through `&mut &[u8]` advances the slice past every
+        // byte handed out.
+        let mut rest = &flood[..];
+        assert!(matches!(
+            read_request(&mut rest, 1024),
+            Err(HttpError::Malformed(_))
+        ));
+        // At most the head budget plus one buffer fill is consumed.
+        let consumed = flood.len() - rest.len();
+        assert!(
+            consumed <= MAX_HEAD_BYTES + 8 * 1024,
+            "consumed {consumed} bytes"
+        );
     }
 
     #[test]

@@ -189,7 +189,8 @@ pub struct RunOptions {
     pub fabric: FabricDims,
     /// Injected fault set (empty for healthy runs).
     pub faults: FaultSet,
-    /// Simulator engine.
+    /// Always [`EngineKind::Wheel`]. Kept only because perfbench reads
+    /// it; the next change to perfbench deletes it.
     pub engine: EngineKind,
     /// Cycle budget, already clamped to the server cap.
     pub max_cycles: u64,
@@ -284,12 +285,13 @@ pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, 
     };
     let faults = FaultSet::from_cli(fabric.rows, fabric.cols, &fault_specs, faults_n, fault_seed)
         .map_err(|e| ApiError::bad("bad_fault", e))?;
-    let engine = match req.query_first("engine") {
-        None => EngineKind::default(),
-        Some(v) => v
-            .parse()
-            .map_err(|e| ApiError::bad("bad_engine", format!("engine `{v}`: {e}")))?,
-    };
+    // The wheel is the only event core; `engine=wheel` stays accepted.
+    if let Some(v) = req.query_first("engine").filter(|&v| v != "wheel") {
+        return Err(ApiError::bad(
+            "bad_engine",
+            format!("engine `{v}`: the only event core is `wheel`"),
+        ));
+    }
     let max_cycles = match req.query_first("max-cycles") {
         None => state.cfg.max_cycles,
         Some(v) => {
@@ -316,7 +318,7 @@ pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, 
         arch,
         fabric,
         faults,
-        engine,
+        engine: EngineKind::Wheel,
         max_cycles,
         params,
         lanes,
@@ -361,7 +363,6 @@ fn run_via_cache(
     let under_faults = !opts.faults.is_empty();
     let mut spec = RunSpec {
         faults: &opts.faults,
-        engine: opts.engine,
         max_cycles: opts.max_cycles,
         tracer: None,
     };
@@ -567,12 +568,8 @@ pub fn handle_batch(
                 inner: Stages::new(&g, &r, &opts.arch, &overrides),
                 meta: &mut *meta,
             };
-            let mut spec = RunSpec {
-                engine: opts.engine,
-                ..RunSpec::new(opts.max_cycles)
-            };
             let run = stages
-                .simulate(&artifact.compiled, &mut spec)
+                .simulate(&artifact.compiled, &mut RunSpec::new(opts.max_cycles))
                 .map_err(|e| map_driver_error(DriverError::stage(preset, e), &src, false))?;
             let run = PresetRun::new(preset.to_string(), &run, &artifact.compiled.report);
             Ok(json_result(&run, &r.dropping.sinks))

@@ -60,9 +60,9 @@ fn different_params_and_engine_share_the_bitstream() {
     let s = Server::start(ServeConfig::default()).expect("bind");
     let (_, cold) = run(s.addr(), "preset=M", BASE);
     assert!(cold.contains("\"outcome\": \"miss\""), "{cold}");
-    // Fresh parameters and a different engine are sim-time inputs: the
+    // Fresh parameters and an explicit engine are sim-time inputs: the
     // compile must be reused (hit), while the result reflects the new n.
-    let (status, warm) = run(s.addr(), "preset=M&param=n%3D7&engine=heap", BASE);
+    let (status, warm) = run(s.addr(), "preset=M&param=n%3D7&engine=wheel", BASE);
     assert_eq!(status, 200, "{warm}");
     assert!(warm.contains("\"outcome\": \"hit\""), "{warm}");
     assert!(warm.contains("\"sinks\": {\"s\": [196]}"), "{warm}");

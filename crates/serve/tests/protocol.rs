@@ -99,9 +99,16 @@ fn unknown_preset_and_fabric_and_engine_are_400() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"kind\": \"bad_fabric\""), "{body}");
 
-    let (status, body) = run(s.addr(), "engine=quantum", GOOD);
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("\"kind\": \"bad_engine\""), "{body}");
+    // The wheel is the only event core: the retired heap is refused too.
+    for engine in ["engine=quantum", "engine=heap"] {
+        let (status, body) = run(s.addr(), engine, GOOD);
+        assert_eq!(status, 400, "{engine}: {body}");
+        assert!(
+            body.contains("\"kind\": \"bad_engine\""),
+            "{engine}: {body}"
+        );
+        assert!(body.contains("`wheel`"), "{engine}: {body}");
+    }
     s.stop();
 }
 

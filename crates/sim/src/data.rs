@@ -6,11 +6,12 @@
 
 use crate::ctrl::Ctrl;
 use crate::fault::FaultSet;
-use crate::machine::{EvKind, EventQueue, SimError};
+use crate::machine::{EvKind, SimError};
 use crate::mem::Mem;
 use crate::net::Net;
 use crate::stats::Observer;
 use crate::timing::TimingModel;
+use crate::wheel::EventWheel;
 use marionette_cdfg::op::{Op, SteerRole};
 use marionette_cdfg::value::Value;
 use marionette_isa::{MachineProgram, OperandSrc, Placement};
@@ -140,7 +141,7 @@ pub(crate) struct Reach<'a> {
     pub(crate) ctrl: &'a mut Ctrl,
     pub(crate) net: &'a mut Net,
     pub(crate) mem: &'a mut Mem,
-    pub(crate) events: &'a mut EventQueue,
+    pub(crate) events: &'a mut EventWheel<EvKind>,
     pub(crate) obs: &'a mut Observer,
 }
 

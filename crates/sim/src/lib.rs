@@ -20,10 +20,10 @@
 //!
 //! Architectural presets live in `marionette-arch`; this crate provides
 //! the neutral machine plus the [`TimingModel`] parameter space. A run
-//! is described by one [`RunSpec`] — injected faults, event-queue
-//! engine, cycle budget, optional tracer — and executed by [`run_with`]
-//! on a freshly built machine; [`run`] and [`run_full`] spell the common
-//! cases out. On top of the core engine sit the [`fault`] plane
+//! is described by one [`RunSpec`] — injected faults, cycle budget,
+//! optional tracer — and executed by [`run_with`] on a freshly built
+//! machine; [`run`] and [`run_full`] spell the common cases out. On top
+//! of the core engine sit the [`fault`] plane
 //! (dead/flaky PEs and links, shared with the compiler as an
 //! avoid-mask), the [`trace`] plane (opt-in Perfetto-loadable cycle
 //! traces), and the [`tenancy`] runner (disjoint fabric partitions

@@ -43,9 +43,7 @@
 //!
 //! Scheduled tokens live in a calendar-queue [`EventWheel`] (O(1) push
 //! and pop over a dense horizon, arena payloads, overflow bucket for
-//! the rare far-future booking); the pre-wheel payload-carrying
-//! min-heap survives behind [`EngineKind::Heap`] as the differential
-//! reference engine.
+//! the rare far-future booking), the machine's one event queue.
 
 use crate::ctrl::Ctrl;
 use crate::data::{Data, Reach};
@@ -58,47 +56,18 @@ use crate::trace::Tracer;
 use crate::wheel::EventWheel;
 use marionette_cdfg::value::Value;
 use marionette_isa::MachineProgram;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-use std::str::FromStr;
 
-/// Selects the event-queue implementation driving the simulator core.
-///
-/// Both engines execute the identical machine model and produce
-/// bit-identical [`RunResult`]s — `crates/core/tests/engine_equivalence.rs`
-/// pins this on every kernel × preset, healthy and faulted. The heap is
-/// kept as the differential reference; the wheel is the default and what
-/// all committed benchmark snapshots gate against.
+/// Selects nothing: the [`EventWheel`] is the only event core. Kept only
+/// because perfbench names it; the next change to perfbench deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Binary-heap event queue (the pre-wheel reference core).
-    Heap,
-    /// Calendar-queue event wheel (see [`crate::wheel`]).
+    /// The calendar-queue event wheel (see [`crate::wheel`]).
     #[default]
     Wheel,
 }
 
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::Heap => write!(f, "heap"),
-            EngineKind::Wheel => write!(f, "wheel"),
-        }
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(EngineKind::Heap),
-            "wheel" => Ok(EngineKind::Wheel),
-            other => Err(format!("unknown engine {other:?} (expected heap|wheel)")),
-        }
-    }
-}
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -184,107 +153,9 @@ pub(crate) enum EvKind {
     },
 }
 
-/// A scheduled event carrying its payload. Ordered so that
-/// `BinaryHeap::pop` yields the earliest `(at, seq)` first — a single
-/// min-heap replaces the old key-heap + payload-map pair, halving the
-/// bookkeeping per delivered token.
-#[derive(Clone, Debug)]
-pub(crate) struct Ev {
-    at: u64,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Ev {}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The machine's event queue, behind the [`EngineKind`] selector. Both
-/// variants yield events in identical `(at, insertion order)` total
-/// order; only the data structure differs.
-pub(crate) enum EventQueue {
-    Heap { heap: BinaryHeap<Ev>, seq: u64 },
-    Wheel(EventWheel<EvKind>),
-}
-
-impl EventQueue {
-    fn new(kind: EngineKind) -> Self {
-        match kind {
-            EngineKind::Heap => EventQueue::Heap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            },
-            EngineKind::Wheel => EventQueue::Wheel(EventWheel::new()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, at: u64, kind: EvKind) {
-        match self {
-            EventQueue::Heap { heap, seq } => {
-                let s = *seq;
-                *seq += 1;
-                heap.push(Ev { at, seq: s, kind });
-            }
-            EventQueue::Wheel(w) => w.push(at, kind),
-        }
-    }
-
-    #[inline]
-    fn pop_due(&mut self, now: u64) -> Option<EvKind> {
-        match self {
-            EventQueue::Heap { heap, .. } => {
-                if heap.peek()?.at > now {
-                    return None;
-                }
-                Some(heap.pop().expect("peeked event").kind)
-            }
-            EventQueue::Wheel(w) => w.pop_due(now),
-        }
-    }
-
-    fn next_at(&self) -> Option<u64> {
-        match self {
-            EventQueue::Heap { heap, .. } => heap.peek().map(|ev| ev.at),
-            EventQueue::Wheel(w) => w.next_at(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap { heap, .. } => heap.len(),
-            EventQueue::Wheel(w) => w.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 struct Machine<'p> {
     prog: &'p MachineProgram,
-    events: EventQueue,
+    events: EventWheel<EvKind>,
     cycle: u64,
     progressed: bool,
     data: Data,
@@ -294,16 +165,16 @@ struct Machine<'p> {
     obs: Observer,
 }
 
-/// How to run a program: the fault set to inject, the event-queue
-/// engine, the cycle budget and an optional trace recorder. Each field
+/// How to run a program: the fault set to inject, the cycle budget and
+/// an optional trace recorder. Each field
 /// is one axis of a run; [`run_with`] takes them all at once.
 ///
 /// ```
-/// use marionette_sim::{EngineKind, FaultSet, RunSpec};
+/// use marionette_sim::{FaultSet, RunSpec};
 ///
 /// let faults = FaultSet::new(4, 4);
 /// let spec = RunSpec { faults: &faults, ..RunSpec::new(1_000) };
-/// assert_eq!(spec.engine, EngineKind::default());
+/// assert_eq!(spec.max_cycles, 1_000);
 /// assert!(spec.tracer.is_none());
 /// ```
 #[derive(Debug)]
@@ -318,8 +189,6 @@ pub struct RunSpec<'a> {
     /// never altered. An empty fault set is bit-identical to a healthy
     /// run.
     pub faults: &'a FaultSet,
-    /// Event-queue core; both engines are bit-identical.
-    pub engine: EngineKind,
     /// Cycle budget.
     pub max_cycles: u64,
     /// Records the cycle-accurate event stream (see [`crate::trace`]).
@@ -334,11 +203,10 @@ pub struct RunSpec<'a> {
 static NO_FAULTS: FaultSet = FaultSet::none();
 
 impl RunSpec<'static> {
-    /// A healthy, untraced run on the default engine within `max_cycles`.
+    /// A healthy, untraced run within `max_cycles`.
     pub fn new(max_cycles: u64) -> Self {
         RunSpec {
             faults: &NO_FAULTS,
-            engine: EngineKind::default(),
             max_cycles,
             tracer: None,
         }
@@ -363,7 +231,7 @@ pub fn run(
     run_with(prog, tm, inputs, params, &mut RunSpec::new(max_cycles))
 }
 
-/// [`run_with`] with the faults, engine and budget spelled out.
+/// [`run_with`] with the faults and budget spelled out.
 ///
 /// # Errors
 /// As [`run_with`].
@@ -371,14 +239,14 @@ pub fn run_full(
     prog: &MachineProgram,
     tm: &TimingModel,
     faults: &FaultSet,
-    engine: EngineKind,
+    // Selects nothing; the next change to perfbench, which passes it, deletes it.
+    _engine: EngineKind,
     inputs: &[(String, Vec<Value>)],
     params: &[(String, Value)],
     max_cycles: u64,
 ) -> Result<RunResult, SimError> {
     let mut spec = RunSpec {
         faults,
-        engine,
         max_cycles,
         tracer: None,
     };
@@ -399,7 +267,7 @@ pub fn run_with(
     params: &[(String, Value)],
     spec: &mut RunSpec<'_>,
 ) -> Result<RunResult, SimError> {
-    let mut m = Machine::new(prog, tm, spec.faults, spec.engine)?;
+    let mut m = Machine::new(prog, tm, spec.faults)?;
     if let Some(tracer) = spec.tracer.as_deref_mut() {
         let mut t = std::mem::take(tracer);
         t.set_cols(prog.cols as usize);
@@ -422,7 +290,6 @@ impl<'p> Machine<'p> {
         prog: &'p MachineProgram,
         tm: &'p TimingModel,
         faults: &FaultSet,
-        engine: EngineKind,
     ) -> Result<Self, SimError> {
         let npes = prog.pe_count();
         let cols = prog.cols as usize;
@@ -440,7 +307,7 @@ impl<'p> Machine<'p> {
         let net = Net::new(prog, tm, faults, &data)?;
         Ok(Machine {
             prog,
-            events: EventQueue::new(engine),
+            events: EventWheel::new(),
             cycle: 0,
             progressed: false,
             ctrl: Ctrl::new(prog, tm, data.units()),
