@@ -143,49 +143,68 @@ fn outcome_digest(run: &Result<RunResult, SimError>) -> u64 {
     h
 }
 
-/// Raw simulator outcomes under injected faults, with no self-heal: a
-/// dead PE and a dead link wedge with a typed [`SimError::Fault`] where
-/// the mapping touches them, and flaky links stretch the run without
-/// changing a value. `kernel` at `Scale::Tiny`, seed 7, on every preset.
-#[test]
-fn fault_outcomes_are_pinned() {
-    let mut pins = FAULT_OUTCOME_PINS.iter();
-    for (tag, fault) in [
-        ("CRC", "pe:0,0"),
-        ("MS", "link:0,0-0,1"),
-        ("CRC", "flaky:0,0-0,1@2"),
-        ("GP", "flaky:1,0-1,1@7"),
-    ] {
-        let k = marionette::kernels::by_short(tag).expect("kernel tag");
-        let g = k.build(&k.workload(Scale::Tiny, 7)).expect("kernel builds");
-        let inputs = g.array_inputs();
-        for arch in all_presets() {
-            let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
-            faults
-                .add(fault.parse().expect("fault spec"))
-                .expect("in range");
-            let (prog, _) = compile(&g, &arch.opts)
-                .unwrap_or_else(|e| panic!("{tag} on {}: compile: {e}", arch.short));
-            let run = run_full(
-                &prog,
-                &arch.tm,
-                &faults,
-                EngineKind::default(),
-                &inputs,
-                &[],
-                DEFAULT_MAX_CYCLES,
-            );
-            let &(kt, at, ft, want) = pins.next().expect("a pin per point");
-            assert_eq!((kt, at, ft), (tag, arch.short, fault), "pin table order");
-            let got = outcome_digest(&run);
-            assert_eq!(
-                got, want,
-                "first differing point: {tag} on {} [{fault}]: outcome digest {got:#018x}, pinned {want:#018x}",
-                arch.short
-            );
-        }
+/// Raw simulator outcomes under one injected fault, with no self-heal:
+/// `kernel` at `Scale::Tiny`, seed 7, on every preset, checked against
+/// that fault's rows of [`FAULT_OUTCOME_PINS`] in preset order.
+fn check_fault_outcomes(tag: &str, fault: &str) {
+    let mut pins = FAULT_OUTCOME_PINS
+        .iter()
+        .filter(|&&(kt, _, ft, _)| kt == tag && ft == fault);
+    let k = marionette::kernels::by_short(tag).expect("kernel tag");
+    let g = k.build(&k.workload(Scale::Tiny, 7)).expect("kernel builds");
+    let inputs = g.array_inputs();
+    for arch in all_presets() {
+        let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
+        faults
+            .add(fault.parse().expect("fault spec"))
+            .expect("in range");
+        let (prog, _) = compile(&g, &arch.opts)
+            .unwrap_or_else(|e| panic!("{tag} on {}: compile: {e}", arch.short));
+        let run = run_full(
+            &prog,
+            &arch.tm,
+            &faults,
+            EngineKind::default(),
+            &inputs,
+            &[],
+            DEFAULT_MAX_CYCLES,
+        );
+        let &(_, at, _, want) = pins.next().expect("a pin per preset");
+        assert_eq!(at, arch.short, "pin table order for {tag} [{fault}]");
+        let got = outcome_digest(&run);
+        assert_eq!(
+            got, want,
+            "first differing point: {tag} on {} [{fault}]: outcome digest {got:#018x}, pinned {want:#018x}",
+            arch.short
+        );
     }
-    assert!(pins.next().is_none(), "stale pins past the last point");
+    assert!(pins.next().is_none(), "stale pins past the last preset");
+}
+
+/// A dead PE wedges with a typed [`SimError::Fault`] where the mapping
+/// touches it.
+#[test]
+fn dead_pe_outcomes_are_pinned() {
+    check_fault_outcomes("CRC", "pe:0,0");
+}
+
+/// A dead link wedges with a typed [`SimError::Fault`] where a route
+/// crosses it.
+#[test]
+fn dead_link_outcomes_are_pinned() {
+    check_fault_outcomes("MS", "link:0,0-0,1");
+}
+
+/// A flaky link (x2) stretches the run without changing a value.
+#[test]
+fn flaky_link_mult2_outcomes_are_pinned() {
+    check_fault_outcomes("CRC", "flaky:0,0-0,1@2");
+}
+
+/// A flaky link (x7) stretches the run without changing a value.
+#[test]
+fn flaky_link_mult7_outcomes_are_pinned() {
+    check_fault_outcomes("GP", "flaky:1,0-1,1@7");
 }
 
 /// A busted cycle budget is exactly the typed [`SimError::CycleLimit`].
@@ -355,7 +374,8 @@ const PINS: &[(&str, &str, u64, u64)] = &[
     ("LDPC-APP", "RT", 0xff0e8efbb9562d0d, 0x731085b275f454af),
 ];
 
-/// `(kernel, preset, fault, outcome digest)` in test order.
+/// `(kernel, preset, fault, outcome digest)`, each fault's rows in preset
+/// order.
 const FAULT_OUTCOME_PINS: &[(&str, &str, &str, u64)] = &[
     ("CRC", "vN", "pe:0,0", 0x15b1b600fbc7b6af),
     ("CRC", "DF", "pe:0,0", 0x15b1b600fbc7b6af),
