@@ -190,7 +190,7 @@ fn run() -> Result<(), i32> {
         }
         1
     })?;
-    let overrides = typed_overrides(&ast, &args.params)
+    let overrides = typed_overrides(&ast.params, &args.params)
         .unwrap_or_else(|e| usage_exit(SPEC.name, format!("--{e}")));
 
     // Reference semantics (both interpreter modes, cross-checked).

@@ -9,7 +9,7 @@ use crate::value::Value;
 /// Out-of-bounds accesses do not abort execution (hardware would silently
 /// wrap); they are counted in [`Memory::oob_events`] and tests assert the
 /// count stays zero.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Memory {
     arrays: Vec<Vec<Value>>,
     oob: u64,

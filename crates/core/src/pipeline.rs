@@ -17,6 +17,7 @@
 use crate::runner::{compile_for_arch_with_faults, HealStages};
 use marionette_arch::Architecture;
 use marionette_cdfg::interp::InterpResult;
+use marionette_cdfg::memory::Memory;
 use marionette_cdfg::value::{compare_sink_maps, stream_mismatch, Value};
 use marionette_cdfg::Cdfg;
 use marionette_compiler::{CompileReport, PlaceError};
@@ -25,6 +26,7 @@ use marionette_isa::MachineProgram;
 use marionette_kernels::traits::Golden;
 use marionette_kernels::verify::check_vs_golden;
 use marionette_sim::{run_with, FaultSet, RunResult, RunSpec, SimError};
+use std::collections::HashMap;
 
 /// A compiled, bitstream-round-tripped artifact: the unit the `mard`
 /// content-addressed cache stores and replays. `prog` is the *decoded*
@@ -150,6 +152,28 @@ pub struct Reference {
     pub dropping: InterpResult,
     /// Predicated-mode interpretation (fires both branch sides).
     pub predicated: InterpResult,
+}
+
+impl Reference {
+    /// This reference without what [`Oracle::check`] never reads: both
+    /// per-node firing profiles and the predicated run's memory and sinks
+    /// (its firing count stays). For callers that keep a reference to
+    /// verify later runs against.
+    #[must_use]
+    pub fn into_oracle(self) -> Reference {
+        Reference {
+            dropping: InterpResult {
+                fired_per_node: Vec::new(),
+                ..self.dropping
+            },
+            predicated: InterpResult {
+                sinks: HashMap::new(),
+                memory: Memory::default(),
+                firings: self.predicated.firings,
+                fired_per_node: Vec::new(),
+            },
+        }
+    }
 }
 
 /// The interpreter oracle: every array and sink stream bit for bit, the

@@ -135,20 +135,20 @@ pub fn frontend(src: &str) -> Result<(ast::Program, Cdfg), DriverError> {
     Ok((p, g))
 }
 
-/// Types raw `NAME=VALUE` parameter overrides from the program's
-/// declarations. Undeclared names are passed through by value shape so
-/// the reference interpreter reports the typed
+/// Types raw `NAME=VALUE` parameter overrides from a program's parameter
+/// declarations (`ast::Program::params`). Undeclared names are passed
+/// through by value shape so the reference interpreter reports the typed
 /// [`InterpError::UnknownParam`].
 ///
 /// # Errors
 /// Returns `param NAME: ...` when a value does not parse as its type.
 pub fn typed_overrides(
-    p: &ast::Program,
+    params: &[ast::ParamDecl],
     raw: &[(String, String)],
 ) -> Result<Vec<(String, Value)>, String> {
     let mut out = Vec::new();
     for (name, val) in raw {
-        let decl = p.params.iter().find(|d| &d.name.name == name);
+        let decl = params.iter().find(|d| &d.name.name == name);
         let bad = |what: &str| format!("param {name}: `{val}` is not {what}");
         let v = match decl.map(|d| d.ty) {
             Some(ast::Ty::F32) => Value::F32(val.parse().map_err(|_| bad("an f32"))?),

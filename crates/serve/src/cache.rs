@@ -1,4 +1,5 @@
-//! Content-addressed compile cache with a bounded LRU policy.
+//! Content-addressed compile cache with a bounded LRU policy, and the
+//! memo of verified front ends that rides along with it.
 //!
 //! The cache key is the *content* of everything that can change a
 //! compiled bitstream, and nothing else:
@@ -16,14 +17,31 @@
 //! runs on the bitstream, not what the bitstream is. That is what lets
 //! repeat traffic with fresh parameters skip compilation entirely.
 //!
-//! Entries store the full key material and compare it on lookup, so a
-//! 64-bit address collision can never serve the wrong bitstream; the
-//! FNV-1a address is a display/interning convenience, not the identity.
+//! Entries are stored under their full key material, so a 64-bit
+//! address collision can never serve the wrong bitstream; the FNV-1a
+//! address is a display/interning convenience, not the identity.
+//!
+//! The **front-end memo** ([`CompileCache::memo_lookup`]) holds what a
+//! request's source produces before any preset is involved: the
+//! program name, canonical source, lowered CDFG, typed overrides and the
+//! mode-cross-checked [`Reference`]. It is keyed by the exact request
+//! source and raw parameter list ([`FrontKey`]), shares the cache's
+//! capacity but not its entries or counters, and only ever holds
+//! successes: a failed front end is recomputed on every request. `mard`
+//! memoises a front end only when its request found the compiled
+//! artifact cached, so traffic that does not repeat within the compile
+//! cache's window costs the memo nothing. A memo hit skips parse, check,
+//! lower, print and interpretation — never the simulation or its
+//! verification against the memoised reference.
 
+use marionette::cdfg::value::Value;
+use marionette::cdfg::Cdfg;
 use marionette::sim::FaultSet;
 use marionette_arch::Architecture;
-use marionette_lang::driver::Compiled;
+use marionette_lang::ast::ParamDecl;
+use marionette_lang::driver::{Compiled, Reference};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -75,6 +93,10 @@ impl CacheKey {
 /// What the cache stores per key: the compiled artifact plus the fault
 /// outcome it was produced under, so a repeat request reports the same
 /// `wedged`/`remapped` metadata as the cold run that populated it.
+///
+/// `mard` caches artifacts with `compiled.bitstream` emptied: the
+/// encoded bytes only matter to the encode/decode round-trip check a
+/// compile runs, and nothing on the serve path reads them afterwards.
 #[derive(Clone, Debug)]
 pub struct CachedArtifact {
     /// The compiled, bitstream-round-tripped preset artifact.
@@ -86,23 +108,61 @@ pub struct CachedArtifact {
     pub remapped: bool,
 }
 
-struct Entry {
+/// The memo key: the exact request source text plus its raw
+/// `NAME=VALUE` parameter list. The list is written count-first with
+/// every name and value length-prefixed, so no two lists (and no list
+/// and source) encode alike, whatever characters they hold.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FrontKey {
     material: String,
-    value: Arc<CachedArtifact>,
-    last_used: u64,
 }
 
-struct Inner {
-    map: HashMap<String, Entry>,
-    tick: u64,
+impl FrontKey {
+    /// Builds the key of `src` run with the raw overrides `params`.
+    pub fn new(src: &str, params: &[(String, String)]) -> FrontKey {
+        let mut material = String::with_capacity(src.len() + 16 * params.len() + 4);
+        let _ = write!(material, "{};", params.len());
+        for (name, value) in params {
+            let _ = write!(material, "{}:{name}{}:{value}", name.len(), value.len());
+        }
+        material.push_str(src);
+        FrontKey { material }
+    }
+}
+
+/// A request source after parse, check, lower and canonical printing —
+/// what every parameter list of that source shares.
+#[derive(Debug)]
+pub struct Lowered {
+    /// The program's declared name.
+    pub program: String,
+    /// The program's parameter declarations, which type overrides.
+    pub params: Vec<ParamDecl>,
+    /// The canonical pretty-printed source (the compile-cache key text).
+    pub canonical: String,
+    /// The lowered CDFG.
+    pub cdfg: Cdfg,
+}
+
+/// One memo entry: a lowered source, the typed overrides of one raw
+/// parameter list, and the two-mode reference interpretation under them.
+#[derive(Debug)]
+pub struct Front {
+    /// The lowered source.
+    pub lowered: Arc<Lowered>,
+    /// The typed parameter overrides.
+    pub overrides: Vec<(String, Value)>,
+    /// The mode-cross-checked reference every run is verified against,
+    /// cut to what verification reads ([`Reference::into_oracle`]).
+    pub reference: Reference,
 }
 
 /// Monotonic counters, readable while the cache is live.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned an artifact.
+    /// Lookups that returned an entry.
     pub hits: u64,
-    /// Lookups that found nothing (or a collision mismatch).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
@@ -110,10 +170,21 @@ pub struct CacheStats {
     pub inserts: u64,
 }
 
-/// A bounded, thread-safe, content-addressed LRU cache of compiled
-/// bitstream artifacts.
-pub struct CompileCache {
-    inner: Mutex<Inner>,
+struct Entry<V> {
+    value: Arc<V>,
+    last_used: u64,
+}
+
+struct Slots<V> {
+    /// Entries by their exact key material.
+    map: HashMap<String, Entry<V>>,
+    tick: u64,
+}
+
+/// A bounded, thread-safe LRU map from exact key material to shared
+/// values, with its own counters.
+struct Lru<V> {
+    slots: Mutex<Slots<V>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -121,11 +192,10 @@ pub struct CompileCache {
     inserts: AtomicU64,
 }
 
-impl CompileCache {
-    /// Creates a cache bounded to `capacity` entries (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        CompileCache {
-            inner: Mutex::new(Inner {
+impl<V> Lru<V> {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            slots: Mutex::new(Slots {
                 map: HashMap::new(),
                 tick: 0,
             }),
@@ -137,72 +207,130 @@ impl CompileCache {
         }
     }
 
-    /// Looks `key` up, counting a hit or miss and refreshing recency.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedArtifact>> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&key.address) {
-            Some(e) if e.material == key.material => {
+    fn lookup(&self, material: &str) -> Option<Arc<V>> {
+        let mut slots = self.slots.lock().expect("cache lock");
+        slots.tick += 1;
+        let tick = slots.tick;
+        match slots.map.get_mut(material) {
+            Some(e) => {
                 e.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(&e.value))
             }
-            _ => {
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Inserts an artifact, evicting the least-recently-used entry when
-    /// the bound is exceeded. Re-inserting an existing key refreshes the
-    /// value without eviction.
-    pub fn insert(&self, key: &CacheKey, value: CachedArtifact) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
+    fn insert(&self, material: &str, value: Arc<V>) {
+        let mut slots = self.slots.lock().expect("cache lock");
+        slots.tick += 1;
+        let tick = slots.tick;
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        inner.map.insert(
-            key.address.clone(),
+        slots.map.insert(
+            material.to_string(),
             Entry {
-                material: key.material.clone(),
-                value: Arc::new(value),
+                value,
                 last_used: tick,
             },
         );
-        while inner.map.len() > self.capacity {
+        while slots.map.len() > self.capacity {
             // O(n) victim scan: the cache is bounded to hundreds of
             // entries, and compiles dominate any eviction walk.
-            let victim = inner
+            let victim = slots
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
                 .expect("nonempty above capacity");
-            inner.map.remove(&victim);
+            slots.map.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+    fn len(&self) -> usize {
+        self.slots.lock().expect("cache lock").map.len()
     }
 
-    /// True when no entry is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// A bounded, thread-safe, content-addressed LRU cache of compiled
+/// bitstream artifacts, plus the equally bounded front-end memo.
+pub struct CompileCache {
+    artifacts: Lru<CachedArtifact>,
+    fronts: Lru<Front>,
+}
+
+impl CompileCache {
+    /// Creates a cache bounded to `capacity` artifacts and `capacity`
+    /// memoised front ends (clamped to ≥ 1).
+    pub fn new(capacity: usize) -> Self {
+        CompileCache {
+            artifacts: Lru::new(capacity),
+            fronts: Lru::new(capacity),
+        }
+    }
+
+    /// Looks `key` up, counting a hit or miss and refreshing recency.
+    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedArtifact>> {
+        self.artifacts.lookup(&key.material)
+    }
+
+    /// Inserts an artifact, evicting the least-recently-used entry when
+    /// the bound is exceeded, and returns the shared handle it is stored
+    /// under. Re-inserting an existing key refreshes the value without
+    /// eviction.
+    pub fn insert(&self, key: &CacheKey, value: CachedArtifact) -> Arc<CachedArtifact> {
+        let value = Arc::new(value);
+        self.artifacts.insert(&key.material, Arc::clone(&value));
+        value
+    }
+
+    /// Artifacts currently held.
+    pub fn len(&self) -> usize {
+        self.artifacts.len()
+    }
+
+    /// True when no artifact is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Snapshot of the artifact counters.
+    pub fn stats(&self) -> CacheStats {
+        self.artifacts.stats()
+    }
+
+    /// Looks a memoised front end up, counting a memo hit or miss.
+    pub fn memo_lookup(&self, key: &FrontKey) -> Option<Arc<Front>> {
+        self.fronts.lookup(&key.material)
+    }
+
+    /// Memoises a verified front end under the same LRU bound as the
+    /// artifacts. Only successes belong here: a failed front end is
+    /// recomputed.
+    pub fn memo_insert(&self, key: &FrontKey, front: Arc<Front>) {
+        self.fronts.insert(&key.material, front);
+    }
+
+    /// Front ends currently memoised.
+    pub fn memo_len(&self) -> usize {
+        self.fronts.len()
+    }
+
+    /// Snapshot of the memo counters.
+    pub fn memo_stats(&self) -> CacheStats {
+        self.fronts.stats()
     }
 }
 
@@ -293,5 +421,43 @@ mod tests {
         // Same inputs → same address (pure function).
         let k4 = CacheKey::derive("program p;\n", &archs[0], &none);
         assert_eq!(k1, k4);
+    }
+
+    #[test]
+    fn front_keys_separate_every_source_and_parameter_list() {
+        let lists: Vec<Vec<(String, String)>> = [
+            &[][..],
+            &[("n", "2")],
+            &[("n", "3")],
+            &[("n", "2"), ("m", "3")],
+            &[("m", "3"), ("n", "2")],
+            &[("n", "2,m=3")],
+            &[("n", "2;m=3")],
+            &[("n", "21:m1:3")],
+            &[("n:1", "2")],
+            &[("n", "1:2")],
+            &[("1:n1", "2")],
+            &[("n", "")],
+            &[("", "n")],
+        ]
+        .iter()
+        .map(|l| {
+            l.iter()
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect()
+        })
+        .collect();
+        let mut keys = Vec::new();
+        for src in ["", "x", "1:n1:2x", "0;x"] {
+            for list in &lists {
+                keys.push(((src, list), FrontKey::new(src, list)));
+            }
+        }
+        for (i, (a, ka)) in keys.iter().enumerate() {
+            for (b, kb) in &keys[i + 1..] {
+                assert_ne!(ka, kb, "{a:?} and {b:?} share a key");
+            }
+        }
+        assert_eq!(FrontKey::new("x", &lists[1]), FrontKey::new("x", &lists[1]));
     }
 }

@@ -6,8 +6,18 @@
 //! interpreter (arrays, sink streams, out-of-bounds counts, firing
 //! totals) before a 200 leaves the socket. A cache hit skips the
 //! *compile*, never the verification.
+//!
+//! The front end — parse, check, lower, canonical print, typed
+//! overrides and the two-mode reference interpretation — goes through
+//! the cache's memo, keyed by the exact source and raw parameter list.
+//! A memo hit skips all of it and still simulates and verifies against
+//! the memoised reference. A front end is memoised only when its request
+//! hit the compile cache: a source that has not repeated within the
+//! cache's window would most likely be evicted from the memo before it
+//! repeats too. Failures are never memoised, so their bodies are
+//! recomputed byte for byte.
 
-use crate::cache::{CacheKey, CachedArtifact};
+use crate::cache::{CacheKey, CachedArtifact, Front, FrontKey, Lowered};
 use crate::http::Request;
 use crate::{RouteMeta, ServerState};
 use marionette::cdfg::value::Value;
@@ -349,13 +359,10 @@ fn json_result(run: &PresetRun, sinks: &std::collections::HashMap<String, Vec<Va
 ///
 /// Returns `(run, artifact, hit)` so callers report cache outcome and
 /// remap metadata without re-deriving them.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn run_via_cache(
     state: &ServerState,
-    g: &marionette::cdfg::Cdfg,
-    reference: &Reference,
+    front: &Front,
     opts: &RunOptions,
-    overrides: &[(String, Value)],
     key: &CacheKey,
     src: &str,
     meta: &mut RouteMeta,
@@ -367,7 +374,12 @@ fn run_via_cache(
         tracer: None,
     };
     let mut stages = MissStages {
-        inner: Stages::new(g, reference, &opts.arch, overrides),
+        inner: Stages::new(
+            &front.lowered.cdfg,
+            &front.reference,
+            &opts.arch,
+            &front.overrides,
+        ),
         meta,
     };
     let preset = opts.arch.short;
@@ -381,13 +393,72 @@ fn run_via_cache(
     }
     let healed = self_heal(&mut stages, &opts.arch, &mut spec).map_err(|e| fail(e.into_inner()))?;
     let run = PresetRun::new(preset.to_string(), &healed.run, &healed.artifact.report);
-    let artifact = CachedArtifact {
-        compiled: healed.artifact,
-        remapped: healed.wedged.is_some(),
-        wedged: healed.wedged,
-    };
-    state.cache.insert(key, artifact.clone());
-    Ok((run, Arc::new(artifact), false))
+    let artifact = cache_artifact(
+        state,
+        key,
+        CachedArtifact {
+            compiled: healed.artifact,
+            remapped: healed.wedged.is_some(),
+            wedged: healed.wedged,
+        },
+    );
+    Ok((run, artifact, false))
+}
+
+/// Caches a freshly compiled artifact with its encoded bitstream
+/// released: the bytes only served the compile's encode/decode
+/// round-trip check, and nothing on the serve path reads them again.
+fn cache_artifact(
+    state: &ServerState,
+    key: &CacheKey,
+    mut artifact: CachedArtifact,
+) -> Arc<CachedArtifact> {
+    artifact.compiled.bitstream = Vec::new();
+    state.cache.insert(key, artifact)
+}
+
+/// Looks one parameter list's front end up in the memo. A request
+/// counts as a memo hit only when every lookup it made hit.
+fn memo_lookup(state: &ServerState, key: &FrontKey, meta: &mut RouteMeta) -> Option<Arc<Front>> {
+    let front = state.cache.memo_lookup(key);
+    meta.memo_hit = Some(front.is_some() && meta.memo_hit != Some(false));
+    front
+}
+
+/// Parses, checks, lowers and canonically prints the request source,
+/// timed into the request's `frontend_us`.
+fn lower_source(src: &str, meta: &mut RouteMeta) -> Result<Lowered, ApiError> {
+    let t = std::time::Instant::now();
+    let lowered = frontend(src).map(|(ast, cdfg)| Lowered {
+        canonical: print(&ast),
+        program: ast.name.name,
+        params: ast.params,
+        cdfg,
+    });
+    meta.frontend_us += micros_since(t);
+    lowered.map_err(|e| map_driver_error(e, src, false))
+}
+
+/// Types `raw` against the lowered source and interprets it in both
+/// modes (timed into `reference_us`).
+fn verify_front(
+    state: &ServerState,
+    lowered: &Arc<Lowered>,
+    raw: &[(String, String)],
+    src: &str,
+    meta: &mut RouteMeta,
+) -> Result<Arc<Front>, ApiError> {
+    let overrides =
+        typed_overrides(&lowered.params, raw).map_err(|e| ApiError::bad("bad_param", e))?;
+    let t = std::time::Instant::now();
+    let reference = reference(&lowered.cdfg, &overrides, state.cfg.interp_budget);
+    meta.reference_us += micros_since(t);
+    let reference = reference.map_err(|e| map_driver_error(e, src, false))?;
+    Ok(Arc::new(Front {
+        lowered: Arc::clone(lowered),
+        overrides,
+        reference: reference.into_oracle(),
+    }))
 }
 
 /// The shared pipeline stages with each compile and simulation timed
@@ -476,22 +547,28 @@ pub fn handle_run(
         ));
     }
     let src = String::from_utf8_lossy(&req.body).into_owned();
-    let (ast, g) = frontend(&src).map_err(|e| map_driver_error(e, &src, false))?;
-    let canonical = print(&ast);
-    let overrides =
-        typed_overrides(&ast, &opts.params).map_err(|e| ApiError::bad("bad_param", e))?;
-    let reference = reference(&g, &overrides, state.cfg.interp_budget)
-        .map_err(|e| map_driver_error(e, &src, false))?;
-    let key = CacheKey::derive(&canonical, &opts.arch, &opts.faults);
-    let (run, artifact, hit) =
-        run_via_cache(state, &g, &reference, &opts, &overrides, &key, &src, meta)?;
+    let front_key = FrontKey::new(&src, &opts.params);
+    let memoised = memo_lookup(state, &front_key, meta);
+    let front = match &memoised {
+        Some(front) => Arc::clone(front),
+        None => {
+            let lowered = Arc::new(lower_source(&src, meta)?);
+            verify_front(state, &lowered, &opts.params, &src, meta)?
+        }
+    };
+    let lowered = &front.lowered;
+    let key = CacheKey::derive(&lowered.canonical, &opts.arch, &opts.faults);
+    let (run, artifact, hit) = run_via_cache(state, &front, &opts, &key, &src, meta)?;
     meta.cache_hit = Some(hit);
+    if hit && memoised.is_none() {
+        state.cache.memo_insert(&front_key, Arc::clone(&front));
+    }
     let mut j = String::new();
-    response_head(&mut j, "run", &ast.name.name, &opts, &key, hit, &artifact);
+    response_head(&mut j, "run", &lowered.program, &opts, &key, hit, &artifact);
     let _ = writeln!(
         j,
         "  \"result\": {}",
-        json_result(&run, &reference.dropping.sinks)
+        json_result(&run, &front.reference.dropping.sinks)
     );
     j.push_str("}\n");
     Ok(j)
@@ -532,24 +609,33 @@ pub fn handle_batch(
         ));
     }
     let src = String::from_utf8_lossy(&req.body).into_owned();
-    let (ast, g) = frontend(&src).map_err(|e| map_driver_error(e, &src, false))?;
-    let canonical = print(&ast);
+    let front_keys: Vec<FrontKey> = opts
+        .lanes
+        .iter()
+        .map(|raw| FrontKey::new(&src, raw))
+        .collect();
+    // A memoised first lane carries the lowered source for every lane;
+    // otherwise the front end runs here, once for the whole batch.
+    let mut first = memo_lookup(state, &front_keys[0], meta);
+    let lowered = match &first {
+        Some(front) => Arc::clone(&front.lowered),
+        None => Arc::new(lower_source(&src, meta)?),
+    };
 
-    let key = CacheKey::derive(&canonical, &opts.arch, &opts.faults);
+    let key = CacheKey::derive(&lowered.canonical, &opts.arch, &opts.faults);
     let (artifact, hit) = match state.cache.lookup(&key) {
         Some(a) => (a, true),
         None => {
             let t = std::time::Instant::now();
-            let compiled =
-                compile_preset(&g, &opts.arch).map_err(|e| map_driver_error(e, &src, false))?;
+            let compiled = compile_preset(&lowered.cdfg, &opts.arch)
+                .map_err(|e| map_driver_error(e, &src, false))?;
             meta.compile_us += micros_since(t);
             let artifact = CachedArtifact {
                 compiled,
                 wedged: None,
                 remapped: false,
             };
-            state.cache.insert(&key, artifact.clone());
-            (Arc::new(artifact), false)
+            (cache_artifact(state, &key, artifact), false)
         }
     };
     meta.cache_hit = Some(hit);
@@ -559,26 +645,48 @@ pub fn handle_batch(
     // run fail becomes a per-lane error without sinking the batch.
     let preset = opts.arch.short;
     let mut lanes = Vec::with_capacity(opts.lanes.len());
-    for raw in &opts.lanes {
-        let overrides = typed_overrides(&ast, raw).map_err(|e| ApiError::bad("bad_param", e));
-        lanes.push(overrides.and_then(|overrides| {
-            let r = reference(&g, &overrides, state.cfg.interp_budget)
-                .map_err(|e| map_driver_error(e, &src, false))?;
+    for (i, (raw, front_key)) in opts.lanes.iter().zip(&front_keys).enumerate() {
+        let memoised = match i {
+            0 => first.take(),
+            _ => memo_lookup(state, front_key, meta),
+        };
+        let front = match memoised {
+            Some(front) => Ok(front),
+            None => verify_front(state, &lowered, raw, &src, meta).inspect(|front| {
+                if hit {
+                    state.cache.memo_insert(front_key, Arc::clone(front));
+                }
+            }),
+        };
+        lanes.push(front.and_then(|front| {
             let mut stages = MissStages {
-                inner: Stages::new(&g, &r, &opts.arch, &overrides),
+                inner: Stages::new(
+                    &front.lowered.cdfg,
+                    &front.reference,
+                    &opts.arch,
+                    &front.overrides,
+                ),
                 meta: &mut *meta,
             };
             let run = stages
                 .simulate(&artifact.compiled, &mut RunSpec::new(opts.max_cycles))
                 .map_err(|e| map_driver_error(DriverError::stage(preset, e), &src, false))?;
             let run = PresetRun::new(preset.to_string(), &run, &artifact.compiled.report);
-            Ok(json_result(&run, &r.dropping.sinks))
+            Ok(json_result(&run, &front.reference.dropping.sinks))
         }));
     }
     let errors = lanes.iter().filter(|l| l.is_err()).count();
 
     let mut j = String::new();
-    response_head(&mut j, "batch", &ast.name.name, &opts, &key, hit, &artifact);
+    response_head(
+        &mut j,
+        "batch",
+        &lowered.program,
+        &opts,
+        &key,
+        hit,
+        &artifact,
+    );
     let _ = writeln!(j, "  \"lane_errors\": {errors},");
     j.push_str("  \"lanes\": [\n");
     for (i, lane) in lanes.iter().enumerate() {

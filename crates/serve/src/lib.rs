@@ -9,10 +9,13 @@
 //!   implemented over `std::net` directly);
 //! - [`cache`] — the content-addressed compile cache. Keyed on the
 //!   canonical pretty-printed source + preset options + fault set,
-//!   bounded LRU, hit/miss/eviction counters;
-//! - [`job`] — request decoding and the execution pipeline (frontend →
-//!   cache lookup or compile → simulate → bit-verify vs the reference
-//!   interpreter).
+//!   bounded LRU, hit/miss/eviction counters. It also holds the memo
+//!   of verified front ends, keyed on the exact source + raw parameter
+//!   list, under the same bound and with counters of its own;
+//! - [`job`] — request decoding and the execution pipeline (memoised
+//!   frontend + reference → cache lookup or compile → simulate →
+//!   bit-verify vs the reference interpreter). Neither a cache hit nor
+//!   a memo hit skips the simulation or its verification.
 //!
 //! Admission control is structural: accepted connections are fed to a
 //! bounded [`marionette::parallel::WorkerPool`]; when the queue is full
@@ -136,8 +139,8 @@ pub struct ServerState {
 }
 
 /// Per-request routing metadata the observability layer reports: which
-/// endpoint handled it, the response content type, the cache verdict,
-/// and where the time went. Filled by [`route_with_meta`].
+/// endpoint handled it, the response content type, the cache and memo
+/// verdicts, and where the time went. Filled by [`route_with_meta`].
 #[derive(Debug)]
 pub struct RouteMeta {
     /// Canonical endpoint label (see [`metrics::ENDPOINTS`]).
@@ -146,6 +149,15 @@ pub struct RouteMeta {
     pub content_type: &'static str,
     /// Compile-cache verdict, when the endpoint consulted it.
     pub cache_hit: Option<bool>,
+    /// Front-end memo verdict, when the endpoint consulted it: a hit
+    /// only when every lookup of the request hit.
+    pub memo_hit: Option<bool>,
+    /// Microseconds spent parsing, checking, lowering and canonically
+    /// printing the source (0 on memo hits).
+    pub frontend_us: u64,
+    /// Microseconds spent in the two-mode reference interpretation (0
+    /// on memo hits).
+    pub reference_us: u64,
     /// Microseconds spent compiling (0 on hits and non-run endpoints).
     pub compile_us: u64,
     /// Microseconds spent simulating.
@@ -158,6 +170,9 @@ impl Default for RouteMeta {
             endpoint: "other",
             content_type: "application/json",
             cache_hit: None,
+            memo_hit: None,
+            frontend_us: 0,
+            reference_us: 0,
             compile_us: 0,
             sim_us: 0,
         }
@@ -190,6 +205,14 @@ fn stats_json(state: &ServerState, depth: usize) -> String {
         j,
         "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"inserts\": {}, \"entries\": {}}},",
         cs.hits, cs.misses, cs.evictions, cs.inserts, state.cache.len()
+    );
+    // Distinct key names: clients that read the first `"hits"` of the
+    // body get the compile cache's.
+    let ms = state.cache.memo_stats();
+    let _ = writeln!(
+        j,
+        "  \"reference_memo\": {{\"memo_hits\": {}, \"memo_misses\": {}, \"memo_evictions\": {}, \"memo_inserts\": {}, \"memo_entries\": {}}},",
+        ms.hits, ms.misses, ms.evictions, ms.inserts, state.cache.memo_len()
     );
     let _ = writeln!(
         j,
@@ -282,16 +305,20 @@ fn access_log_line(
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0.0, |d| d.as_secs_f64());
-    let cache = match meta.cache_hit {
+    let verdict = |hit| match hit {
         Some(true) => "\"hit\"",
         Some(false) => "\"miss\"",
         None => "null",
     };
     format!(
-        "{{\"log\":\"mard.access\",\"ts\":{ts:.3},\"id\":{id},\"method\":\"{}\",\"path\":\"{}\",\"endpoint\":\"{}\",\"status\":{status},\"cache\":{cache},\"compile_us\":{},\"sim_us\":{},\"total_us\":{total_us}}}",
+        "{{\"log\":\"mard.access\",\"ts\":{ts:.3},\"id\":{id},\"method\":\"{}\",\"path\":\"{}\",\"endpoint\":\"{}\",\"status\":{status},\"cache\":{},\"memo\":{},\"frontend_us\":{},\"reference_us\":{},\"compile_us\":{},\"sim_us\":{},\"total_us\":{total_us}}}",
         json_escape(method),
         json_escape(path),
         meta.endpoint,
+        verdict(meta.cache_hit),
+        verdict(meta.memo_hit),
+        meta.frontend_us,
+        meta.reference_us,
         meta.compile_us,
         meta.sim_us,
     )
@@ -489,5 +516,33 @@ impl Server {
                 pool.shutdown();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn access_log_line_carries_both_verdicts_and_every_stage() {
+        let meta = RouteMeta {
+            endpoint: "run",
+            cache_hit: Some(true),
+            memo_hit: Some(false),
+            frontend_us: 57,
+            reference_us: 131,
+            sim_us: 198,
+            ..RouteMeta::default()
+        };
+        let line = access_log_line(7, "POST", "/run", 200, &meta, 400);
+        assert!(
+            line.ends_with(r#""status":200,"cache":"hit","memo":"miss","frontend_us":57,"reference_us":131,"compile_us":0,"sim_us":198,"total_us":400}"#),
+            "{line}"
+        );
+        let idle = access_log_line(8, "GET", "/healthz", 200, &RouteMeta::default(), 5);
+        assert!(
+            idle.contains(r#""cache":null,"memo":null,"frontend_us":0,"reference_us":0,"#),
+            "{idle}"
+        );
     }
 }

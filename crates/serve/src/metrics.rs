@@ -223,13 +223,15 @@ impl Metrics {
 }
 
 /// Renders the Prometheus text exposition (version 0.0.4) for the
-/// server: request counters by endpoint+status, cache counters, queue
-/// and worker gauges, and the latency histogram in seconds.
+/// server: request counters by endpoint+status, cache and front-end
+/// memo counters, queue and worker gauges, and the latency histogram in
+/// seconds.
 #[must_use]
 pub fn render_prometheus(state: &crate::ServerState, depth: usize) -> String {
     use std::fmt::Write as _;
     let m = &state.metrics;
     let cs = state.cache.stats();
+    let ms = state.cache.memo_stats();
     let mut s = String::with_capacity(2048);
 
     s.push_str("# HELP mard_requests_total Requests served, by endpoint and status.\n");
@@ -264,6 +266,21 @@ pub fn render_prometheus(state: &crate::ServerState, depth: usize) -> String {
             "Compile-cache LRU evictions.",
             cs.evictions,
         ),
+        (
+            "mard_reference_memo_hits_total",
+            "Front-end memo hits (frontend and reference skipped).",
+            ms.hits,
+        ),
+        (
+            "mard_reference_memo_misses_total",
+            "Front-end memo misses.",
+            ms.misses,
+        ),
+        (
+            "mard_reference_memo_evictions_total",
+            "Front-end memo LRU evictions.",
+            ms.evictions,
+        ),
     ] {
         let _ = writeln!(s, "# HELP {name} {help}\n# TYPE {name} counter");
         let _ = writeln!(s, "{name} {value}");
@@ -273,6 +290,11 @@ pub fn render_prometheus(state: &crate::ServerState, depth: usize) -> String {
             "mard_cache_entries",
             "Compile-cache entries resident.",
             state.cache.len() as u64,
+        ),
+        (
+            "mard_reference_memo_entries",
+            "Front-end memo entries resident.",
+            state.cache.memo_len() as u64,
         ),
         (
             "mard_queue_depth",
