@@ -109,3 +109,107 @@ fn examples_survive_the_mapping_explorer() {
         .run;
     assert!(run.search.is_some(), "search report missing");
 }
+
+/// `marc --json -` runs pinned as FNV-1a digests of their stdout (the
+/// progress lines and the JSON report) with the `"file"` line left
+/// out: every example on every preset, plus a searched, a parameter
+/// and two faulted runs.
+const MARC_PINS: &[(&[&str], u64)] = &[
+    (&["examples/conv1d.mar"], 0x08efcd2792e16238),
+    (&["examples/crc.mar"], 0xa9d7976c8001fed7),
+    (&["examples/mergesort.mar"], 0xa88326e0591e210d),
+    (&["examples/crc.mar", "--search", "150"], 0x28a01ca68c222efc),
+    (
+        &["examples/crc.mar", "--fault", "pe:0,0"],
+        0xac7f7e6b5d1820dd,
+    ),
+    (
+        &["examples/conv1d.mar", "--param", "n=4", "--presets", "M,DF"],
+        0x005e954f61eb7259,
+    ),
+    (
+        &[
+            "examples/mergesort.mar",
+            "--presets",
+            "M,vN",
+            "--faults",
+            "2",
+            "--fault-seed",
+            "3",
+        ],
+        0xf4185a282018a5ce,
+    ),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Runs `marc --json - ARGS` from the repository root and digests its
+/// stdout without the `"file"` line.
+fn marc_digest(args: &[&str]) -> u64 {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_marc"))
+        .current_dir(root)
+        .args(["--json", "-"])
+        .args(args)
+        .output()
+        .expect("spawn marc");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "marc {args:?}: {:?}\n{stdout}{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let kept: String = stdout
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("\"file\":"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    fnv1a(kept.as_bytes())
+}
+
+#[test]
+fn marc_json_output_is_pinned() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let mut examples: Vec<String> = std::fs::read_dir(dir)
+        .expect("examples dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".mar"))
+        .collect();
+    examples.sort();
+    for ex in &examples {
+        let path = format!("examples/{ex}");
+        assert!(
+            MARC_PINS.iter().any(|(args, _)| args == &[path.as_str()]),
+            "{path} has no plain pin"
+        );
+    }
+    let got: Vec<(&[&str], u64)> = MARC_PINS
+        .iter()
+        .map(|&(args, _)| (args, marc_digest(args)))
+        .collect();
+    let differing: Vec<&[&str]> = (got.iter().zip(MARC_PINS))
+        .filter(|(g, p)| g.1 != p.1)
+        .map(|(g, _)| g.0)
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(args, d)| format!("    (&{args:?}, {d:#018x}),\n"))
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "marc runs differing from their pins: {differing:?}\nthe runs now read:\n{table}"
+    );
+}
