@@ -22,7 +22,6 @@
 //! `--check`: a damaged fabric is not comparable to the healthy
 //! baseline.
 
-use marionette::arch::FabricDims;
 use marionette::cli::{multi, opt, switch, Args, Spec};
 use marionette::compiler::SearchBudget;
 use marionette::kernels::traits::Scale;
@@ -82,8 +81,8 @@ fn main() {
 }
 
 fn config(a: &Args) -> Result<Config, String> {
-    let fabric = a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper);
-    let faulted = !a.fault_set(fabric)?.is_empty();
+    let req = a.run_request()?;
+    let faulted = !req.faults().is_empty();
     let wall_tolerance = match a.parsed::<f64>("--wall-tolerance")? {
         None => 0.25,
         Some(pct) if pct >= 0.0 => pct / 100.0,
@@ -100,15 +99,15 @@ fn config(a: &Args) -> Result<Config, String> {
         wall_tolerance,
         trace: str("--trace"),
         axes: Axes {
-            pinned: a.strings("--fault"),
-            fault_counts: vec![a.num("--faults", 0)?],
-            fault_seeds: vec![a.num("--fault-seed", 1)?],
+            pinned: req.pinned_faults.specs().to_vec(),
+            fault_counts: vec![req.random_faults],
+            fault_seeds: vec![req.fault_seed],
             // Fault runs measure self-healed greedy mappings and the gate
             // compares greedy cycles: the search delta sweep would only
             // add time to each.
             search: (!(a.has("--no-search") || faulted || a.has("--check")))
                 .then(SearchBudget::default_on),
-            ..Axes::healthy(kernel_tags(None)?, vec![fabric], None)
+            ..Axes::healthy(kernel_tags(None)?, vec![req.fabric], None)
         },
     };
     let (traced, check, point) = (

@@ -94,15 +94,10 @@ fn config(a: &Args) -> Result<Config, String> {
     let tenants = tenants.iter().map(|t| canonical_kernel(t));
     let fabrics = [(4, 4), (6, 6), (8, 8)].map(|(r, c)| FabricDims::new(r, c));
     let presets = a.str("--presets").unwrap_or("vN,DF,M-PE,M-CN,M");
+    let req = a.run_request()?;
     let cfg = Config {
         axes: Axes {
-            search: a
-                .search("--search")?
-                .map(|(moves, restarts)| SearchBudget::Anneal {
-                    moves,
-                    restarts,
-                    base_seed: 0xA11E,
-                }),
+            search: req.search,
             ..Axes::healthy(
                 kernel_tags(a.list("--kernels")?.as_deref())?,
                 a.list("--fabrics")?.unwrap_or(fabrics.to_vec()),
@@ -110,7 +105,7 @@ fn config(a: &Args) -> Result<Config, String> {
             )
         },
         scale: a.scale()?,
-        max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
+        max_cycles: req.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES),
         partitions,
         tenants: tenants
             .collect::<Result<_, _>>()
@@ -348,15 +343,7 @@ fn run(cfg: &Config) -> Result<(), String> {
         .field("seed", SEED)
         .field("fabrics", report::str_list(&cfg.axes.fabrics))
         .field("presets", report::str_list(&preset_order))
-        .field(
-            "search",
-            match cfg.axes.search {
-                Some(SearchBudget::Anneal {
-                    moves, restarts, ..
-                }) => format!("{{\"moves\": {moves}, \"restarts\": {restarts}}}"),
-                _ => "null".to_string(),
-            },
-        )
+        .field("search", report::search_json(cfg.axes.search))
         .field("total_wall_ms", format!("{wall_ms:.3}"));
     let gap_rows: Vec<String> = gap
         .iter()

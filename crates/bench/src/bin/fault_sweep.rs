@@ -26,7 +26,6 @@
 //! `1` any pipeline/verification failure or `--check` mismatch,
 //! `2` usage errors.
 
-use marionette::arch::FabricDims;
 use marionette::cli::{multi, opt, Args, Spec};
 use marionette::experiments::geomean;
 use marionette::kernels::traits::Scale;
@@ -80,20 +79,20 @@ struct Measured {
 }
 
 fn config(a: &Args) -> Result<(Config, Vec<Point>), String> {
-    let fabric = a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper);
+    let req = a.run_request()?;
     let presets = a.str("--presets").unwrap_or("vN,DF,M-PE,M-CN,M");
     let cfg = Config {
         axes: Axes {
             kernels: kernel_tags(a.list("--kernels")?.as_deref())?,
-            fabrics: vec![fabric],
+            fabrics: vec![req.fabric],
             presets: Some(presets.to_string()),
-            pinned: a.strings("--fault"),
+            pinned: req.pinned_faults.specs().to_vec(),
             fault_counts: a.list("--fault-counts")?.unwrap_or(vec![0, 1, 2, 4]),
             fault_seeds: (1..=a.positive("--fault-seeds", 3)? as u64).collect(),
             search: None,
         },
         scale: a.scale()?,
-        max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
+        max_cycles: req.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES),
         out: a.str("--out").unwrap_or("BENCH_fault.json").to_string(),
         check: a.str("--check").map(str::to_string),
         trace: a.str("--trace").map(str::to_string),

@@ -9,7 +9,6 @@
 //! `--no-sim` skips the simulations (cost model only), for quick smoke
 //! runs in CI.
 
-use marionette::arch::FabricDims;
 use marionette::cli::{opt, switch, Args, Spec};
 use marionette::compiler::explore::greedy_cost;
 use marionette::compiler::{compile, CostModel, SearchBudget, SearchReport};
@@ -51,12 +50,12 @@ fn config(a: &Args) -> Result<Config, String> {
     let cfg = Config {
         axes: Axes::healthy(
             kernel_tags(a.list("--kernels")?.as_deref())?,
-            vec![a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper)],
+            vec![a.run_request()?.fabric],
             a.str("--presets").map(str::to_string),
         ),
         moves: a.num("--moves", 1500)?,
         restarts: a.num("--restarts", 2)?,
-        base_seed: a.num("--seed", 0xA11E)?,
+        base_seed: a.num("--seed", SearchBudget::ANNEAL_SEED)?,
         scale: a.scale()?,
         simulate: !a.has("--no-sim"),
         out: a.str("--out").unwrap_or("MAP_explore.json").to_string(),

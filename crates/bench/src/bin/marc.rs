@@ -17,11 +17,11 @@
 //! caret. Exit codes: `0` verified on every preset, `1` any pipeline or
 //! verification failure, `2` usage errors.
 
-use marionette::arch::{Architecture, FabricDims};
+use marionette::arch::Architecture;
 use marionette::cdfg::Cdfg;
 use marionette::cli::{multi, opt, switch, usage_exit, Args, Spec};
-use marionette::compiler::SearchBudget;
 use marionette::report::{self, json_escape, json_sinks, Snapshot};
+use marionette::request::RunRequest;
 use marionette::sim::{FaultSet, RunSpec};
 use marionette_lang::driver::{
     frontend, reference, run_preset, typed_overrides, DriverError, FaultRun, Reference,
@@ -50,10 +50,9 @@ static SPEC: Spec = Spec {
 
 struct Config {
     file: String,
+    /// The selected presets, with the request's search budget applied.
     presets: Vec<Architecture>,
-    fabric: FabricDims,
-    search: Option<(u32, u32)>,
-    params: Vec<(String, String)>,
+    req: RunRequest,
     max_cycles: u64,
     faults: FaultSet,
     disasm: bool,
@@ -67,11 +66,12 @@ fn config(a: &Args) -> Result<Config, String> {
         [] => return Err("expected an input file FILE.mar".to_string()),
         _ => return Err("more than one input file".to_string()),
     };
-    let fabric = a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper);
-    let presets = match a.str("--presets") {
-        None => marionette::arch::all_presets_on(fabric),
-        Some(tags) => marionette::arch::presets_by_tags_on(fabric, tags)?,
+    let req = a.run_request()?;
+    let mut presets = match a.str("--presets") {
+        None => marionette::arch::all_presets_on(req.fabric),
+        Some(tags) => marionette::arch::presets_by_tags_on(req.fabric, tags)?,
     };
+    presets.iter_mut().for_each(|p| req.apply_search(p));
     if presets.is_empty() {
         return Err("empty preset selection".to_string());
     }
@@ -87,22 +87,12 @@ fn config(a: &Args) -> Result<Config, String> {
         // Surface an unwritable trace path before spending cycles.
         std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
     }
-    let params = a
-        .strings("--param")
-        .into_iter()
-        .map(|spec| match spec.split_once('=') {
-            Some((name, val)) => Ok((name.to_string(), val.to_string())),
-            None => Err(format!("--param needs NAME=VALUE, got `{spec}`")),
-        })
-        .collect::<Result<_, String>>()?;
     Ok(Config {
         file,
         presets,
-        fabric,
-        search: a.search("--search")?,
-        params,
-        max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
-        faults: a.fault_set(fabric)?,
+        max_cycles: req.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES),
+        faults: req.faults(),
+        req,
         disasm: a.has("--disasm"),
         json: a.str("--json").map(str::to_string),
         trace,
@@ -111,24 +101,13 @@ fn config(a: &Args) -> Result<Config, String> {
 
 /// The `--json` report of a program's verified runs.
 fn json_report(args: &Config, program: &str, g: &Cdfg, r: &Reference, runs: &[FaultRun]) -> String {
-    let (faults, search) = (&args.faults, args.search);
+    let faults = &args.faults;
     let lines: Vec<String> = runs
         .iter()
         .map(|fr| {
             let r = &fr.run;
-            let mut line = format!(
-                "{{\"preset\": \"{}\", \"cycles\": {}, \"fires\": {}, \
-                 \"link_stall_cycles\": {}, \"switch_stall_cycles\": {}, \"group_switches\": {}, \
-                 \"routes\": {}, \"mean_data_hops\": {:.3}, \"verified\": true",
-                json_escape(&r.preset),
-                r.cycles,
-                r.fires,
-                r.link_stall_cycles,
-                r.switch_stall_cycles,
-                r.group_switches,
-                r.routes,
-                r.mean_data_hops
-            );
+            let preset = json_escape(&r.preset);
+            let mut line = format!("{{\"preset\": \"{preset}\", {}", r.json_members());
             if !faults.is_empty() {
                 match &fr.wedged {
                     Some(w) => line.push_str(&format!(", \"wedged\": \"{}\"", json_escape(w))),
@@ -151,17 +130,13 @@ fn json_report(args: &Config, program: &str, g: &Cdfg, r: &Reference, runs: &[Fa
         })
         .collect();
     let mut snap = Snapshot::new("marionette.marc/v1");
-    let search = match search {
-        Some((m, r)) => format!("{{\"moves\": {m}, \"restarts\": {r}}}"),
-        None => "null".to_string(),
-    };
     snap.str("file", &args.file)
         .str("program", program)
-        .str("fabric", &args.fabric.to_string())
+        .str("fabric", &args.req.fabric.to_string())
         .field("faults", report::str_list(faults.specs()))
         .field("nodes", g.nodes.len())
         .field("loops", g.loops.len())
-        .field("search", search)
+        .field("search", report::search_json(args.req.search))
         .field("sinks", json_sinks(&r.dropping.sinks))
         .rows("presets", &lines);
     snap.render()
@@ -190,7 +165,7 @@ fn run() -> Result<(), i32> {
         }
         1
     })?;
-    let overrides = typed_overrides(&ast.params, &args.params)
+    let overrides = typed_overrides(&ast.params, &args.req.params)
         .unwrap_or_else(|e| usage_exit(SPEC.name, format!("--{e}")));
 
     // Reference semantics (both interpreter modes, cross-checked).
@@ -213,20 +188,12 @@ fn run() -> Result<(), i32> {
     let mut runs = Vec::new();
     let mut tracer = args.trace.as_ref().map(|_| marionette::sim::Tracer::new());
     for arch in presets {
-        let mut arch = arch.clone();
-        if let Some((moves, restarts)) = args.search {
-            arch.opts.search = SearchBudget::Anneal {
-                moves,
-                restarts,
-                base_seed: 0xA11E,
-            };
-        }
         let mut spec = RunSpec {
             faults,
             max_cycles: args.max_cycles,
             tracer: tracer.as_mut(),
         };
-        let fr = run_preset(&g, &r, &arch, &overrides, &mut spec).map_err(|e| {
+        let fr = run_preset(&g, &r, arch, &overrides, &mut spec).map_err(|e| {
             eprintln!("marc: {e}");
             1
         })?;

@@ -12,7 +12,7 @@ use marionette::compiler::SearchBudget;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::par_map;
 use marionette::report::{num_list, Snapshot};
-use marionette::sim::FaultSet;
+use marionette::sim::{FaultSet, FaultSpec};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -52,8 +52,8 @@ pub struct Axes {
     pub fabrics: Vec<FabricDims>,
     /// A comma list of preset tags (`None`: every preset).
     pub presets: Option<String>,
-    /// Fault specs pinned under every point.
-    pub pinned: Vec<String>,
+    /// Faults pinned under every point.
+    pub pinned: Vec<FaultSpec>,
     /// Random-fault counts, one draw per count and seed.
     pub fault_counts: Vec<usize>,
     /// Seeds of the random draws (a draw with no fault runs once).
@@ -111,14 +111,18 @@ impl Axes {
                         let seeds =
                             &self.fault_seeds[..if fixed { 1 } else { self.fault_seeds.len() }];
                         for &seed in seeds {
-                            let (rows, cols) = (dims.rows, dims.cols);
+                            let mut fault_set = FaultSet::new(dims.rows, dims.cols);
+                            for &spec in &self.pinned {
+                                fault_set.add(spec)?;
+                            }
+                            fault_set.add_random(n, seed);
                             out.push(Point {
                                 kernel: kernel.clone(),
                                 fabric: *dims,
                                 arch: arch.clone(),
                                 faults: n,
                                 fault_seed: seed,
-                                fault_set: FaultSet::from_cli(rows, cols, &self.pinned, n, seed)?,
+                                fault_set,
                             });
                         }
                     }
@@ -566,7 +570,7 @@ mod tests {
         let (out, _) = run(pts, 2, |p| Ok(p.faults)).unwrap();
         assert_eq!(&out[..3], &[0, 1, 1]);
         let bad = Axes {
-            pinned: vec!["pe:9,9".into()],
+            pinned: vec!["pe:9,9".parse().unwrap()],
             ..Axes::healthy(vec!["CRC".into()], vec![FabricDims::paper()], None)
         };
         assert!(bad.points().is_err(), "off-fabric pinned fault");

@@ -96,6 +96,15 @@ fn marc_rejects_unknown_flag_and_multiple_files() {
 }
 
 #[test]
+fn marc_rejects_a_search_that_is_not_moves_and_restarts() {
+    // The decoder mard shares: three parts, or zero chains, is no budget.
+    for search in ["20,1,3", "20,0"] {
+        let out = run(MARC, &["--search", search, "examples/crc.mar"]);
+        assert_usage_error(&out, &format!("search `{search}`"), "marc bad search");
+    }
+}
+
+#[test]
 fn fault_sweep_rejects_duplicate_fabric() {
     let out = run(FAULT_SWEEP, &["--fabric", "4x4", "--fabric", "6x6"]);
     assert_usage_error(&out, "duplicate flag `--fabric`", "fault_sweep dup fabric");

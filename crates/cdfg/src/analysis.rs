@@ -234,17 +234,6 @@ pub fn compute_ops_per_block(g: &Cdfg) -> Vec<usize> {
     counts
 }
 
-/// Blocks directly belonging to a loop (header + body + branch blocks of
-/// that loop level, excluding deeper loops).
-pub fn loop_own_blocks(g: &Cdfg, l: LoopId) -> Vec<BlockId> {
-    g.blocks
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.loop_id == Some(l))
-        .map(|(i, _)| BlockId(i as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -857,11 +857,6 @@ impl CdfgBuilder {
         self.g
     }
 
-    /// Number of nodes created so far (useful for size assertions).
-    pub fn node_count(&self) -> usize {
-        self.g.nodes.len()
-    }
-
     /// The program start token (one `Unit` token at program begin).
     pub fn start_token(&self) -> V {
         V(PortSrc::Node(self.start))

@@ -101,8 +101,6 @@ pub struct InterpResult {
     pub memory: Memory,
     /// Total node firings.
     pub firings: u64,
-    /// Firing count per node (profile for the compiler's reshape pass).
-    pub fired_per_node: Vec<u64>,
 }
 
 impl InterpResult {
@@ -152,7 +150,6 @@ struct Engine<'g> {
     memory: Memory,
     sinks: HashMap<String, Vec<Value>>,
     firings: u64,
-    fired_per_node: Vec<u64>,
     ready: VecDeque<NodeId>,
     in_ready: Vec<bool>,
 }
@@ -213,7 +210,6 @@ pub fn interpret_with_budget(
             .map(|(_, name)| (name.to_string(), Vec::new()))
             .collect(),
         firings: 0,
-        fired_per_node: vec![0; g.nodes.len()],
         ready: VecDeque::new(),
         in_ready: vec![false; g.nodes.len()],
     };
@@ -239,7 +235,6 @@ pub fn interpret_with_budget(
         sinks: eng.sinks,
         memory: eng.memory,
         firings: eng.firings,
-        fired_per_node: eng.fired_per_node,
     })
 }
 
@@ -306,7 +301,6 @@ impl<'g> Engine<'g> {
         for (id, n) in self.g.iter_nodes() {
             if matches!(n.op, Op::Start) {
                 self.firings += 1;
-                self.fired_per_node[id.0 as usize] += 1;
                 self.emit(id, Value::Unit);
             }
             // Nodes with all-immediate connected inputs would livelock;
@@ -317,7 +311,6 @@ impl<'g> Engine<'g> {
             // Drain the node: fire as long as it can.
             while self.try_fire(n) {
                 self.firings += 1;
-                self.fired_per_node[n.0 as usize] += 1;
                 if self.firings > budget {
                     return Err(InterpError::FiringBudgetExceeded { budget });
                 }
@@ -864,26 +857,5 @@ mod tests {
             }
         );
         assert_eq!(r.scalar("s").unwrap(), Value::I32(3));
-    }
-
-    #[test]
-    fn firing_counts_profile() {
-        let mut b = CdfgBuilder::new("t");
-        let zero = b.imm(0);
-        let outs = b.for_range(0, 10, &[zero], |b, i, v| vec![b.add(v[0], i)]);
-        b.sink("s", outs[0]);
-        let g = b.finish();
-        let r = interpret(&g, ExecMode::Dropping, &[]).unwrap();
-        // The accumulator add lives in the body (the induction increment
-        // belongs to the header cluster). It fires once per iteration.
-        let adds: Vec<u64> = g
-            .iter_nodes()
-            .filter(|(_, n)| {
-                matches!(n.op, Op::Bin(crate::op::BinOp::Add))
-                    && g.block(n.bb).kind == crate::graph::BlockKind::LoopBody
-            })
-            .map(|(id, _)| r.fired_per_node[id.0 as usize])
-            .collect();
-        assert_eq!(adds, vec![10]);
     }
 }

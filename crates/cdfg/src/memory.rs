@@ -66,16 +66,6 @@ impl Memory {
         &self.arrays[arr.0 as usize]
     }
 
-    /// Overwrite an array's contents (workload injection).
-    ///
-    /// # Panics
-    /// Panics if `data` is longer than the declared array.
-    pub fn write_array(&mut self, arr: ArrayId, data: &[Value]) {
-        let a = &mut self.arrays[arr.0 as usize];
-        assert!(data.len() <= a.len(), "workload larger than array");
-        a[..data.len()].copy_from_slice(data);
-    }
-
     /// Number of out-of-bounds accesses observed.
     pub fn oob_events(&self) -> u64 {
         self.oob

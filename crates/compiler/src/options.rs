@@ -173,6 +173,10 @@ pub enum SearchBudget {
 }
 
 impl SearchBudget {
+    /// The base seed of every front end's anneal budget: the default
+    /// budget's and the one a run request's `search=` names.
+    pub const ANNEAL_SEED: u64 = 0xA11E;
+
     /// A default budget sized for the 4×4 fabric: two restart chains of
     /// 1500 moves each — enough to close most of the observable mapping
     /// headroom on the evaluation kernels without dominating compile
@@ -181,7 +185,7 @@ impl SearchBudget {
         SearchBudget::Anneal {
             moves: 1500,
             restarts: 2,
-            base_seed: 0xA11E,
+            base_seed: Self::ANNEAL_SEED,
         }
     }
 

@@ -6,10 +6,15 @@
 //! positionals and (through the typed getters of [`Args`]) malformed
 //! values are usage errors, which exit 2. `--help` prints help
 //! generated from the same table.
+//!
+//! The run-policy flags (`--fabric`, `--search`, `--fault`, `--faults`,
+//! `--fault-seed`, `--max-cycles`, `--param`) are not decoded here:
+//! [`Args::run_request`] hands them to [`crate::request`], the decoder
+//! `mard` applies to the same options in its query string, and a value
+//! it rejects is a usage error too.
 
-use crate::arch::FabricDims;
 use crate::kernels::traits::Scale;
-use crate::sim::FaultSet;
+use crate::request::RunRequest;
 use std::fmt::Display;
 use std::str::FromStr;
 
@@ -288,28 +293,20 @@ impl Args {
         }
     }
 
-    /// A search budget `MOVES[,RESTARTS]` (restarts default to 1).
-    pub fn search(&self, name: &str) -> Result<Option<(u32, u32)>, String> {
-        let Some(spec) = self.str(name) else {
-            return Ok(None);
-        };
-        let bad = || format!("{name} needs MOVES[,RESTARTS], got `{spec}`");
-        let (moves, restarts) = spec.split_once(',').unwrap_or((spec, "1"));
-        let moves = moves.trim().parse().map_err(|_| bad())?;
-        Ok(Some((moves, restarts.trim().parse().map_err(|_| bad())?)))
-    }
-
-    /// The fault set on a fabric: pinned `--fault` specs plus `--faults N`
-    /// random ones drawn with `--fault-seed` (default 1).
-    pub fn fault_set(&self, dims: FabricDims) -> Result<FaultSet, String> {
-        let (n, seed) = (self.num("--faults", 0)?, self.num("--fault-seed", 1)?);
-        FaultSet::from_cli(dims.rows, dims.cols, &self.strings("--fault"), n, seed)
+    /// The run request the command line names: its `--fabric`,
+    /// `--search`, `--fault`, `--faults`, `--fault-seed`, `--max-cycles`
+    /// and `--param` flags, whichever the tool declares, decoded by
+    /// [`RunRequest::decode`].
+    pub fn run_request(&self) -> Result<RunRequest, String> {
+        let pairs = self.values.iter().map(|(n, v)| (&n[2..], v.as_str()));
+        RunRequest::decode(pairs).map_err(|e| e.to_string())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::FabricDims;
 
     static SPEC: Spec = Spec {
         name: "tool",
@@ -378,13 +375,10 @@ mod tests {
         assert!(a.positive("--count", 1).is_err());
         assert_eq!(a.num("--faults", 7usize).unwrap(), 7, "absent -> default");
 
-        let a = parse(&["--search", "150,2"]).unwrap();
-        assert_eq!(a.search("--search").unwrap(), Some((150, 2)));
-        let a = parse(&["--search", "150"]).unwrap();
-        assert_eq!(a.search("--search").unwrap(), Some((150, 1)));
-        for bad in ["x", "150,y", "1,2,3"] {
-            let a = parse(&["--search", bad]).unwrap();
-            assert!(a.search("--search").is_err(), "{bad}");
+        let search = |v: &str| parse(&["--search", v]).unwrap().run_request();
+        assert!(search("150,2").unwrap().search.is_some());
+        for bad in ["x", "150,y", "1,2,3", "150,0"] {
+            assert!(search(bad).is_err(), "{bad}");
         }
 
         let a = parse(&["--fabrics", "4x4, 6x6"]).unwrap();
@@ -403,10 +397,9 @@ mod tests {
     #[test]
     fn fault_flags_build_one_fault_set() {
         let a = parse(&["--fault", "pe:0,0", "--faults", "2", "--fault-seed", "3"]).unwrap();
-        let fs = a.fault_set(FabricDims::paper()).unwrap();
-        assert_eq!(fs.specs().len(), 3);
+        assert_eq!(a.run_request().unwrap().faults().specs().len(), 3);
         let a = parse(&["--fault", "pe:9,9"]).unwrap();
-        assert!(a.fault_set(FabricDims::paper()).is_err(), "off-fabric");
+        assert!(a.run_request().is_err(), "off-fabric");
     }
 
     #[test]

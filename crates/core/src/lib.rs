@@ -63,6 +63,7 @@ pub mod experiments;
 pub mod parallel;
 pub mod pipeline;
 pub mod report;
+pub mod request;
 pub mod runner;
 
 /// Convenience imports for examples and tests.

@@ -155,22 +155,17 @@ pub struct Reference {
 }
 
 impl Reference {
-    /// This reference without what [`Oracle::check`] never reads: both
-    /// per-node firing profiles and the predicated run's memory and sinks
-    /// (its firing count stays). For callers that keep a reference to
-    /// verify later runs against.
+    /// This reference without what [`Oracle::check`] never reads: the
+    /// predicated run's memory and sinks (its firing count stays). For
+    /// callers that keep a reference to verify later runs against.
     #[must_use]
     pub fn into_oracle(self) -> Reference {
         Reference {
-            dropping: InterpResult {
-                fired_per_node: Vec::new(),
-                ..self.dropping
-            },
+            dropping: self.dropping,
             predicated: InterpResult {
                 sinks: HashMap::new(),
                 memory: Memory::default(),
                 firings: self.predicated.firings,
-                fired_per_node: Vec::new(),
             },
         }
     }

@@ -2,6 +2,7 @@
 //! (`bench_sim`, `map_explore`, `marc`, `fuzz_stack`) and `mard`, so
 //! every report agrees on escaping, value rendering and layout.
 
+use crate::compiler::SearchBudget;
 use marionette_cdfg::value::Value;
 use std::collections::HashMap;
 use std::fmt::Display;
@@ -22,6 +23,17 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// A report's `search` field: `{"moves": M, "restarts": R}` for an
+/// anneal budget, `null` for none.
+pub fn search_json(search: Option<SearchBudget>) -> String {
+    match search {
+        Some(SearchBudget::Anneal {
+            moves, restarts, ..
+        }) => format!("{{\"moves\": {moves}, \"restarts\": {restarts}}}"),
+        _ => "null".to_string(),
+    }
 }
 
 /// Renders labeled sink streams as a JSON object, labels sorted. Finite

@@ -16,9 +16,9 @@
 //! regions and the geometry-derived centralized-control timing.
 //!
 //! `--search` turns the compiler's annealing mapping explorer on for
-//! every selected preset (MOVES annealing moves, RESTARTS chains),
-//! fuzzing the searched placements and rip-up routes instead of the
-//! legacy one-shot pipeline.
+//! every selected preset (MOVES annealing moves, RESTARTS chains, from
+//! the anneal seed every front end shares), fuzzing the searched
+//! placements and rip-up routes instead of the legacy one-shot pipeline.
 //!
 //! `--source` additionally exercises the `.mar` source axis: each
 //! program is emitted as `marionette-lang` source, re-lowered through
@@ -34,9 +34,10 @@
 //! `--print-seed S` prints seed S's program in the corpus text format and
 //! exits (handy for seeding the corpus or inspecting a failure).
 
-use marionette::arch::{Architecture, FabricDims};
+use marionette::arch::Architecture;
 use marionette::cli::{multi, opt, switch, Args, Spec};
 use marionette::parallel::{par_map, sweep_threads};
+use marionette::request::RunRequest;
 use marionette::sim::{FaultSet, RunSpec};
 use marionette_fuzzgen::diff::{diff_program, DEFAULT_MAX_CYCLES};
 use marionette_fuzzgen::gen::{generate, GenConfig};
@@ -80,34 +81,19 @@ struct Config {
     max_cycles: u64,
     serial: bool,
     print_seed: Option<u64>,
-    search: Option<(u32, u32)>,
     source: bool,
-    fabric: FabricDims,
-    faults: usize,
-    fault_specs: Vec<String>,
-    base_faults: FaultSet,
+    /// Fabric, search budget and faults; `--faults N` draws a fresh
+    /// random set per program seed on top of the pinned `--fault`s.
+    req: RunRequest,
 }
 
 fn config(a: &Args) -> Result<Config, String> {
-    let fabric = a.parsed("--fabric")?.unwrap_or_else(FabricDims::paper);
-    let search = a.search("--search")?;
+    let req = a.run_request()?;
     let mut presets = match a.str("--presets") {
-        None => marionette::arch::all_presets_on(fabric),
-        Some(tags) => marionette::arch::presets_by_tags_on(fabric, tags)?,
+        None => marionette::arch::all_presets_on(req.fabric),
+        Some(tags) => marionette::arch::presets_by_tags_on(req.fabric, tags)?,
     };
-    if let Some((moves, restarts)) = search {
-        for p in &mut presets {
-            p.opts.search = marionette::compiler::SearchBudget::Anneal {
-                moves,
-                restarts,
-                base_seed: 0xF022,
-            };
-        }
-    }
-    // Explicit `--fault` specs are pinned under every seed; `--faults N`
-    // adds fresh random faults per seed.
-    let fault_specs = a.strings("--fault");
-    let base_faults = FaultSet::from_cli(fabric.rows, fabric.cols, &fault_specs, 0, 0)?;
+    presets.iter_mut().for_each(|p| req.apply_search(p));
     let cfg = Config {
         start: a.num("--start", 0)?,
         count: a.num("--count", 1000)?,
@@ -123,21 +109,16 @@ fn config(a: &Args) -> Result<Config, String> {
             .unwrap_or("crates/fuzzgen/corpus")
             .to_string(),
         json: a.str("--json").map(str::to_string),
-        max_cycles: a.num("--max-cycles", DEFAULT_MAX_CYCLES)?,
+        max_cycles: req.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES),
         serial: a.has("--serial"),
         print_seed: a
             .str("--print-seed")
             .map(|_| a.num("--print-seed", 0))
             .transpose()?,
-        search,
         source: a.has("--source"),
-        fabric,
-        faults: a.num("--faults", 0)?,
-        fault_specs,
-        base_faults,
+        req,
     };
-    let have_faults = cfg.faults > 0 || !cfg.base_faults.is_empty();
-    if have_faults && cfg.source {
+    if !cfg.req.faults().is_empty() && cfg.source {
         return Err("--source and fault injection cannot be combined".to_string());
     }
     Ok(cfg)
@@ -154,13 +135,13 @@ struct SeedOutcome {
     failure: Option<String>,
 }
 
-use marionette::report::{json_escape, str_list, Snapshot};
+use marionette::report::{json_escape, search_json, str_list, Snapshot};
 
 fn main() {
     let a = SPEC.parse_env();
     let args = a.or_exit(config(&a));
-    let (presets, base_faults, cfg) = (&args.presets, &args.base_faults, &args.gen);
-    let have_faults = args.faults > 0 || !base_faults.is_empty();
+    let (presets, req, cfg) = (&args.presets, &args.req, &args.gen);
+    let have_faults = !req.faults().is_empty();
     if let Some(seed) = args.print_seed {
         print!("{}", generate(seed, cfg).to_text());
         return;
@@ -168,14 +149,6 @@ fn main() {
     let threads = if args.serial { 1 } else { sweep_threads() };
     let seeds: Vec<u64> = (args.start..args.start + args.count).collect();
     let t0 = Instant::now();
-    // The shared fault CLI surface: each seed gets its own seeded-random
-    // damage on top of the pinned specs and exercises the self-healing
-    // remap loop.
-    let seed_faults = |seed: u64| {
-        let mut faults = base_faults.clone();
-        faults.add_random(args.faults, seed);
-        faults
-    };
     // With --source, each seed runs both axes sharing one reference
     // interpretation of the builder graph.
     let diff = |q: &marionette_fuzzgen::Program, faults: &FaultSet| {
@@ -191,7 +164,7 @@ fn main() {
         }
     };
     let outcomes = par_map(seeds, threads, |seed| {
-        let result = diff(&generate(seed, cfg), &seed_faults(seed));
+        let result = diff(&generate(seed, cfg), &req.faults_drawn(seed));
         match result {
             Ok(s) => SeedOutcome {
                 seed,
@@ -230,7 +203,7 @@ fn main() {
         );
         if args.do_shrink {
             // Reproduce under the same damage the seed originally saw.
-            let faults = seed_faults(f.seed);
+            let faults = req.faults_drawn(f.seed);
             let still_fails = |q: &marionette_fuzzgen::Program| diff(q, &faults).err();
             let full = generate(f.seed, cfg);
             let small = shrink(&full, 4000, |q| still_fails(q).is_some());
@@ -265,20 +238,16 @@ fn main() {
                 format!("{{\"seed\": {}, \"detail\": \"{detail}\"}}", f.seed)
             })
             .collect();
-        let search = match args.search {
-            Some((m, r)) => format!("{{\"moves\": {m}, \"restarts\": {r}}}"),
-            None => "null".to_string(),
-        };
         let mut snap = Snapshot::new("marionette.fuzz_stack/v1");
         snap.field("start", args.start)
             .field("count", args.count)
             .field("presets", str_list(presets.iter().map(|a| a.short)))
-            .str("fabric", &args.fabric.to_string())
+            .str("fabric", &req.fabric.to_string())
             .field("threads", threads)
-            .field("search", search)
+            .field("search", search_json(req.search))
             .field("source_axis", args.source)
-            .field("faults", args.faults)
-            .field("pinned_faults", str_list(&args.fault_specs))
+            .field("faults", req.random_faults)
+            .field("pinned_faults", str_list(req.pinned_faults.specs()))
             .field("remaps", outcomes.iter().map(|o| o.remaps).sum::<usize>())
             .field(
                 "remap_infeasible",
@@ -314,7 +283,7 @@ fn main() {
         "fuzz_stack: {} programs x {} presets on {} = {} points, {} sim cycles, ~{:.0} nodes/program, {} divergences{}, {:.1} ms ({} threads)",
         outcomes.len(),
         presets.len(),
-        args.fabric,
+        req.fabric,
         total_points,
         total_cycles,
         mean_nodes,

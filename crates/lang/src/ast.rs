@@ -238,17 +238,6 @@ pub enum ExprKind {
     },
 }
 
-impl Expr {
-    /// True for `for`/`while`/`if`, which are restricted to statement
-    /// position (the RHS of a `let` or an expression statement).
-    pub fn is_block(&self) -> bool {
-        matches!(
-            self.kind,
-            ExprKind::For { .. } | ExprKind::While { .. } | ExprKind::If { .. }
-        )
-    }
-}
-
 /// A whole `.mar` program.
 #[derive(Clone, Debug)]
 pub struct Program {

@@ -235,6 +235,23 @@ impl PresetRun {
             search: report.search.clone(),
         }
     }
+
+    /// The run's counters as JSON object members ending in
+    /// `"verified": true`: the run shape `marc --json` and mard share.
+    pub fn json_members(&self) -> String {
+        format!(
+            "\"cycles\": {}, \"fires\": {}, \"link_stall_cycles\": {}, \
+             \"switch_stall_cycles\": {}, \"group_switches\": {}, \"routes\": {}, \
+             \"mean_data_hops\": {:.3}, \"verified\": true",
+            self.cycles,
+            self.fires,
+            self.link_stall_cycles,
+            self.switch_stall_cycles,
+            self.group_switches,
+            self.routes,
+            self.mean_data_hops
+        )
+    }
 }
 
 /// Compiles `g` for `arch` and round-trips the configuration bitstream,

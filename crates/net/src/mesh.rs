@@ -259,12 +259,6 @@ impl Mesh {
         }
         tiles
     }
-
-    /// The tile nearest the array controller/memory corner (tile 0), used
-    /// for CCU round-trip distances.
-    pub fn ccu_tile(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]

@@ -21,9 +21,9 @@ use crate::cache::{CacheKey, CachedArtifact, Front, FrontKey, Lowered};
 use crate::http::Request;
 use crate::{RouteMeta, ServerState};
 use marionette::cdfg::value::Value;
-use marionette::compiler::SearchBudget;
 use marionette::pipeline::{PipelineError, Stages};
 use marionette::report::{json_escape, json_sinks};
+use marionette::request::RunRequest;
 use marionette::runner::{self_heal, HealStages};
 use marionette::sim::{EngineKind, FaultSet, RunResult, RunSpec, SimError};
 use marionette_arch::{Architecture, FabricDims};
@@ -222,19 +222,18 @@ fn parse_lane(spec: &str) -> Result<Vec<(String, String)>, ApiError> {
     Ok(out)
 }
 
-/// Decodes and validates the query string against the server limits.
+/// Decodes the query string: the run policy through the shared
+/// [`RunRequest`] decoder, then mard's own on top (default preset `M`,
+/// one preset per request, the server's cycle cap, `engine=wheel` and
+/// `lane=`).
 ///
 /// # Errors
 /// Returns a 400 [`ApiError`] naming the offending option.
 pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, ApiError> {
-    let fabric: FabricDims = match req.query_first("fabric") {
-        None => FabricDims::paper(),
-        Some(v) => v
-            .parse()
-            .map_err(|e| ApiError::bad("bad_fabric", format!("fabric `{v}`: {e}")))?,
-    };
+    let pairs = req.query.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    let run = RunRequest::decode(pairs).map_err(|e| ApiError::bad(e.kind, e.detail))?;
     let tag = req.query_first("preset").unwrap_or("M");
-    let mut arch = marionette_arch::presets_by_tags_on(fabric, tag)
+    let mut arch = marionette_arch::presets_by_tags_on(run.fabric, tag)
         .ok()
         .and_then(|v| v.into_iter().next())
         .ok_or_else(|| {
@@ -253,48 +252,7 @@ pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, 
             "one preset per request (fold variants into separate requests)",
         ));
     }
-    if let Some(spec) = req.query_first("search") {
-        let mut parts = spec.split(',').map(str::trim);
-        let moves: u32 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(|| {
-            ApiError::bad(
-                "bad_search",
-                format!("search `{spec}` is not MOVES[,RESTARTS]"),
-            )
-        })?;
-        let restarts: u32 = match parts.next() {
-            None => 1,
-            Some(v) => v.parse().map_err(|_| {
-                ApiError::bad(
-                    "bad_search",
-                    format!("search restarts `{v}` is not numeric"),
-                )
-            })?,
-        };
-        arch.opts.search = SearchBudget::Anneal {
-            moves,
-            restarts,
-            base_seed: 0xA11E,
-        };
-    }
-    let fault_specs: Vec<String> = req
-        .query_all("fault")
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let faults_n = match req.query_first("faults") {
-        None => 0usize,
-        Some(v) => v
-            .parse()
-            .map_err(|_| ApiError::bad("bad_faults", format!("faults `{v}` is not a count")))?,
-    };
-    let fault_seed = match req.query_first("fault-seed") {
-        None => 1u64,
-        Some(v) => v
-            .parse()
-            .map_err(|_| ApiError::bad("bad_faults", format!("fault-seed `{v}` is not numeric")))?,
-    };
-    let faults = FaultSet::from_cli(fabric.rows, fabric.cols, &fault_specs, faults_n, fault_seed)
-        .map_err(|e| ApiError::bad("bad_fault", e))?;
+    run.apply_search(&mut arch);
     // The wheel is the only event core; `engine=wheel` stays accepted.
     if let Some(v) = req.query_first("engine").filter(|&v| v != "wheel") {
         return Err(ApiError::bad(
@@ -302,51 +260,26 @@ pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, 
             format!("engine `{v}`: the only event core is `wheel`"),
         ));
     }
-    let max_cycles = match req.query_first("max-cycles") {
-        None => state.cfg.max_cycles,
-        Some(v) => {
-            let n: u64 = v.parse().map_err(|_| {
-                ApiError::bad("bad_max_cycles", format!("max-cycles `{v}` is not numeric"))
-            })?;
-            // Admission-side timeout control: a request may lower the
-            // budget but never raise it past the server cap.
-            n.min(state.cfg.max_cycles)
-        }
-    };
-    let mut params = Vec::new();
-    for spec in req.query_all("param") {
-        let (name, val) = spec.split_once('=').ok_or_else(|| {
-            ApiError::bad("bad_param", format!("param `{spec}` is not NAME=VALUE"))
-        })?;
-        params.push((name.to_string(), val.to_string()));
-    }
-    let mut lanes = Vec::new();
-    for spec in req.query_all("lane") {
-        lanes.push(parse_lane(spec)?);
-    }
+    // Admission-side timeout control: a request may lower the budget
+    // but never raise it past the server cap.
+    let cap = state.cfg.max_cycles;
+    let max_cycles = run.max_cycles.map_or(cap, |n| n.min(cap));
+    let lanes = req.query_all("lane").into_iter().map(parse_lane);
     Ok(RunOptions {
         arch,
-        fabric,
-        faults,
+        fabric: run.fabric,
+        faults: run.faults(),
         engine: EngineKind::Wheel,
         max_cycles,
-        params,
-        lanes,
+        params: run.params,
+        lanes: lanes.collect::<Result<_, _>>()?,
     })
 }
 
 fn json_result(run: &PresetRun, sinks: &std::collections::HashMap<String, Vec<Value>>) -> String {
     format!(
-        "{{\"cycles\": {}, \"fires\": {}, \"link_stall_cycles\": {}, \
-         \"switch_stall_cycles\": {}, \"group_switches\": {}, \"routes\": {}, \
-         \"mean_data_hops\": {:.3}, \"verified\": true, \"sinks\": {}}}",
-        run.cycles,
-        run.fires,
-        run.link_stall_cycles,
-        run.switch_stall_cycles,
-        run.group_switches,
-        run.routes,
-        run.mean_data_hops,
+        "{{{}, \"sinks\": {}}}",
+        run.json_members(),
         json_sinks(sinks)
     )
 }

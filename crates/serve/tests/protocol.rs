@@ -99,6 +99,16 @@ fn unknown_preset_and_fabric_and_engine_are_400() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"kind\": \"bad_fabric\""), "{body}");
 
+    // `search=` is exactly MOVES[,RESTARTS] with at least one chain.
+    for search in ["search=20,1,3", "search=20,0"] {
+        let (status, body) = run(s.addr(), search, GOOD);
+        assert_eq!(status, 400, "{search}: {body}");
+        assert!(
+            body.contains("\"kind\": \"bad_search\""),
+            "{search}: {body}"
+        );
+    }
+
     // The wheel is the only event core: the retired heap is refused too.
     for engine in ["engine=quantum", "engine=heap"] {
         let (status, body) = run(s.addr(), engine, GOOD);

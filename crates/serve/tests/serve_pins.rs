@@ -303,8 +303,11 @@ const PINS_CACHE_64: &[(&str, u64)] = &[
     ("acc/search-20,1", 0x75c1065d626e59e3),
     ("acc/search-spaced", 0x75c1065d626e59e3),
     ("acc/search-20,2", 0xff6c089cd8f276c7),
-    ("acc/search-20,0", 0x3586054c02aceba0),
-    ("acc/search-20,1,3", 0x75c1065d626e59e3),
+    // 400 bad_search since mard shares the CLIs' decoder (was a 200
+    // that ran one chain under its own cache address).
+    ("acc/search-20,0", 0x24a1aa469649b3a1),
+    // 400 bad_search (was a 200 served from the `search=20,1` entry).
+    ("acc/search-20,1,3", 0x1394c054fb626efe),
     ("crc/vN", 0x8f2318e9a1c7da9b),
     ("crc/DF", 0xa9bd046e6510d5d4),
     ("crc/M-PE", 0xb2cd7046ac85aef7),
@@ -349,7 +352,9 @@ const PINS_CACHE_64: &[(&str, u64)] = &[
     ("error/param-bad-value", 0x1017a77daf9a3327),
     ("error/unknown-param", 0xebaf11dd140b830f),
     ("error/lane-on-run", 0x4092c9113b81b3b0),
-    ("error/preset-then-search", 0x04f63f2c3471bfac),
+    // bad_search: the run policy decodes before the preset (was
+    // unknown_preset).
+    ("error/preset-then-search", 0x9a67590a14c95118),
     ("error/compile", 0x2f04d49334a6d926),
     ("batch/cold", 0x6fbd9c709e53719e),
     ("batch/warm", 0xbf5e55d8316082a1),
@@ -386,8 +391,11 @@ const PINS_CACHE_3: &[(&str, u64)] = &[
     ("acc/search-20,1", 0x75c1065d626e59e3),
     ("acc/search-spaced", 0x75c1065d626e59e3),
     ("acc/search-20,2", 0xff6c089cd8f276c7),
-    ("acc/search-20,0", 0x3586054c02aceba0),
-    ("acc/search-20,1,3", 0x75c1065d626e59e3),
+    // 400 bad_search since mard shares the CLIs' decoder (was a 200
+    // that ran one chain under its own cache address).
+    ("acc/search-20,0", 0x24a1aa469649b3a1),
+    // 400 bad_search (was a 200 served from the `search=20,1` entry).
+    ("acc/search-20,1,3", 0x1394c054fb626efe),
     ("crc/vN", 0x8f2318e9a1c7da9b),
     ("crc/DF", 0xa9bd046e6510d5d4),
     ("crc/M-PE", 0xb2cd7046ac85aef7),
@@ -432,7 +440,9 @@ const PINS_CACHE_3: &[(&str, u64)] = &[
     ("error/param-bad-value", 0x1017a77daf9a3327),
     ("error/unknown-param", 0xebaf11dd140b830f),
     ("error/lane-on-run", 0x4092c9113b81b3b0),
-    ("error/preset-then-search", 0x04f63f2c3471bfac),
+    // bad_search: the run policy decodes before the preset (was
+    // unknown_preset).
+    ("error/preset-then-search", 0x9a67590a14c95118),
     ("error/compile", 0x2f04d49334a6d926),
     ("batch/cold", 0x57449af70a8fd5d4),
     ("batch/warm", 0x6fbd9c709e53719e),
