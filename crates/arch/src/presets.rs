@@ -219,10 +219,14 @@ pub fn softbrain() -> Architecture {
 /// Softbrain (stream-dataflow): memory on stream engines, innermost-loop
 /// pipelines, but outer control and reconfiguration owned by the host
 /// processor — a fabric-independent host round trip.
+///
+/// Three stream engines, each on its own tile; a fabric of fewer tiles
+/// gets one engine per tile.
 pub fn softbrain_on(dims: FabricDims) -> Architecture {
     let mut opts = CompileOptions::for_fabric(dims);
     opts.ctrl = CtrlPlacement::PeSlots;
-    opts.mem = MemPlacement::StreamUnits { count: 3 };
+    let count = dims.pe_count().min(3) as u8; // at most 3: cannot truncate
+    opts.mem = MemPlacement::StreamUnits { count };
     opts.agile = false;
     let mut tm = TimingModel::ideal("Softbrain");
     tm.predicated_branches = true;

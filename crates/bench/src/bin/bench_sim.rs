@@ -177,7 +177,7 @@ fn measure(
         tracer,
     };
     let (r, remapped) = match run_kernel_with(k.as_ref(), &p.arch, cfg.scale, SEED, &mut spec) {
-        Ok(fr) => (fr.run, fr.remapped),
+        Ok(fr) => (fr.run, fr.wedged.is_some()),
         // Every shipped point compiles healthy, so a compile error
         // under faults is the typed remap-infeasible outcome.
         Err(RunnerError::Compile(_)) if !p.fault_set.is_empty() => return Ok(None),

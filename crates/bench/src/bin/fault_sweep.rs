@@ -130,13 +130,13 @@ fn measure(p: &Point, cfg: &Config, tracer: Option<&mut Tracer>) -> Result<Measu
         max_cycles: cfg.max_cycles,
         tracer,
     };
-    let (wedged, remapped, cycles) =
+    let (remapped, wedged, cycles) =
         match run_kernel_with(k.as_ref(), &p.arch, cfg.scale, SEED, &mut spec) {
-            Ok(fr) => (fr.wedged, fr.remapped, Some(fr.run.cycles)),
+            Ok(fr) => (fr.wedged.is_some(), fr.wedged, Some(fr.run.cycles)),
             // The healthy compile of every shipped kernel × preset
             // succeeds (the 0-fault sweep proves it), so a compile
             // error here is the typed remap-infeasible outcome.
-            Err(RunnerError::Compile(e)) => (Some(e.to_string()), false, None),
+            Err(RunnerError::Compile(e)) => (false, Some(e.to_string()), None),
             Err(e) => return Err(format!("{}: {e}", p.what())),
         };
     Ok(Measured {

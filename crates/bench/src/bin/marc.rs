@@ -113,7 +113,7 @@ fn json_report(args: &Config, program: &str, g: &Cdfg, r: &Reference, runs: &[Fa
                     Some(w) => line.push_str(&format!(", \"wedged\": \"{}\"", json_escape(w))),
                     None => line.push_str(", \"wedged\": null"),
                 }
-                line.push_str(&format!(", \"remapped\": {}", fr.remapped));
+                line.push_str(&format!(", \"remapped\": {}", fr.wedged.is_some()));
             }
             if let Some(sr) = &r.search {
                 line.push_str(&format!(

@@ -110,6 +110,30 @@ fn examples_survive_the_mapping_explorer() {
     assert!(run.search.is_some(), "search report missing");
 }
 
+#[test]
+fn every_preset_on_fabrics_below_three_tiles_verifies_or_fails_typed() {
+    // Softbrain's stream engines each sit on a tile of their own, so a
+    // fabric of fewer than three tiles gets fewer engines. Every run
+    // either verifies or comes back as a typed compile error (a preset
+    // whose regions cannot fit), and Softbrain verifies everywhere.
+    use marionette::compiler::FabricDims;
+    use marionette_lang::DriverError;
+    for name in ["conv1d.mar", "crc.mar", "mergesort.mar"] {
+        let (_, g) = frontend(&example(name)).unwrap();
+        let r = reference(&g, &[], INTERP_BUDGET).unwrap();
+        for (rows, cols) in [(1, 1), (1, 2), (2, 1)] {
+            for arch in marionette::arch::all_presets_on(FabricDims::new(rows, cols)) {
+                let what = format!("{name} on {} at {rows}x{cols}", arch.short);
+                match run_preset(&g, &r, &arch, &[], &mut RunSpec::new(MAX_CYCLES)) {
+                    Ok(fr) => assert!(fr.run.cycles > 0, "{what}: empty run"),
+                    Err(DriverError::Compile { .. }) if arch.short != "SB" => {}
+                    Err(e) => panic!("{what}: {e}"),
+                }
+            }
+        }
+    }
+}
+
 /// `marc --json -` runs pinned as FNV-1a digests of their stdout (the
 /// progress lines and the JSON report) with the `"file"` line left
 /// out: every example on every preset, plus a searched, a parameter

@@ -59,15 +59,6 @@ pub struct ControlFlowProfile {
 }
 
 impl ControlFlowProfile {
-    /// True when the kernel exercises intensive control flow: any branch
-    /// divergence, imperfect/serial loops, or dynamic bounds.
-    pub fn is_intensive(&self) -> bool {
-        self.branches.count > 0
-            || self.loops.imperfect
-            || self.loops.serial
-            || self.loops.dynamic_bounds
-    }
-
     /// Table-1 style human-readable branch description.
     pub fn branch_text(&self) -> String {
         if self.branches.count == 0 {
@@ -222,18 +213,6 @@ pub fn profile(g: &Cdfg) -> ControlFlowProfile {
     }
 }
 
-/// Per-block data-plane operator counts, used by the scheduler's reshape
-/// pass to size PE regions.
-pub fn compute_ops_per_block(g: &Cdfg) -> Vec<usize> {
-    let mut counts = vec![0usize; g.blocks.len()];
-    for n in &g.nodes {
-        if !n.op.is_control() && !matches!(n.op, Op::Sink) {
-            counts[n.bb.0 as usize] += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +246,6 @@ mod tests {
         assert!(p.branches.innermost);
         assert!(!p.branches.nested);
         assert_eq!(p.branches.count, 1);
-        assert!(p.is_intensive());
         assert!(p.ops_under_branch > 0.0 && p.ops_under_branch < 1.0);
         assert_eq!(p.loop_text(), "Imperfect nested");
     }
@@ -300,7 +278,6 @@ mod tests {
         });
         let g = b.finish();
         let p = profile(&g);
-        assert!(!p.is_intensive());
         assert_eq!(p.branch_text(), "N/A");
         assert_eq!(p.ops_under_branch, 0.0);
     }
@@ -324,12 +301,5 @@ mod tests {
         let p = profile(&g);
         assert!(p.branches.nested);
         assert!(p.branch_text().contains("Nested"));
-    }
-
-    #[test]
-    fn ops_per_block_counts() {
-        let g = branchy_imperfect();
-        let counts = compute_ops_per_block(&g);
-        assert_eq!(counts.iter().sum::<usize>(), g.compute_node_count());
     }
 }

@@ -13,8 +13,6 @@ use crate::value::Value;
 pub struct Memory {
     arrays: Vec<Vec<Value>>,
     oob: u64,
-    loads: u64,
-    stores: u64,
 }
 
 impl Memory {
@@ -31,17 +29,11 @@ impl Memory {
                 v
             })
             .collect();
-        Memory {
-            arrays,
-            oob: 0,
-            loads: 0,
-            stores: 0,
-        }
+        Memory { arrays, oob: 0 }
     }
 
     /// Reads `arr[idx]`; out of bounds yields zero and bumps the OOB count.
     pub fn load(&mut self, arr: ArrayId, idx: i32) -> Value {
-        self.loads += 1;
         let a = &self.arrays[arr.0 as usize];
         if idx < 0 || idx as usize >= a.len() {
             self.oob += 1;
@@ -52,7 +44,6 @@ impl Memory {
 
     /// Writes `arr[idx]`; out of bounds is dropped and counted.
     pub fn store(&mut self, arr: ArrayId, idx: i32, v: Value) {
-        self.stores += 1;
         let a = &mut self.arrays[arr.0 as usize];
         if idx < 0 || idx as usize >= a.len() {
             self.oob += 1;
@@ -69,16 +60,6 @@ impl Memory {
     /// Number of out-of-bounds accesses observed.
     pub fn oob_events(&self) -> u64 {
         self.oob
-    }
-
-    /// Total loads performed.
-    pub fn load_count(&self) -> u64 {
-        self.loads
-    }
-
-    /// Total stores performed.
-    pub fn store_count(&self) -> u64 {
-        self.stores
     }
 }
 
@@ -104,7 +85,5 @@ mod tests {
         assert_eq!(m.load(a, 4), Value::I32(0));
         m.store(a, -1, Value::I32(1));
         assert_eq!(m.oob_events(), 2);
-        assert_eq!(m.load_count(), 5);
-        assert_eq!(m.store_count(), 2);
     }
 }

@@ -380,11 +380,6 @@ impl Op {
         matches!(self, Op::Load(_) | Op::Store(_))
     }
 
-    /// True if this operator requires a nonlinear-capable PE.
-    pub fn needs_nonlinear(self) -> bool {
-        matches!(self, Op::Nl(_))
-    }
-
     /// Functional-unit latency of the operator in cycles.
     pub fn latency(self) -> u32 {
         match self {
@@ -530,7 +525,6 @@ mod tests {
         assert!(Op::Carry.is_control());
         assert!(!Op::Mux.is_control());
         assert!(Op::Load(ArrayId(1)).is_memory());
-        assert!(Op::Nl(NlOp::Exp).needs_nonlinear());
     }
 
     #[test]

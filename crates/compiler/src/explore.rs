@@ -33,9 +33,7 @@
 
 use crate::cost::{node_depths, CostModel, MappingCost};
 use crate::options::{CompileOptions, SearchBudget};
-use crate::place::{
-    node_weight, place, place_with_faults, takes_pe_slot, PlaceError, PlacementResult,
-};
+use crate::place::{node_weight, place, takes_pe_slot, PlaceError, PlacementResult};
 use marionette_cdfg::graph::{Cdfg, PortSrc};
 use marionette_cdfg::Op;
 use marionette_isa::Placement;
@@ -140,28 +138,15 @@ pub fn select_best(results: Vec<ExploreResult>) -> ExploreResult {
 }
 
 /// Runs the full search budget of `opts` serially; `Ok(None)` when the
-/// budget is [`SearchBudget::Off`].
-///
-/// # Errors
-/// Returns [`PlaceError`] when the greedy seed placement cannot fit.
-pub fn explore(
-    g: &Cdfg,
-    opts: &CompileOptions,
-    cm: &CostModel,
-) -> Result<Option<ExploreResult>, PlaceError> {
-    explore_with_faults(g, opts, cm, &FaultSet::none())
-}
-
-/// Fault-aware variant of [`explore`]: the greedy seed avoids dead PEs
-/// ([`place_with_faults`]) and every chain's cost function penalizes
+/// budget is [`SearchBudget::Off`]. The greedy seed avoids the dead PEs
+/// of `faults` ([`place`]) and every chain's cost function penalizes
 /// edges that must cross flaky links (by the simulator's extra stall
-/// cycles) or have no fault-free dimension-ordered route at all. An
-/// empty fault set is bit-identical to [`explore`].
+/// cycles) or have no fault-free dimension-ordered route at all.
 ///
 /// # Errors
 /// Returns [`PlaceError`] when the greedy seed placement cannot fit on
 /// the live tiles.
-pub fn explore_with_faults(
+pub fn explore(
     g: &Cdfg,
     opts: &CompileOptions,
     cm: &CostModel,
@@ -173,7 +158,7 @@ pub fn explore_with_faults(
     }
     // The greedy seed placement is deterministic: compute it once and
     // share it across the restart chains.
-    let pl = place_with_faults(g, opts, faults)?;
+    let pl = place(g, opts, faults)?;
     let mut results = Vec::with_capacity(seeds.len());
     for s in seeds {
         results.push(explore_chain_from(g, opts, cm, s, pl.clone(), faults));
@@ -191,40 +176,26 @@ pub fn greedy_cost(
     opts: &CompileOptions,
     cm: &CostModel,
 ) -> Result<MappingCost, PlaceError> {
-    let pl = place(g, opts)?;
     let none = FaultSet::none();
+    let pl = place(g, opts, &none)?;
     let ev = Evaluator::new(g, opts, cm, &pl, &none);
     Ok(ev.cost())
 }
 
-/// Runs one annealing chain with RNG seed `seed`.
-///
-/// # Errors
-/// Returns [`PlaceError`] when the greedy seed placement cannot fit.
-pub fn explore_chain(
-    g: &Cdfg,
-    opts: &CompileOptions,
-    cm: &CostModel,
-    seed: u64,
-) -> Result<ExploreResult, PlaceError> {
-    explore_chain_with_faults(g, opts, cm, seed, &FaultSet::none())
-}
-
-/// Fault-aware variant of [`explore_chain`] (see [`explore_with_faults`]
-/// for the fault semantics). An empty fault set is bit-identical to
-/// [`explore_chain`].
+/// Runs one annealing chain with RNG seed `seed` (see [`explore`] for
+/// the fault semantics).
 ///
 /// # Errors
 /// Returns [`PlaceError`] when the greedy seed placement cannot fit on
 /// the live tiles.
-pub fn explore_chain_with_faults(
+pub fn explore_chain(
     g: &Cdfg,
     opts: &CompileOptions,
     cm: &CostModel,
     seed: u64,
     faults: &FaultSet,
 ) -> Result<ExploreResult, PlaceError> {
-    let pl = place_with_faults(g, opts, faults)?;
+    let pl = place(g, opts, faults)?;
     Ok(explore_chain_from(g, opts, cm, seed, pl, faults))
 }
 
@@ -1040,8 +1011,8 @@ mod tests {
         let g = sample();
         let opts = searched_opts();
         let cm = CostModel::neutral();
-        let a = explore_chain(&g, &opts, &cm, 7).unwrap();
-        let b = explore_chain(&g, &opts, &cm, 7).unwrap();
+        let a = explore_chain(&g, &opts, &cm, 7, &FaultSet::none()).unwrap();
+        let b = explore_chain(&g, &opts, &cm, 7, &FaultSet::none()).unwrap();
         assert_eq!(a.placement.places, b.placement.places);
         assert_eq!(a.total, b.total);
         assert_eq!(a.report.accepted, b.report.accepted);
@@ -1052,7 +1023,7 @@ mod tests {
         let g = sample();
         let opts = searched_opts();
         let cm = CostModel::neutral();
-        let best = explore(&g, &opts, &cm).unwrap().unwrap();
+        let best = explore(&g, &opts, &cm, &FaultSet::none()).unwrap().unwrap();
         let greedy = greedy_cost(&g, &opts, &cm).unwrap();
         assert!(
             best.total <= greedy.total(&cm) + 1e-9,
@@ -1067,7 +1038,7 @@ mod tests {
         let g = sample();
         let opts = searched_opts();
         let cm = CostModel::neutral();
-        let best = explore(&g, &opts, &cm).unwrap().unwrap();
+        let best = explore(&g, &opts, &cm, &FaultSet::none()).unwrap().unwrap();
         let pl = &best.placement;
         // Data nodes stay inside their group's region.
         for (i, n) in g.nodes.iter().enumerate() {
@@ -1083,7 +1054,7 @@ mod tests {
             }
         }
         // Densest-tile load per group never exceeds the greedy ceiling.
-        let greedy = place(&g, &opts).unwrap();
+        let greedy = place(&g, &opts, &FaultSet::none()).unwrap();
         for gi in 0..pl.groups.len() {
             let peak = |p: &PlacementResult| -> f64 {
                 let mut per_pe = std::collections::HashMap::new();
@@ -1108,8 +1079,8 @@ mod tests {
         let g = sample();
         let opts = searched_opts();
         let cm = CostModel::neutral();
-        let a = explore_chain(&g, &opts, &cm, 7).unwrap();
-        let mut b = explore_chain(&g, &opts, &cm, 8).unwrap();
+        let a = explore_chain(&g, &opts, &cm, 7, &FaultSet::none()).unwrap();
+        let mut b = explore_chain(&g, &opts, &cm, 8, &FaultSet::none()).unwrap();
         b.total = a.total; // force a tie
         let best = select_best(vec![a.clone(), b]);
         assert_eq!(best.report.seed, 7);
@@ -1189,6 +1160,8 @@ mod tests {
     fn off_budget_explores_nothing() {
         let g = sample();
         let opts = CompileOptions::marionette_4x4();
-        assert!(explore(&g, &opts, &CostModel::neutral()).unwrap().is_none());
+        assert!(explore(&g, &opts, &CostModel::neutral(), &FaultSet::none())
+            .unwrap()
+            .is_none());
     }
 }

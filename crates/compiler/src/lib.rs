@@ -53,9 +53,7 @@ pub mod place;
 pub mod route;
 
 pub use cost::{CostModel, MappingCost};
-pub use explore::{
-    explore_chain, explore_chain_with_faults, select_best, ExploreResult, SearchReport,
-};
+pub use explore::{explore_chain, select_best, ExploreResult, SearchReport};
 pub use options::{
     CompileOptions, CtrlPlacement, FabricDims, FabricSpecError, MemPlacement, SearchBudget,
     SplitFabric, MAX_FABRIC_SIDE,
@@ -64,5 +62,5 @@ pub use partition::{Partition, PartitionError, PartitionMap};
 pub use pipeline::{
     compile, compile_with_timing_and_faults, finalize_explored_with_faults, CompileReport,
 };
-pub use place::{place, place_with_faults, PlaceError, PlacementResult};
+pub use place::{place, PlaceError, PlacementResult};
 pub use route::route;

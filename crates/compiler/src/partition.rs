@@ -108,17 +108,6 @@ impl Partition {
         }
         Some((self.row0 + r) * fabric.cols + (self.col0 + c))
     }
-
-    /// The host-fabric linear tile indices of the region, row-major.
-    pub fn fabric_tiles(&self, fabric: FabricDims) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.pe_count());
-        for r in self.row0..self.row0 + self.rows {
-            for c in self.col0..self.col0 + self.cols {
-                out.push(r * fabric.cols + c);
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Partition {
@@ -304,7 +293,7 @@ impl PartitionMap {
     /// fabric: every tile *outside* the region is a dead PE and every
     /// directed link with an endpoint outside the region is dead. Feeding
     /// this mask to the fault-aware placer/router
-    /// ([`crate::place::place_with_faults`], the annealing explorer's
+    /// ([`crate::place::place`], the annealing explorer's
     /// legality caps, the rip-up router's path screens) confines a
     /// full-fabric compile to the region — region scoping and fault
     /// avoidance are the same mechanism.
@@ -404,7 +393,6 @@ mod tests {
         assert_eq!(p.local_to_fabric(0, fabric), Some(12));
         assert_eq!(p.local_to_fabric(5, fabric), Some(2 * 8 + 6));
         assert_eq!(p.local_to_fabric(6, fabric), None, "past the region");
-        assert_eq!(p.fabric_tiles(fabric), vec![12, 13, 14, 20, 21, 22]);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   with [`compile_with_timing_and_faults`]).
 
 use crate::cost::CostModel;
-use crate::explore::{explore_with_faults, ExploreResult, SearchReport};
+use crate::explore::{explore, ExploreResult, SearchReport};
 use crate::options::{CompileOptions, SearchBudget};
-use crate::place::{place_with_faults, PlaceError, PlacementResult};
-use crate::route::{route_congestion_aware_with_faults, route_with_faults, RoutingResult};
+use crate::place::{place, PlaceError, PlacementResult};
+use crate::route::{route, route_congestion_aware, RoutingResult};
 use marionette_cdfg::graph::{BlockKind, Cdfg, PortSrc};
 use marionette_isa::{
     ArrayInfo, BbConfig, CtrlMode, MachineProgram, NodeConfig, OperandSrc, ParamInfo, PeConfig,
@@ -112,8 +112,8 @@ fn compile_greedy(
 ) -> Result<(MachineProgram, CompileReport), PlaceError> {
     fabric_bytes(opts)?;
     let mesh = Mesh::new(opts.rows, opts.cols);
-    let pl: PlacementResult = place_with_faults(g, opts, faults)?;
-    let rr = route_with_faults(g, &pl.places, &mesh, faults)?;
+    let pl: PlacementResult = place(g, opts, faults)?;
+    let rr = route(g, &pl.places, &mesh, faults)?;
     build_program(g, opts, pl, rr, None)
 }
 
@@ -125,7 +125,7 @@ fn compile_with_cost(
     faults: &FaultSet,
 ) -> Result<(MachineProgram, CompileReport), PlaceError> {
     fabric_bytes(opts)?;
-    let ex = explore_with_faults(g, opts, cm, faults)?.expect("nonzero search budget");
+    let ex = explore(g, opts, cm, faults)?.expect("nonzero search budget");
     finalize_explored_with_faults(g, opts, cm, ex, faults)
 }
 
@@ -145,14 +145,8 @@ pub fn finalize_explored_with_faults(
     faults: &FaultSet,
 ) -> Result<(MachineProgram, CompileReport), PlaceError> {
     let mesh = Mesh::new(opts.rows, opts.cols);
-    let (rr, moved) = route_congestion_aware_with_faults(
-        g,
-        &ex.placement.places,
-        &mesh,
-        cm,
-        REROUTE_PASSES,
-        faults,
-    )?;
+    let (rr, moved) =
+        route_congestion_aware(g, &ex.placement.places, &mesh, cm, REROUTE_PASSES, faults)?;
     let mut sr = ex.report;
     sr.rerouted = moved;
     build_program(g, opts, ex.placement, rr, Some(sr))

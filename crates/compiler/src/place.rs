@@ -147,21 +147,13 @@ pub(crate) fn node_weight(g: &Cdfg, nidx: usize) -> f64 {
     1.0 / f64::from(1u32 << bd.min(8))
 }
 
-/// Runs placement.
-///
-/// # Errors
-/// Returns [`PlaceError`] when the program cannot fit on the fabric.
-pub fn place(g: &Cdfg, opts: &CompileOptions) -> Result<PlacementResult, PlaceError> {
-    place_with_faults(g, opts, &FaultSet::none())
-}
-
-/// Runs placement on a faulted fabric: dead PEs are excluded from every
-/// region (so no operator — data-plane, control-plane or anchor — lands
-/// on a dead tile). An empty fault set is bit-identical to [`place`].
+/// Runs placement. Dead PEs of `faults` are excluded from every region
+/// (so no operator — data-plane, control-plane or anchor — lands on a
+/// dead tile); pass [`FaultSet::none`] for a healthy fabric.
 ///
 /// # Errors
 /// Returns [`PlaceError`] when the program cannot fit on the live tiles.
-pub fn place_with_faults(
+pub fn place(
     g: &Cdfg,
     opts: &CompileOptions,
     faults: &FaultSet,
@@ -473,7 +465,7 @@ mod tests {
     fn agile_gives_disjoint_regions() {
         let g = nest(&[4, 4, 4]);
         let opts = CompileOptions::marionette_4x4();
-        let r = place(&g, &opts).unwrap();
+        let r = place(&g, &opts, &FaultSet::none()).unwrap();
         let mut seen = std::collections::HashSet::new();
         for gp in &r.groups {
             for &pe in &gp.pes {
@@ -489,7 +481,7 @@ mod tests {
         let g = nest(&[4, 4]);
         let mut opts = CompileOptions::marionette_4x4();
         opts.agile = false;
-        let r = place(&g, &opts).unwrap();
+        let r = place(&g, &opts, &FaultSet::none()).unwrap();
         for gp in &r.groups {
             if gp.ops > 0 {
                 assert_eq!(gp.pes.len(), 16);
@@ -500,7 +492,7 @@ mod tests {
     #[test]
     fn waste_is_nonnegative() {
         let g = nest(&[4, 4, 4]);
-        let r = place(&g, &CompileOptions::marionette_4x4()).unwrap();
+        let r = place(&g, &CompileOptions::marionette_4x4(), &FaultSet::none()).unwrap();
         for gp in &r.groups {
             assert!(gp.waste >= 0, "waste must be non-negative");
             if !gp.pes.is_empty() {
@@ -513,7 +505,7 @@ mod tests {
     fn every_node_placed_in_its_region() {
         let g = nest(&[4, 4]);
         let opts = CompileOptions::marionette_4x4();
-        let r = place(&g, &opts).unwrap();
+        let r = place(&g, &opts, &FaultSet::none()).unwrap();
         for (i, n) in g.nodes.iter().enumerate() {
             if takes_pe_slot(n.op, &opts) {
                 let grp = r.node_group[i] as usize;
@@ -534,7 +526,7 @@ mod tests {
         opts.rows = 2;
         opts.cols = 2;
         opts.slots_per_pe = 64;
-        let r = place(&g, &opts).unwrap();
+        let r = place(&g, &opts, &FaultSet::none()).unwrap();
         assert!(r.groups.iter().any(|gp| gp.ii > 1), "somebody reshaped");
     }
 
@@ -545,7 +537,7 @@ mod tests {
         let mut faults = FaultSet::new(4, 4);
         faults.add("pe:0,0".parse().unwrap()).unwrap();
         faults.add("pe:1,2".parse().unwrap()).unwrap();
-        let r = place_with_faults(&g, &opts, &faults).unwrap();
+        let r = place(&g, &opts, &faults).unwrap();
         for (i, p) in r.places.iter().enumerate() {
             if let Some(pe) = p.pe() {
                 assert!(
@@ -563,16 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_set_is_bit_identical() {
-        let g = nest(&[4, 4, 4]);
-        let opts = CompileOptions::marionette_4x4();
-        let a = place(&g, &opts).unwrap();
-        let b = place_with_faults(&g, &opts, &FaultSet::none()).unwrap();
-        assert_eq!(a.places, b.places);
-        assert_eq!(a.node_group, b.node_group);
-    }
-
-    #[test]
     fn all_dead_fabric_is_a_typed_error() {
         let g = nest(&[4]);
         let mut opts = CompileOptions::marionette_4x4();
@@ -581,7 +563,7 @@ mod tests {
         let mut faults = FaultSet::new(1, 2);
         faults.add("pe:0,0".parse().unwrap()).unwrap();
         faults.add("pe:0,1".parse().unwrap()).unwrap();
-        let err = place_with_faults(&g, &opts, &faults).unwrap_err();
+        let err = place(&g, &opts, &faults).unwrap_err();
         assert!(matches!(err, PlaceError::GroupTooLarge { capacity: 0, .. }));
     }
 
@@ -594,7 +576,7 @@ mod tests {
             systolic_pes: 15,
             dataflow_pes: 1,
         });
-        let r = place(&g, &opts).unwrap();
+        let r = place(&g, &opts, &FaultSet::none()).unwrap();
         let inner = r.groups.iter().find(|gp| gp.innermost).unwrap();
         assert!(inner.pes.iter().all(|&pe| pe < 15));
         let outer = r

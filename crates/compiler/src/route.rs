@@ -188,20 +188,14 @@ fn ctrl_feasibility(routes: &[Route], mesh: &Mesh) -> (bool, usize) {
     (ctrl_net_fits, ctrl_fanout)
 }
 
-/// Routes every node-sourced edge of the program.
-pub fn route(g: &Cdfg, places: &[Placement], mesh: &Mesh) -> RoutingResult {
-    route_with_faults(g, places, mesh, &FaultSet::none())
-        .expect("routing is infallible without faults")
-}
-
-/// Routes every node-sourced edge, detouring flit-carrying routes around
-/// the fault set's dead links (XY first, YX fallback). An empty fault
-/// set is bit-identical to [`route`].
+/// Routes every node-sourced edge of the program, detouring
+/// flit-carrying routes around the fault set's dead links (XY first, YX
+/// fallback). Without faults routing cannot fail.
 ///
 /// # Errors
 /// Returns [`PlaceError::Unroutable`] when neither dimension order
 /// between a producer/consumer tile pair avoids the dead links.
-pub fn route_with_faults(
+pub fn route(
     g: &Cdfg,
     places: &[Placement],
     mesh: &Mesh,
@@ -222,31 +216,19 @@ pub fn route_with_faults(
 /// dimension orders (XY / YX) to minimize quadratic link load, weighting
 /// each route by the cost model's firing-frequency estimate. The pass
 /// structure is deterministic (route-table order, XY on ties), so the
-/// result is a pure function of the placement.
+/// result is a pure function of the placement and the fault set.
+///
+/// Dead links of `faults` carry a prohibitive score surcharge and flaky
+/// links are penalized by the extra stall cycles the simulator will
+/// charge (`weight × link_latency × (mult − 1)`), steering traffic away
+/// from degraded links when a clean alternative exists.
 ///
 /// Returns the routing plus how many routes ended up off the XY default.
-pub fn route_congestion_aware(
-    g: &Cdfg,
-    places: &[Placement],
-    mesh: &Mesh,
-    cm: &crate::cost::CostModel,
-    passes: usize,
-) -> (RoutingResult, usize) {
-    route_congestion_aware_with_faults(g, places, mesh, cm, passes, &FaultSet::none())
-        .expect("routing is infallible without faults")
-}
-
-/// Fault-aware rip-up router: like [`route_congestion_aware`], but dead
-/// links carry a prohibitive score surcharge and flaky links are
-/// penalized by the extra stall cycles the simulator will charge
-/// (`weight × link_latency × (mult − 1)`), steering traffic away from
-/// degraded links when a clean alternative exists. An empty fault set is
-/// bit-identical to [`route_congestion_aware`].
 ///
 /// # Errors
 /// Returns [`PlaceError::Unroutable`] when neither dimension order
 /// between a producer/consumer tile pair avoids the dead links.
-pub fn route_congestion_aware_with_faults(
+pub fn route_congestion_aware(
     g: &Cdfg,
     places: &[Placement],
     mesh: &Mesh,
@@ -417,9 +399,9 @@ mod tests {
     fn routes_cover_all_node_edges() {
         let g = simple();
         let opts = CompileOptions::marionette_4x4();
-        let pl = place(&g, &opts).unwrap();
+        let pl = place(&g, &opts, &FaultSet::none()).unwrap();
         let mesh = Mesh::new(4, 4);
-        let r = route(&g, &pl.places, &mesh);
+        let r = route(&g, &pl.places, &mesh, &FaultSet::none()).unwrap();
         let expected: usize = g
             .nodes
             .iter()
@@ -440,9 +422,9 @@ mod tests {
     fn predicate_edges_are_ctrl_class() {
         let g = simple();
         let opts = CompileOptions::marionette_4x4();
-        let pl = place(&g, &opts).unwrap();
+        let pl = place(&g, &opts, &FaultSet::none()).unwrap();
         let mesh = Mesh::new(4, 4);
-        let r = route(&g, &pl.places, &mesh);
+        let r = route(&g, &pl.places, &mesh, &FaultSet::none()).unwrap();
         let has_ctrl = r.routes.iter().any(|x| x.class == RouteClass::Ctrl);
         let has_data = r.routes.iter().any(|x| x.class == RouteClass::Data);
         assert!(has_ctrl && has_data);
@@ -459,9 +441,9 @@ mod tests {
     fn activation_edges_marked() {
         let g = simple();
         let opts = CompileOptions::marionette_4x4();
-        let pl = place(&g, &opts).unwrap();
+        let pl = place(&g, &opts, &FaultSet::none()).unwrap();
         let mesh = Mesh::new(4, 4);
-        let r = route(&g, &pl.places, &mesh);
+        let r = route(&g, &pl.places, &mesh, &FaultSet::none()).unwrap();
         assert!(r.routes.iter().any(|x| x.activation), "carry init edges");
     }
 
@@ -474,7 +456,7 @@ mod tests {
         b.sink("r", y);
         let g = b.finish();
         let opts = CompileOptions::marionette_4x4();
-        let pl = place(&g, &opts).unwrap();
+        let pl = place(&g, &opts, &FaultSet::none()).unwrap();
         let mut places = pl.places;
         for (i, n) in g.nodes.iter().enumerate() {
             if matches!(n.op, Op::Bin(_)) {
@@ -497,7 +479,7 @@ mod tests {
                 to: (1, 0),
             })
             .unwrap();
-        let rr = route_with_faults(&g, &places, &mesh, &faults).unwrap();
+        let rr = route(&g, &places, &mesh, &faults).unwrap();
         for q in &rr.routes {
             assert!(
                 path_is_clean(&mesh, &q.path, &faults),
@@ -525,7 +507,7 @@ mod tests {
                 .add(marionette_sim::FaultSpec::DeadLink { from: (1, 1), to })
                 .unwrap();
         }
-        let err = route_with_faults(&g, &places, &mesh, &faults).unwrap_err();
+        let err = route(&g, &places, &mesh, &faults).unwrap_err();
         assert!(
             matches!(
                 err,

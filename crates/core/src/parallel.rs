@@ -9,6 +9,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -132,7 +133,9 @@ struct PoolShared<J> {
 /// blocks and returns [`SubmitError::QueueFull`] once `capacity` jobs
 /// are waiting, so the caller decides what rejection means (the `mard`
 /// server answers HTTP 429). Workers park on a condvar between jobs and
-/// exit once [`WorkerPool::shutdown`] drained the queue.
+/// exit once [`WorkerPool::shutdown`] drained the queue. A job whose
+/// handler panics is abandoned, and its worker goes on to the next job,
+/// so one bad job cannot take a worker out of service.
 pub struct WorkerPool<J: Send + 'static> {
     shared: Arc<PoolShared<J>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -175,7 +178,8 @@ impl<J: Send + 'static> WorkerPool<J> {
                             st = shared.wake.wait(st).unwrap();
                         }
                     };
-                    handler(job);
+                    // The panic message is still printed by the hook.
+                    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handler(job)));
                 })
             })
             .collect();
@@ -331,6 +335,24 @@ mod tests {
             cv.notify_all();
         }
         pool.shutdown();
+    }
+
+    #[test]
+    fn pool_worker_survives_a_panicking_job() {
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = Arc::clone(&done);
+        let pool = WorkerPool::new(1, 4, move |x: usize| {
+            assert!(x != 1, "job 1 panics");
+            d.fetch_add(x, Ordering::SeqCst);
+        });
+        pool.try_submit(1).unwrap();
+        pool.try_submit(2).unwrap();
+        pool.shutdown();
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            2,
+            "job 2 ran on the same worker"
+        );
     }
 
     #[test]

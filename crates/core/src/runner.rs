@@ -11,8 +11,8 @@ use crate::pipeline::{PipelineError, Stages};
 use marionette_arch::Architecture;
 use marionette_cdfg::Cdfg;
 use marionette_compiler::{
-    compile_with_timing_and_faults, explore_chain_with_faults, finalize_explored_with_faults,
-    select_best, CompileReport, CostModel, PlaceError, SearchBudget,
+    compile_with_timing_and_faults, explore_chain, finalize_explored_with_faults, select_best,
+    CompileReport, CostModel, PlaceError, SearchBudget,
 };
 use marionette_isa::bitstream::BitstreamError;
 use marionette_isa::MachineProgram;
@@ -157,7 +157,7 @@ pub fn compile_for_arch_with_faults(
     }
     let cm = CostModel::from_timing(&arch.tm);
     let chains = par_map(seeds, sweep_threads(), |s| {
-        explore_chain_with_faults(g, &arch.opts, &cm, s, faults)
+        explore_chain(g, &arch.opts, &cm, s, faults)
     });
     let mut ok = Vec::with_capacity(chains.len());
     for c in chains {
@@ -239,7 +239,6 @@ pub fn run_kernel_with(
         .map_err(|e| RunnerError::stage(e.into_inner(), kernel, arch))?;
     let r = healed.run;
     Ok(FaultKernelRun {
-        remapped: healed.wedged.is_some(),
         wedged: healed.wedged,
         run: KernelRun {
             arch: arch.short.to_string(),
@@ -256,11 +255,9 @@ pub fn run_kernel_with(
 #[derive(Clone, Debug)]
 pub struct FaultKernelRun {
     /// The faulted resource (fault-spec syntax, e.g. `pe:1,2`) that
-    /// wedged the fault-oblivious bitstream, when one did.
+    /// wedged the fault-oblivious bitstream, when one did — in which
+    /// case the measurement comes from the fault-aware remap.
     pub wedged: Option<String>,
-    /// Whether the measurement comes from a fault-aware remap rather
-    /// than the original mapping.
-    pub remapped: bool,
     /// The verified measurement.
     pub run: KernelRun,
 }

@@ -175,7 +175,7 @@ fn searched_and_faulted_mappings_are_pinned() {
     // only for an intended change to the explorer's search.
     use marionette::arch::presets_by_tags_on;
     use marionette::compiler::{
-        explore_chain_with_faults, select_best, CostModel, FabricDims, Partition, PartitionMap,
+        explore_chain, select_best, CostModel, FabricDims, Partition, PartitionMap,
     };
     use marionette::runner::compile_for_arch_with_faults;
     use marionette::sim::FaultSet;
@@ -230,9 +230,12 @@ fn searched_and_faulted_mappings_are_pinned() {
                 ),
                 Err(_) => {
                     let cm = CostModel::from_timing(&arch.tm);
-                    let chains = arch.opts.search.chain_seeds().into_iter().map(|s| {
-                        explore_chain_with_faults(&g, &arch.opts, &cm, s, faults).unwrap()
-                    });
+                    let chains = arch
+                        .opts
+                        .search
+                        .chain_seeds()
+                        .into_iter()
+                        .map(|s| explore_chain(&g, &arch.opts, &cm, s, faults).unwrap());
                     let best = select_best(chains.collect());
                     let placed = format!("{:?}", best.placement.places);
                     let h = fnv(FNV_OFFSET, placed.as_bytes());

@@ -301,11 +301,9 @@ pub fn simulate_compiled(
 #[derive(Clone, Debug)]
 pub struct FaultRun {
     /// The faulted resource (fault-spec syntax, e.g. `pe:1,2`) that
-    /// wedged the fault-oblivious bitstream, when one did.
+    /// wedged the fault-oblivious bitstream, when one did — in which
+    /// case the measurement comes from the fault-aware remap.
     pub wedged: Option<String>,
-    /// Whether the measurement comes from a fault-aware remap rather
-    /// than the original mapping.
-    pub remapped: bool,
     /// The verified measurement.
     pub run: PresetRun,
     /// The artifact that ran: the original compile, or the remap.
@@ -335,7 +333,6 @@ pub fn run_preset(
     let healed = self_heal(&mut stages, arch, spec)
         .map_err(|e| DriverError::stage(arch.short, e.into_inner()))?;
     Ok(FaultRun {
-        remapped: healed.wedged.is_some(),
         wedged: healed.wedged,
         run: PresetRun::new(arch.short.to_string(), &healed.run, &healed.artifact.report),
         compiled: healed.artifact,
@@ -405,7 +402,7 @@ sink sum = sum;
         };
         let fr = run_preset(&g, &r, &arch, &[], &mut spec).unwrap();
         assert_eq!(fr.wedged.as_deref(), Some("pe:0,0"));
-        assert!(fr.remapped, "a dead anchor tile must force a remap");
+        assert!(fr.wedged.is_some(), "a dead anchor tile must force a remap");
         assert!(fr.run.cycles > 0);
     }
 
@@ -457,7 +454,10 @@ sink sum = sum;
                 ..RunSpec::new(DEFAULT_MAX_CYCLES)
             };
             let fr = run_preset(&g, &r, &arch, &[], &mut spec).unwrap();
-            assert!(!fr.remapped, "flaky links must not wedge the bitstream");
+            assert!(
+                fr.wedged.is_none(),
+                "flaky links must not wedge the bitstream"
+            );
             assert!(
                 fr.run.cycles >= prev,
                 "cycles must grow monotonically with the stall multiplier"

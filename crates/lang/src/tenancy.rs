@@ -5,22 +5,40 @@
 //! its mapping and control timing are bit-identical to a solo run on an
 //! equal-sized fabric), the per-partition bitstreams are merged into a
 //! validated [`marionette::isa::MultiTenantImage`] (typed rejection of
-//! overlap, escape and cross-partition routes), the merged image is
-//! simulated tenant-per-partition with isolated wedge detection, and
-//! every *completed* tenant is bit-verified against its own reference
-//! interpretation — arrays, sinks, out-of-bounds events and firing
-//! counts, exactly like a solo [`crate::driver::run_preset`].
+//! overlap, escape and cross-partition routes), the programs decoded
+//! from the merged image are simulated tenant-per-partition with
+//! isolated wedge detection, and every *completed* tenant is
+//! bit-verified against its own reference interpretation — arrays,
+//! sinks, out-of-bounds events and firing counts, exactly like a solo
+//! [`crate::driver::run_preset`]. See `docs/PARTITIONING.md` for the
+//! semantics.
 //!
-//! See `docs/PARTITIONING.md` for the semantics and the isolation
-//! argument, and `marionette::sim::tenancy` for why per-partition
-//! simulation is exact rather than approximate.
+//! ## Why per-partition simulation is exact, not an approximation
+//!
+//! The merged image proves (by type) that partitions are disjoint
+//! rectangles and that no tenant's placements or route paths leave its
+//! own partition — there is no shared PE, link, control network or
+//! memory port between tenants. The composed transition system of the
+//! full fabric therefore **factors into the product of the per-partition
+//! machines**: no event in one partition can enable, block or reorder an
+//! event in another, so simulating each factor independently and taking
+//! the cycle-wise union is bit-identical to stepping one monolithic
+//! machine hosting all tenants. Each partition therefore runs on its
+//! own freshly built machine, sharing no state with its neighbours —
+//! which is what makes each co-resident tenant *bit-identical to a solo
+//! run on an equal-sized fabric*, the property the tenancy test suite
+//! pins for all presets.
+//!
+//! Isolation of failure follows from the same factorization: a tenant
+//! that wedges (deadlock or cycle-budget exhaustion) reports its own
+//! typed [`SimError`] as [`TenantOutcome::Wedged`] while its neighbours
+//! run to completion unperturbed.
 
 use crate::driver::{compile_preset, Compiled, DriverError, PresetRun, Reference};
 use marionette::compiler::{Partition, PlaceError};
 use marionette::isa::{MultiTenantImage, TenantImage};
 use marionette::pipeline::{Oracle, PipelineError};
-use marionette::sim::tenancy::{run_tenants, TenancyError, TenantWorkload};
-use marionette::sim::SimError;
+use marionette::sim::{self, RunResult, SimError};
 use marionette_arch::Architecture;
 use marionette_cdfg::{Cdfg, Value};
 
@@ -165,48 +183,55 @@ pub fn run_tenancy(
     // Merge into one image: typed cross-partition-route rejection.
     let image = MultiTenantImage::merge(rows, cols, slots).map_err(DriverError::Image)?;
 
-    // Simulate all tenants, each partition an isolated machine factor.
-    let tms: Vec<_> = jobs.iter().map(|j| j.arch.tm.clone()).collect();
-    let loads: Vec<TenantWorkload> = jobs
-        .iter()
-        .map(|j| TenantWorkload {
-            inputs: j.g.array_inputs(),
-            params: j.overrides.clone(),
-            max_cycles: j.max_cycles,
-        })
-        .collect();
-    let run = run_tenants(&image, &tms, &loads).map_err(|e| match e {
-        TenancyError::Image(e) => DriverError::Image(e),
-        other => DriverError::Mismatch {
-            preset: "tenancy".to_string(),
-            detail: other.to_string(),
-        },
-    })?;
-
-    // Verify completed tenants against their own references; wedged
-    // tenants keep their typed error.
+    // Simulate the programs decoded from the merged image — so the
+    // image itself is what runs — each partition an isolated machine
+    // factor. Completed tenants are verified against their own
+    // references; wedged tenants keep their typed error.
+    let progs = image.tenant_programs().map_err(DriverError::Image)?;
     let mut tenants = Vec::with_capacity(jobs.len());
-    for ((j, c), outcome) in jobs.iter().zip(&compiled).zip(run.tenants) {
-        let tr = match outcome.result {
+    let (mut makespan_cycles, mut total_fires) = (0, 0);
+    for (((j, c), prog), slot) in jobs.iter().zip(&compiled).zip(&progs).zip(image.tenants()) {
+        let result = sim::run(
+            prog,
+            &j.arch.tm,
+            &j.g.array_inputs(),
+            &j.overrides,
+            j.max_cycles,
+        );
+        makespan_cycles = makespan_cycles.max(occupied_cycles(&result));
+        let outcome = match result {
             Ok(r) => {
                 j.reference
                     .check(j.g, j.arch, &c.prog, &r)
                     .map_err(|m| DriverError::stage(&j.name, PipelineError::Verify(m)))?;
+                total_fires += r.stats.fires;
                 TenantOutcome::Completed(PresetRun::new(j.name.clone(), &r, &c.report))
             }
             Err(e) => TenantOutcome::Wedged(e),
         };
         tenants.push(TenantRun {
             name: j.name.clone(),
-            partition: outcome.partition,
-            outcome: tr,
+            partition: slot.partition_spec(),
+            outcome,
         });
     }
     Ok(TenancyReport {
         rows,
         cols,
         tenants,
-        makespan_cycles: run.makespan_cycles,
-        total_fires: run.total_fires,
+        makespan_cycles,
+        total_fires,
     })
+}
+
+/// Cycles a tenant occupied its partition: the run length when it
+/// completed, the wedge cycle on deadlock, the exhausted budget on
+/// cycle-limit, zero when the machine never constructed.
+fn occupied_cycles(result: &Result<RunResult, SimError>) -> u64 {
+    match result {
+        Ok(r) => r.stats.cycles,
+        Err(SimError::Deadlock { cycle, .. }) => *cycle,
+        Err(SimError::CycleLimit { limit }) => *limit,
+        Err(_) => 0,
+    }
 }

@@ -279,6 +279,14 @@ const BATTERY: &[Call] = &[
         "lane=n=1",
         PARSE_ERROR,
     ),
+    // Softbrain on a fabric with fewer tiles than its stream engines.
+    (
+        "sb/fabric-1x1",
+        "POST",
+        "/run",
+        "fabric=1x1&preset=SB",
+        MERGESORT,
+    ),
 ];
 
 /// Digests per request at cache capacity 64 (nothing is evicted).
@@ -367,6 +375,7 @@ const PINS_CACHE_64: &[(&str, u64)] = &[
     ("batch/param", 0xc42f382b1019128b),
     ("batch/bad-lane", 0x1eaacfc0aad63e4f),
     ("batch/parse-error", 0xfbe8dbfde72badf6),
+    ("sb/fabric-1x1", 0xe8329fde57a46c49),
 ];
 
 /// Digests per request at cache capacity 3.
@@ -455,6 +464,7 @@ const PINS_CACHE_3: &[(&str, u64)] = &[
     ("batch/param", 0xc42f382b1019128b),
     ("batch/bad-lane", 0x1eaacfc0aad63e4f),
     ("batch/parse-error", 0xfbe8dbfde72badf6),
+    ("sb/fabric-1x1", 0xe8329fde57a46c49),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -25,9 +25,8 @@
 //! machine; [`run`] and [`run_full`] spell the common cases out. On top
 //! of the core engine sit the [`fault`] plane
 //! (dead/flaky PEs and links, shared with the compiler as an
-//! avoid-mask), the [`trace`] plane (opt-in Perfetto-loadable cycle
-//! traces), and the [`tenancy`] runner (disjoint fabric partitions
-//! simulated as independent factors).
+//! avoid-mask) and the [`trace`] plane (opt-in Perfetto-loadable cycle
+//! traces).
 //!
 //! The pieces that don't need a compiled program are directly usable;
 //! for example a [`FaultSet`] parses from the CLI fault syntax and
@@ -54,7 +53,6 @@ pub mod machine;
 mod mem;
 mod net;
 pub mod stats;
-pub mod tenancy;
 pub mod timing;
 pub mod trace;
 pub mod wheel;
@@ -62,6 +60,5 @@ pub mod wheel;
 pub use fault::{FaultSet, FaultSpec};
 pub use machine::{run, run_full, run_with, EngineKind, RunResult, RunSpec, SimError};
 pub use stats::{GroupStats, RunStats, UnitStats};
-pub use tenancy::{run_tenants, TenancyError, TenancyRun, TenantOutcome, TenantWorkload};
 pub use timing::{CtrlTransport, TimingModel};
 pub use trace::{ParsedEvent, ParsedTrace, Tracer};

@@ -72,28 +72,6 @@ impl RunStats {
         busy as f64 / (self.cycles as f64 * self.pe_data.len() as f64)
     }
 
-    /// Utilization of one group over its active window, normalized by the
-    /// PE count assigned to it.
-    ///
-    /// Degenerate groups are defined to have zero utilization rather than
-    /// a NaN/∞ quotient: a group index past the recorded set, a group
-    /// that never fired, or a `pes` of zero (a mapping group with no PEs
-    /// assigned — the static PE count must not be used as a stand-in for
-    /// such groups) all return `0.0`.
-    pub fn group_window_utilization(&self, group: usize, pes: usize) -> f64 {
-        let Some(gs) = self.groups.get(group) else {
-            return 0.0;
-        };
-        let Some(first) = gs.first_fire else {
-            return 0.0;
-        };
-        if pes == 0 || gs.busy == 0 {
-            return 0.0;
-        }
-        let window = gs.last_fire.saturating_sub(first) + 1;
-        gs.busy as f64 / (window as f64 * pes as f64)
-    }
-
     /// The `k` routes with the largest link-stall attribution, as
     /// `(route id, stall cycles)` pairs sorted descending (stable by
     /// route id on ties). Routes with zero stalls are omitted.
@@ -310,44 +288,6 @@ mod tests {
         s.pe_data[0].busy = 100;
         s.pe_data[1].busy = 50;
         assert!((s.mean_pe_utilization() - 0.375).abs() < 1e-12);
-        s.groups.push(GroupStats {
-            first_fire: Some(10),
-            last_fire: 59,
-            fires: 10,
-            busy: 25,
-        });
-        assert!((s.group_window_utilization(0, 1) - 0.5).abs() < 1e-12);
-        assert_eq!(s.group_window_utilization(9, 1), 0.0);
-    }
-
-    #[test]
-    fn zero_pe_group_utilization_is_zero_not_nan() {
-        let mut s = RunStats {
-            cycles: 100,
-            ..Default::default()
-        };
-        s.groups.push(GroupStats {
-            first_fire: Some(5),
-            last_fire: 20,
-            fires: 4,
-            busy: 8,
-        });
-        // A group with zero mapped PEs must not divide by the static PE
-        // count (or by zero): the defined value is 0.0.
-        let u = s.group_window_utilization(0, 0);
-        assert_eq!(u, 0.0);
-        assert!(u.is_finite());
-        // Never-fired group, any PE count.
-        s.groups.push(GroupStats::default());
-        assert_eq!(s.group_window_utilization(1, 16), 0.0);
-        // Fired-but-zero-busy group is zero too.
-        s.groups.push(GroupStats {
-            first_fire: Some(1),
-            last_fire: 1,
-            fires: 0,
-            busy: 0,
-        });
-        assert_eq!(s.group_window_utilization(2, 16), 0.0);
     }
 
     #[test]
