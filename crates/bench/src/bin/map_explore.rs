@@ -23,9 +23,11 @@ static SPEC: Spec = Spec {
     about: "greedy vs annealed mapping quality for every kernel x preset",
     positional: "",
     flags: &[
-        opt("--moves", "N", "annealing moves per chain [default: 1500]"),
-        opt("--restarts", "K", "annealing chains [default: 2]"),
-        opt("--seed", "S", "base seed of the chains [default: 41246]"),
+        opt(
+            "--search",
+            "M[,R]",
+            "anneal M moves x R chains [default: 1500,2]",
+        ),
         opt("--kernels", "TAGS", "kernel tags [default: all]"),
         opt("--presets", "TAGS", "preset tags [default: all]"),
         opt("--scale", "NAME", "tiny, small or paper [default: small]"),
@@ -38,24 +40,21 @@ static SPEC: Spec = Spec {
 
 struct Config {
     axes: Axes,
-    moves: u32,
-    restarts: u32,
-    base_seed: u64,
+    search: SearchBudget,
     scale: Scale,
     simulate: bool,
     out: String,
 }
 
 fn config(a: &Args) -> Result<Config, String> {
+    let req = a.run_request()?;
     let cfg = Config {
         axes: Axes::healthy(
             kernel_tags(a.list("--kernels")?.as_deref())?,
-            vec![a.run_request()?.fabric],
+            vec![req.fabric],
             a.str("--presets").map(str::to_string),
         ),
-        moves: a.num("--moves", 1500)?,
-        restarts: a.num("--restarts", 2)?,
-        base_seed: a.num("--seed", SearchBudget::ANNEAL_SEED)?,
+        search: req.search.unwrap_or_else(SearchBudget::default_on),
         scale: a.scale()?,
         simulate: !a.has("--no-sim"),
         out: a.str("--out").unwrap_or("MAP_explore.json").to_string(),
@@ -158,11 +157,7 @@ fn point_report(p: &Point, cfg: &Config) -> Result<PointReport, String> {
         ..Side::default()
     };
     let mut searched = arch.clone();
-    searched.opts.search = SearchBudget::Anneal {
-        moves: cfg.moves,
-        restarts: cfg.restarts,
-        base_seed: cfg.base_seed,
-    };
+    searched.opts.search = cfg.search;
     let (routes, e_side) = if cfg.simulate {
         // Greedy side: the preset as shipped (search off).
         let gr = run_kernel(k.as_ref(), arch, scale, SEED, DEFAULT_MAX_CYCLES)
@@ -235,7 +230,14 @@ fn run(cfg: &Config) -> Result<(), String> {
         })
         .collect();
     let gm = marionette::experiments::geomean(&speedups);
-    let (moves, restarts, base_seed) = (cfg.moves, cfg.restarts, cfg.base_seed);
+    let SearchBudget::Anneal {
+        moves,
+        restarts,
+        base_seed,
+    } = cfg.search
+    else {
+        unreachable!("a run request's search is an anneal budget");
+    };
     let mut snap = Snapshot::new("marionette.map_explore/v1");
     snap.field(
         "budget",

@@ -1,10 +1,9 @@
 //! Differential trace comparator.
 //!
 //! Loads two Chrome trace-event JSON files written by the simulator's
-//! cycle tracer (`marc --trace`, `bench_sim --trace`, `fault_sweep
-//! --trace`) and reports where the two timelines diverge: the first
-//! event (and its cycle) at which they differ, plus per-track
-//! stall-cycle deltas. This turns the repo's differential harnesses
+//! cycle tracer (`marc --trace`, `fault_sweep --trace`) and reports
+//! where the two timelines diverge: the first event (and its cycle) at
+//! which they differ, plus per-track stall-cycle deltas. This turns the repo's differential harnesses
 //! into a debugging workflow — heap-vs-wheel traces of the same kernel
 //! must be identical, and a healthy-vs-remapped pair shows exactly
 //! which links the healed mapping pays its extra cycles on.

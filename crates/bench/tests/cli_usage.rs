@@ -38,8 +38,26 @@ const REPRO_ALL: &str = env!("CARGO_BIN_EXE_repro_all");
 #[test]
 fn bench_sim_rejects_duplicate_engine() {
     // The wheel is the only event core: `--engine` is no flag of it.
-    let out = run(BENCH_SIM, &["--engine", "wheel", "--engine", "heap"]);
-    assert_usage_error(&out, "unknown flag `--engine`", "bench_sim dup engine");
+    // Faulted sweeps and traces are fault_sweep's, a serial run is
+    // `MARIONETTE_THREADS=1`, and the wall tolerance is fixed.
+    for args in [
+        &["--engine", "wheel", "--engine", "heap"][..],
+        &["--fault", "pe:0,0"],
+        &["--faults", "1"],
+        &["--fault-seed", "1"],
+        &["--trace", "a.json"],
+        &["--trace-point", "CRC:M"],
+        &["--serial"],
+        &["--compare"],
+        &["--wall-tolerance", "25"],
+    ] {
+        let out = run(BENCH_SIM, args);
+        assert_usage_error(
+            &out,
+            &format!("unknown flag `{}`", args[0]),
+            &format!("bench_sim {args:?}"),
+        );
+    }
 }
 
 #[test]
@@ -66,20 +84,6 @@ fn bench_sim_rejects_conflicting_replay_without_check() {
 }
 
 #[test]
-fn bench_sim_allows_repeated_fault_specs() {
-    // `--fault` accumulates; a bogus spec proves parsing got past the
-    // duplicate check to per-spec validation (still exit 2, different
-    // message).
-    let out = run(BENCH_SIM, &["--fault", "pe:0,0", "--fault", "bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !stderr.contains("duplicate flag"),
-        "repeated --fault must not be a duplicate error: {stderr}"
-    );
-}
-
-#[test]
 fn marc_rejects_duplicate_engine_and_json() {
     let out = run(MARC, &["--engine", "wheel", "--engine", "heap", "x.mar"]);
     assert_usage_error(&out, "unknown flag `--engine`", "marc dup engine");
@@ -98,9 +102,18 @@ fn marc_rejects_unknown_flag_and_multiple_files() {
 #[test]
 fn marc_rejects_a_search_that_is_not_moves_and_restarts() {
     // The decoder mard shares: three parts, or zero chains, is no budget.
-    for search in ["20,1,3", "20,0"] {
-        let out = run(MARC, &["--search", search, "examples/crc.mar"]);
-        assert_usage_error(&out, &format!("search `{search}`"), "marc bad search");
+    for (bin, file) in [(MARC, Some("examples/crc.mar")), (MAP_EXPLORE, None)] {
+        for (search, needle) in [
+            ("20,1,3", "not MOVES[,RESTARTS]"),
+            ("20,0", "runs no chain"),
+        ] {
+            let mut args = vec!["--search", search];
+            args.extend(file);
+            let out = run(bin, &args);
+            let ctx = format!("{bin} --search {search}");
+            assert_usage_error(&out, &format!("search `{search}`"), &ctx);
+            assert_usage_error(&out, needle, &ctx);
+        }
     }
 }
 
@@ -117,64 +130,6 @@ fn fault_sweep_rejects_unknown_argument() {
         &out,
         "unknown flag `--fault-count`",
         "fault_sweep typo'd flag",
-    );
-}
-
-#[test]
-fn bench_sim_trace_flags_are_audited() {
-    let out = run(
-        BENCH_SIM,
-        &[
-            "--trace",
-            "a.json",
-            "--trace",
-            "b.json",
-            "--trace-point",
-            "CRC:M",
-        ],
-    );
-    assert_usage_error(&out, "duplicate flag `--trace`", "bench_sim dup trace");
-    let out = run(BENCH_SIM, &["--trace", "a.json"]);
-    assert_usage_error(&out, "--trace needs --trace-point", "bench_sim trace alone");
-    let out = run(BENCH_SIM, &["--trace-point", "CRC:M"]);
-    assert_usage_error(
-        &out,
-        "--trace-point only makes sense with --trace",
-        "bench_sim point alone",
-    );
-    let out = run(BENCH_SIM, &["--trace", "a.json", "--trace-point", "CRC"]);
-    assert_usage_error(&out, "wants KERNEL:PRESET", "bench_sim point no colon");
-    let out = run(BENCH_SIM, &["--trace", "a.json", "--trace-point", "NOPE:M"]);
-    assert_usage_error(&out, "not a kernel tag", "bench_sim point bad kernel");
-    let out = run(
-        BENCH_SIM,
-        &[
-            "--trace",
-            "/nonexistent-dir/t.json",
-            "--trace-point",
-            "CRC:M",
-        ],
-    );
-    assert_usage_error(
-        &out,
-        "--trace /nonexistent-dir/t.json",
-        "bench_sim bad path",
-    );
-    let out = run(
-        BENCH_SIM,
-        &[
-            "--trace",
-            "a.json",
-            "--trace-point",
-            "CRC:M",
-            "--check",
-            "b.json",
-        ],
-    );
-    assert_usage_error(
-        &out,
-        "--trace records a single run",
-        "bench_sim trace+check",
     );
 }
 
@@ -267,8 +222,15 @@ fn loadgen_rejects_duplicates_and_unknown_flags() {
 
 #[test]
 fn map_explore_rejects_unknown_and_duplicate_flags() {
-    let out = run(MAP_EXPLORE, &["--nope"]);
-    assert_usage_error(&out, "unknown flag `--nope`", "map_explore unknown flag");
+    // The anneal budget is the shared `--search MOVES[,RESTARTS]`.
+    for flag in ["--nope", "--moves", "--restarts", "--seed"] {
+        let out = run(MAP_EXPLORE, &[flag, "1"]);
+        assert_usage_error(
+            &out,
+            &format!("unknown flag `{flag}`"),
+            &format!("map_explore {flag}"),
+        );
+    }
     let out = run(MAP_EXPLORE, &["--kernels", "CRC", "--kernels", "MS"]);
     assert_usage_error(
         &out,

@@ -59,7 +59,6 @@ static SPEC: Spec = Spec {
         opt("--corpus-dir", "DIR", "[default: crates/fuzzgen/corpus]"),
         opt("--json", "PATH", "write the counter summary"),
         opt("--max-cycles", "N", "per-run cycle cap"),
-        switch("--serial", "run single-threaded"),
         opt("--print-seed", "S", "print seed S's program and exit"),
         opt("--search", "M[,R]", "anneal M moves x R chains"),
         switch("--source", "also fuzz the .mar source axis"),
@@ -79,7 +78,6 @@ struct Config {
     corpus_dir: String,
     json: Option<String>,
     max_cycles: u64,
-    serial: bool,
     print_seed: Option<u64>,
     source: bool,
     /// Fabric, search budget and faults; `--faults N` draws a fresh
@@ -110,7 +108,6 @@ fn config(a: &Args) -> Result<Config, String> {
             .to_string(),
         json: a.str("--json").map(str::to_string),
         max_cycles: req.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES),
-        serial: a.has("--serial"),
         print_seed: a
             .str("--print-seed")
             .map(|_| a.num("--print-seed", 0))
@@ -146,7 +143,7 @@ fn main() {
         print!("{}", generate(seed, cfg).to_text());
         return;
     }
-    let threads = if args.serial { 1 } else { sweep_threads() };
+    let threads = sweep_threads();
     let seeds: Vec<u64> = (args.start..args.start + args.count).collect();
     let t0 = Instant::now();
     // With --source, each seed runs both axes sharing one reference

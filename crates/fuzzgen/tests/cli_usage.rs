@@ -27,6 +27,8 @@ fn malformed_count_is_a_usage_error() {
 #[test]
 fn unknown_flag_is_a_usage_error() {
     usage_error(&["--nope"], "unknown flag `--nope`");
+    // `MARIONETTE_THREADS=1` runs the sweep single-threaded.
+    usage_error(&["--serial"], "unknown flag `--serial`");
 }
 
 #[test]
