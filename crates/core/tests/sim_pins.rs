@@ -121,6 +121,34 @@ fn faulted_runs_are_pinned() {
     }
 }
 
+/// Timing models that book tokens far beyond the event wheel's 128-slot
+/// horizon: a 300-cycle load latency on M (load results cross the mesh
+/// as flits and reach local consumers as far-future deliveries) and a
+/// 300-cycle activation surcharge on DF (whose activation routes ride
+/// the mesh). No preset books further than ~20 cycles ahead, so only
+/// these points cover far-ahead flit and delivery bookings.
+#[test]
+fn far_ahead_bookings_are_pinned() {
+    for &(tag, preset, knob, ps, pt) in FAR_AHEAD_PINS {
+        let k = marionette::kernels::by_short(tag).expect("kernel tag");
+        let mut arch = all_presets()
+            .into_iter()
+            .find(|a| a.short == preset)
+            .expect("preset tag");
+        match knob {
+            "mem_latency" => arch.tm.mem_latency = 300,
+            "activation_extra" => arch.tm.activation_extra = 300,
+            _ => unreachable!("unknown timing knob {knob}"),
+        }
+        let (stats, trace, _) = digests(k.as_ref(), &arch, &[]);
+        check(
+            &format!("{tag} on {preset} [{knob}=300]"),
+            (stats, trace),
+            (ps, pt),
+        );
+    }
+}
+
 /// Digest of a whole run outcome: the typed error, or the stats, every
 /// array's bits, the out-of-bounds count and the sinks sorted by label.
 fn outcome_digest(run: &Result<RunResult, SimError>) -> u64 {
@@ -242,6 +270,38 @@ const FAULTED_PINS: &[(&str, &str, u64, u64)] = &[
         0xed160886424a1811,
     ),
     ("CRC", "pe:0,0", 0x712a36074f7e51b2, 0xbb125e8e037a0537),
+];
+
+/// `(kernel, preset, timing knob set to 300, stats digest, trace digest)`.
+const FAR_AHEAD_PINS: &[(&str, &str, &str, u64, u64)] = &[
+    (
+        "GEMM",
+        "M",
+        "mem_latency",
+        0x163e4a1202d063a3,
+        0x5df1692cf5c41684,
+    ),
+    (
+        "CRC",
+        "M",
+        "mem_latency",
+        0xfeeae7320fa041ec,
+        0xe13c9e71d9e5014d,
+    ),
+    (
+        "SCD",
+        "DF",
+        "activation_extra",
+        0xe947adbe30f8db7d,
+        0xc2ffbaa5f775252b,
+    ),
+    (
+        "CRC",
+        "DF",
+        "activation_extra",
+        0xbe345a8c82995826,
+        0x9ac919117535ff9a,
+    ),
 ];
 
 /// `(kernel, preset, stats digest, trace digest)` in sweep order.
