@@ -193,8 +193,7 @@ fn run(cfg: &Config) -> Result<(), String> {
         measure(&points[i], cfg.scale, None).map(drop)
     })?;
 
-    snap.str("mode", "parallel")
-        .field("threads", threads)
+    snap.field("threads", threads)
         .field("total_wall_ms", format!("{wall_ms:.3}"));
     let speedups: Vec<f64> = measured
         .iter()
@@ -236,7 +235,7 @@ fn run(cfg: &Config) -> Result<(), String> {
 
     let total_cycles: u64 = measured.iter().map(|m| m.cycles).sum();
     println!(
-        "bench_sim: {} points, {total_cycles} total cycles, {wall_ms:.1} ms wall (parallel, {threads} threads) -> {}",
+        "bench_sim: {} points, {total_cycles} total cycles, {wall_ms:.1} ms wall ({threads} threads) -> {}",
         measured.len(),
         cfg.out
     );

@@ -108,19 +108,26 @@ impl Ctrl {
         }
     }
 
+    // The group bookkeeping below feeds only the exclusive switch logic
+    // (`step`, `next_wake`), so other models skip it.
+
     pub(crate) fn note_fire(&mut self, group: u16, cycle: u64) {
-        if group == self.active_group {
+        if self.exclusive && group == self.active_group {
             self.last_active_fire = cycle;
         }
     }
 
     pub(crate) fn token_sent(&mut self, dst: u32) {
-        self.group_inflight[self.node_group[dst as usize] as usize] += 1;
+        if self.exclusive {
+            self.group_inflight[self.node_group[dst as usize] as usize] += 1;
+        }
     }
 
     pub(crate) fn token_arrived(&mut self, dst: u32) {
-        let g = &mut self.group_inflight[self.node_group[dst as usize] as usize];
-        *g = g.saturating_sub(1);
+        if self.exclusive {
+            let g = &mut self.group_inflight[self.node_group[dst as usize] as usize];
+            *g = g.saturating_sub(1);
+        }
     }
 
     /// Rebuilds the group-candidate counters after the active group

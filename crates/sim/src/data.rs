@@ -6,7 +6,7 @@
 
 use crate::ctrl::Ctrl;
 use crate::fault::FaultSet;
-use crate::machine::{EvKind, SimError};
+use crate::machine::{Delivery, SimError};
 use crate::mem::Mem;
 use crate::net::Net;
 use crate::stats::Observer;
@@ -141,7 +141,7 @@ pub(crate) struct Reach<'a> {
     pub(crate) ctrl: &'a mut Ctrl,
     pub(crate) net: &'a mut Net,
     pub(crate) mem: &'a mut Mem,
-    pub(crate) events: &'a mut EventWheel<EvKind>,
+    pub(crate) events: &'a mut EventWheel<Delivery>,
     pub(crate) obs: &'a mut Observer,
 }
 
@@ -357,6 +357,13 @@ impl Data {
 
     pub(crate) fn queue_count(&self) -> usize {
         self.reserved.len()
+    }
+
+    /// How far ahead of its firing cycle a result can be emitted: the
+    /// largest fire-to-result latency of any operator, and at least the
+    /// boot emission's one cycle.
+    pub(crate) fn max_latency(&self) -> u64 {
+        self.node_lat.iter().copied().max().unwrap_or(0).max(1)
     }
 
     pub(crate) fn qidx(&self, node: u32, port: u8) -> usize {
@@ -650,17 +657,17 @@ impl Data {
             };
             let route = l.route;
             if !reserve {
-                cx.events.push(at, EvKind::SpawnFlit { route, value });
+                cx.net.book(at, route, value);
                 continue;
             }
             self.reserved[qi] += 1;
-            let ev = EvKind::Deliver {
+            let d = Delivery {
                 node: l.dst,
                 port: l.port,
                 value,
                 route: (route != u32::MAX).then_some(route),
             };
-            cx.events.push(at, ev);
+            cx.events.push(at, d);
         }
     }
 

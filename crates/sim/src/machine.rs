@@ -28,22 +28,27 @@
 //!
 //! - `data`: token queues, operand selectors, candidate worklists and
 //!   issue bitmaps, and the one firing rule;
-//! - `net`: route tables, mesh flits, link waiters, parked flits, the
-//!   control network's transfer slots, dead-link screening;
+//! - `net`: route tables, booked flit spawns, mesh flits, link waiters,
+//!   parked flits, the control network's transfer slots, dead-link
+//!   screening;
 //! - `ctrl`: the active group, the CCU switch timer, per-group in-flight
 //!   counts and group-candidate counters;
 //! - `mem`: arrays, the out-of-bounds count, sinks;
 //! - the observer (in [`crate::stats`]): every stats counter and trace
 //!   event, one method per architectural event.
 //!
-//! Each cycle runs due events, the network (parked deliveries, then one
-//! mesh cycle), the control plane, one data-plane issue pass and the
-//! trace counter sample, in that order. A cycle in which nothing moved
-//! fast-forwards to the next cycle any plane changes state on its own.
+//! Each cycle runs due deliveries, then the flit spawns due, the network
+//! (parked deliveries, then one mesh cycle), the control plane, one
+//! data-plane issue pass and the trace counter sample, in that order. A
+//! cycle in which nothing moved fast-forwards to the next cycle any plane
+//! changes state on its own.
 //!
-//! Scheduled tokens live in a calendar-queue [`EventWheel`] (O(1) push
-//! and pop over a dense horizon, arena payloads, overflow bucket for
-//! the rare far-future booking), the machine's one event queue.
+//! Local and control-network deliveries live in a calendar-queue
+//! [`EventWheel`] (O(1) push and pop over a dense horizon, arena
+//! payloads, overflow bucket for the rare far-future booking), the
+//! machine's one event queue. A token bound across the mesh skips it:
+//! the network plane books the flit under its entry cycle and puts it on
+//! the mesh then.
 
 use crate::ctrl::Ctrl;
 use crate::data::{Data, Reach};
@@ -139,23 +144,21 @@ impl RunResult {
     }
 }
 
+/// A token due at its destination queue: a local or control-network
+/// transfer (mesh flits are booked in the network plane instead).
 #[derive(Clone, Debug)]
-pub(crate) enum EvKind {
-    Deliver {
-        node: u32,
-        port: u8,
-        value: Value,
-        route: Option<u32>,
-    },
-    SpawnFlit {
-        route: u32,
-        value: Value,
-    },
+pub(crate) struct Delivery {
+    pub(crate) node: u32,
+    pub(crate) port: u8,
+    pub(crate) value: Value,
+    /// The control-network route it rode, whose in-flight slot frees on
+    /// arrival; `None` for a local transfer.
+    pub(crate) route: Option<u32>,
 }
 
 struct Machine<'p> {
     prog: &'p MachineProgram,
-    events: EventWheel<EvKind>,
+    events: EventWheel<Delivery>,
     cycle: u64,
     progressed: bool,
     data: Data,
@@ -357,29 +360,27 @@ impl<'p> Machine<'p> {
         (&mut self.data, cx)
     }
 
+    /// Runs the due deliveries, then puts the flits booked for this
+    /// cycle on the mesh.
     fn process_events(&mut self) {
-        while let Some(kind) = self.events.pop_due(self.cycle) {
+        while let Some(d) = self.events.pop_due(self.cycle) {
             self.progressed = true;
-            match kind {
-                EvKind::Deliver {
-                    node,
-                    port,
-                    value,
-                    route,
-                } => {
-                    self.data.deliver(node, port, value, &mut self.ctrl);
-                    if let Some(r) = route {
-                        self.net.route_arrived(r, &mut self.data, &mut self.ctrl);
-                    }
-                    self.data.mark_candidate(node, &mut self.ctrl);
-                }
-                EvKind::SpawnFlit { route, value } => self.net.spawn(route, value, self.cycle),
+            self.data.deliver(d.node, d.port, d.value, &mut self.ctrl);
+            if let Some(r) = d.route {
+                self.net.route_arrived(r, &mut self.data, &mut self.ctrl);
             }
+            self.data.mark_candidate(d.node, &mut self.ctrl);
         }
+        self.progressed |= self.net.spawn_due(self.cycle);
+    }
+
+    /// Scheduled tokens: pending deliveries plus booked flit spawns.
+    fn queue_depth(&self) -> usize {
+        self.events.len() + self.net.booked()
     }
 
     fn pending_work(&self) -> bool {
-        self.data.cand_count > 0 || !self.events.is_empty() || self.net.in_flight() > 0
+        self.data.cand_count > 0 || self.queue_depth() > 0 || self.net.in_flight() > 0
     }
 
     fn run_to_quiescence(&mut self, max_cycles: u64) -> Result<(), SimError> {
@@ -397,8 +398,10 @@ impl<'p> Machine<'p> {
             let (data, mut cx) = self.split();
             self.progressed |= data.issue(&mut cx);
             let (events, net) = (&self.events, &self.net);
-            self.obs
-                .counters(self.cycle, || (events.len() as u64, net.in_flight() as u64));
+            self.obs.counters(self.cycle, || {
+                let depth = events.len() + net.booked();
+                (depth as u64, net.in_flight() as u64)
+            });
             if self.progressed {
                 idle_streak = 0;
                 self.cycle += 1;
@@ -415,6 +418,7 @@ impl<'p> Machine<'p> {
             let cycle = self.cycle;
             let next = [
                 self.events.next_at(),
+                self.net.next_spawn(),
                 // In-transit and link-blocked flits arbitrate every cycle.
                 self.net.moving().then_some(cycle + 1),
                 self.ctrl.next_wake(cycle, self.data.cand_count),
@@ -446,7 +450,7 @@ impl<'p> Machine<'p> {
                                 "{} flits ({} blocked at destination), {} events, waiting nodes {:?}",
                                 self.net.in_flight(),
                                 self.net.parked_count,
-                                self.events.len(),
+                                self.queue_depth(),
                                 waiting
                             ),
                         });

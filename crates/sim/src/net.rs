@@ -1,8 +1,15 @@
 //! The network plane: the flattened route tables, the mesh data NoC
-//! (flits, per-link arbitration, link waiters, flits parked at a full
-//! destination queue, flaky-link stretching) and the CS-Benes control
-//! network's per-route transfer slots (Fig 6). Dead links are screened
-//! here, at construction, before any cycle runs.
+//! (flits booked to enter it, flits in flight, per-link arbitration,
+//! link waiters, flits parked at a full destination queue, flaky-link
+//! stretching) and the CS-Benes control network's per-route transfer
+//! slots (Fig 6). Dead links are screened here, at construction, before
+//! any cycle runs.
+//!
+//! A flit's life: [`Net::book`] files it in the spawn ring under the
+//! cycle it enters the mesh; [`Net::spawn_due`] puts that cycle's bucket
+//! on the mesh in launch order, giving each flit its serial;
+//! [`Net::step`] moves it link by link, parking it in its destination
+//! queue's FIFO list if the queue is full.
 
 use crate::ctrl::Ctrl;
 use crate::data::Data;
@@ -24,17 +31,14 @@ struct Flit {
     route: u32,
     hop: u32,
     value: Value,
-    /// Spawn order; ties between flits are always broken by serial, which
-    /// reproduces the old single-vector iteration order.
+    /// Spawn order: (entry cycle, launch order). Ties between flits are
+    /// always broken by serial, which reproduces the old single-vector
+    /// iteration order.
     serial: u64,
-    /// In flight: the earliest cycle the flit may take its next link
-    /// (`GONE` once it left the scan). Waiting or parked: the first
-    /// cycle it contended.
+    /// In flight: the earliest cycle the flit may take its next link.
+    /// Waiting or parked: the first cycle it contended.
     at: u64,
 }
-
-/// `Flit::at` of a flit that left the in-flight scan this cycle.
-const GONE: u64 = u64::MAX;
 
 /// A route's flattened hot metadata and transport state (the flit and
 /// emit paths never touch `prog.routes`: `Route.path` is heap-indirected
@@ -92,6 +96,18 @@ pub(crate) struct Net {
     flaky_mult: Vec<u64>,
     /// Fast-path gate: the healthy flit loop never reads `flaky_mult`.
     has_flaky: bool,
+    /// Booked flits `(route, value)`, one bucket per entry cycle
+    /// (`cycle & spawn_mask`), each in launch order. A flit is booked at
+    /// most the program's largest result latency plus its largest route
+    /// surcharge ahead, and the ring is longer than that, so the live
+    /// buckets never alias.
+    spawn_ring: Vec<Vec<(u32, Value)>>,
+    spawn_mask: u64,
+    /// The last cycle whose bucket went on the mesh (a firing in that
+    /// cycle may still book into it); every booking lies at or after it.
+    spawn_base: u64,
+    /// Flits booked across all buckets.
+    booked: usize,
     /// In-transit flits only, always serial-sorted (spawn appends in
     /// serial order; waiters re-enter by sorted insert); at-destination
     /// flits move to `parked` until their input queue has space, and
@@ -101,14 +117,17 @@ pub(crate) struct Net {
     /// Per-directed-link waiter queue (serial-sorted), indexed like
     /// `link_used`. The head is the arbitration winner once the link is
     /// free: among all flits wanting a link, the smallest serial wins —
-    /// identical to the old serial-ordered full-vector scan.
+    /// identical to the old serial-ordered full-vector scan. Losers
+    /// mostly arrive in serial order, so an insert is usually an append.
     link_waiters: Vec<VecDeque<Flit>>,
     /// Links with a non-empty waiter queue.
     waiting_links: Vec<u32>,
     /// Total waiters across all links.
     link_wait_count: usize,
-    /// Parked flits per input queue, each list in serial order.
-    parked: Vec<Vec<Flit>>,
+    /// Parked flits per input queue, each a FIFO in serial order: one
+    /// route feeds a queue, and that route's flits keep spawn order along
+    /// their shared path, so they park in serial order.
+    parked: Vec<VecDeque<Flit>>,
     /// Whether a queue has a non-empty parked list.
     queue_parked: Vec<bool>,
     pub(crate) parked_count: usize,
@@ -161,8 +180,13 @@ impl Net {
             }
         });
         let has_flaky = faults.has_flaky();
+        let routes: Vec<RouteState> = routes.collect();
+        // The farthest booking: a result emitted `max_latency` after its
+        // firing, launched onto the route with the largest surcharge.
+        let reach = data.max_latency() + routes.iter().map(|r| r.extra).max().unwrap_or(0);
+        let ring = (reach as usize + 1).next_power_of_two();
         let net = Net {
-            routes: routes.collect(),
+            routes,
             hop_link,
             ctrl_net: match tm.ctrl_transport {
                 CtrlTransport::CtrlNetwork { latency } => Some(u64::from(latency)),
@@ -180,12 +204,16 @@ impl Net {
                 Vec::new()
             },
             has_flaky,
+            spawn_ring: vec![Vec::new(); ring],
+            spawn_mask: ring as u64 - 1,
+            spawn_base: 0,
+            booked: 0,
             flits: Vec::new(),
             flit_serial: 0,
             link_waiters: vec![VecDeque::new(); nlinks],
             waiting_links: Vec::new(),
             link_wait_count: 0,
-            parked: vec![Vec::new(); nqueues],
+            parked: vec![VecDeque::new(); nqueues],
             queue_parked: vec![false; nqueues],
             parked_count: 0,
             deliver_buf: Vec::new(),
@@ -269,16 +297,56 @@ impl Net {
         }
     }
 
-    pub(crate) fn spawn(&mut self, route: u32, value: Value, cycle: u64) {
-        let serial = self.flit_serial;
-        self.flit_serial += 1;
-        self.flits.push(Flit {
-            route,
-            hop: 0,
-            value,
-            serial,
-            at: cycle,
-        });
+    /// Books a flit of `route` to enter the mesh at cycle `at`, after the
+    /// flits already booked for that cycle.
+    pub(crate) fn book(&mut self, at: u64, route: u32, value: Value) {
+        debug_assert!(
+            at >= self.spawn_base && at - self.spawn_base <= self.spawn_mask,
+            "flit booked for cycle {at} outside the spawn ring [{}, {}]",
+            self.spawn_base,
+            self.spawn_base + self.spawn_mask
+        );
+        self.spawn_ring[(at & self.spawn_mask) as usize].push((route, value));
+        self.booked += 1;
+    }
+
+    /// Puts every flit booked for a cycle up to `cycle` on the mesh, in
+    /// (entry cycle, launch order), each with the next serial. Returns
+    /// whether any flit entered.
+    pub(crate) fn spawn_due(&mut self, cycle: u64) -> bool {
+        let mut spawned = false;
+        if self.booked > 0 {
+            for c in self.spawn_base..=cycle {
+                let bucket = &mut self.spawn_ring[(c & self.spawn_mask) as usize];
+                spawned |= !bucket.is_empty();
+                self.booked -= bucket.len();
+                for (route, value) in bucket.drain(..) {
+                    self.flits.push(Flit {
+                        route,
+                        hop: 0,
+                        value,
+                        serial: self.flit_serial,
+                        at: cycle,
+                    });
+                    self.flit_serial += 1;
+                }
+            }
+        }
+        self.spawn_base = cycle;
+        spawned
+    }
+
+    /// Flits booked but not yet on the mesh.
+    pub(crate) fn booked(&self) -> usize {
+        self.booked
+    }
+
+    /// The earliest cycle a booked flit enters the mesh, if any.
+    pub(crate) fn next_spawn(&self) -> Option<u64> {
+        if self.booked == 0 {
+            return None;
+        }
+        (self.spawn_base..).find(|&c| !self.spawn_ring[(c & self.spawn_mask) as usize].is_empty())
     }
 
     /// Flits traversing or arbitrating for a link (they act every cycle).
@@ -321,8 +389,8 @@ impl Net {
                 continue; // refilled before the scan; await the next pop
             }
             let take_n = self.parked[qi].len().min(space);
-            for k in 0..take_n {
-                let pf = self.parked[qi][k];
+            for _ in 0..take_n {
+                let pf = self.parked[qi].pop_front().expect("take_n <= len");
                 ctrl.token_arrived(self.routes[pf.route as usize].dst);
                 data.queues.push_back(qi, pf.value);
                 // All cycles spent waiting, one stall per blocked cycle.
@@ -331,7 +399,6 @@ impl Net {
                 self.parked_count -= 1;
                 self.deliver_buf.push((pf.serial, pf.route));
             }
-            self.parked[qi].drain(..take_n);
             if self.parked[qi].is_empty() {
                 self.queue_parked[qi] = false;
             }
@@ -364,12 +431,12 @@ impl Net {
     /// arbitration (serial order per queue) starting next cycle.
     fn park(&mut self, f: Flit, cycle: u64, data: &Data) {
         let qi = self.routes[f.route as usize].dst_qi as usize;
-        // Same-queue flits ride the same route, so serials arrive in
-        // order; insertion keeps the list sorted even if they did not.
-        let pos = self.parked[qi]
-            .binary_search_by_key(&f.serial, |p| p.serial)
-            .unwrap_err();
-        self.parked[qi].insert(pos, Flit { at: cycle + 1, ..f });
+        debug_assert!(
+            self.parked[qi].back().is_none_or(|p| p.serial < f.serial),
+            "flit {} parks out of serial order on queue {qi}",
+            f.serial
+        );
+        self.parked[qi].push_back(Flit { at: cycle + 1, ..f });
         self.parked_count += 1;
         self.queue_parked[qi] = true;
         // If the queue already has space the first attempt (next cycle)
@@ -377,12 +444,6 @@ impl Net {
         if data.queues.space(qi) > 0 {
             self.queue_freed(qi);
         }
-    }
-
-    fn park_flit(&mut self, fi: usize, cycle: u64, data: &Data) {
-        let f = self.flits[fi];
-        self.flits[fi].at = GONE;
-        self.park(f, cycle, data);
     }
 
     /// Grants link `lid` to a flit of `route` taking hop `hop`: nominal
@@ -436,19 +497,24 @@ impl Net {
         if !self.moving() {
             return progressed;
         }
-        let mut any_removed = false;
         // In-flight flits, in serial order (the vec is kept sorted).
+        // Flits that leave the scan (to a link's waiters or a parked
+        // list) drop out as it goes: `kept` trails `fi`, compacting the
+        // survivors in place.
+        let mut kept = 0;
         for fi in 0..self.flits.len() {
-            let f = &self.flits[fi];
+            let mut f = self.flits[fi];
             if f.at > cycle {
-                continue; // still traversing the previous link
+                // Still traversing the previous link.
+                self.flits[kept] = f;
+                kept += 1;
+                continue;
             }
             let (route, hop, serial) = (f.route as usize, f.hop as usize, f.serial);
             if hop + 1 >= self.routes[route].hops as usize {
                 // The final hop finished a stretched (flaky-link)
                 // traversal: deliver now that its ready cycle arrived.
-                self.park_flit(fi, cycle, data);
-                any_removed = true;
+                self.park(f, cycle, data);
                 progressed = true;
                 continue;
             }
@@ -461,34 +527,35 @@ impl Net {
                     .front()
                     .is_some_and(|w| w.serial < serial);
             if lost {
-                let w = Flit {
-                    at: cycle,
-                    ..self.flits[fi]
-                };
-                self.flits[fi].at = GONE;
-                any_removed = true;
                 let q = &mut self.link_waiters[lid];
                 if q.is_empty() {
                     self.waiting_links.push(lid as u32);
                 }
-                let pos = match q.binary_search_by_key(&serial, |p| p.serial) {
-                    Ok(_) => unreachable!("flit serials are unique"),
-                    Err(p) => p,
-                };
-                q.insert(pos, w);
+                let w = Flit { at: cycle, ..f };
+                if q.back().is_none_or(|b| b.serial < serial) {
+                    q.push_back(w);
+                } else {
+                    let pos = match q.binary_search_by_key(&serial, |p| p.serial) {
+                        Ok(_) => unreachable!("flit serials are unique"),
+                        Err(p) => p,
+                    };
+                    q.insert(pos, w);
+                }
                 self.link_wait_count += 1;
             } else {
                 let (ready_at, deliver) = self.grant(cycle, lid, route, hop + 1, obs);
                 progressed = true;
-                let f = &mut self.flits[fi];
                 f.hop += 1;
                 f.at = ready_at;
                 if deliver {
-                    self.park_flit(fi, cycle, data);
-                    any_removed = true;
+                    self.park(f, cycle, data);
+                } else {
+                    self.flits[kept] = f;
+                    kept += 1;
                 }
             }
         }
+        self.flits.truncate(kept);
         // One grant per contended link: the head waiter (smallest
         // serial) takes any link no in-flight flit claimed this cycle.
         // Links are independent, so sweep order is immaterial.
@@ -524,9 +591,6 @@ impl Net {
                 !self.link_waiters[lid].is_empty()
             });
             self.waiting_links = wl;
-        }
-        if any_removed {
-            self.flits.retain(|f| f.at != GONE);
         }
         progressed
     }

@@ -16,8 +16,8 @@
 //! - **arena**: event payloads live in one slab of nodes with a freelist,
 //!   so steady-state operation performs no allocation at all.
 //! - **overflow bucket**: the rare far-future event (a serialized
-//!   control-network route booked many transfers ahead, a stretched flaky
-//!   delivery) that lands at or beyond `base + WHEEL_SLOTS` goes to a
+//!   control-network route booked many transfers ahead, a load under a
+//!   long memory latency) that lands at or beyond `base + WHEEL_SLOTS` goes to a
 //!   small binary heap ordered by `(cycle, sequence)`. When `base`
 //!   advances and a new cycle enters the window, due overflow entries
 //!   migrate into their slot *before* any direct push can target that
