@@ -9,9 +9,11 @@
 //! exact trace, so a refactor of the cycle loop that moves any counter
 //! or reorders any event fails here at a named point.
 //!
-//! Two more tables pin raw (unhealed) simulator outcomes: four fault
-//! sets on every preset, digesting either the typed error or the whole
-//! result (stats, memory, out-of-bounds count, sinks), and the typed
+//! A second digest table pins four points under timing models that book
+//! tokens more than 128 cycles ahead, which no preset does. Two more
+//! tables pin raw (unhealed) simulator outcomes: four fault sets on
+//! every preset, digesting either the typed error or the whole result
+//! (stats, memory, out-of-bounds count, sinks), and the typed
 //! cycle-budget bust.
 
 use marionette::arch::{all_presets, marionette_full, Architecture};

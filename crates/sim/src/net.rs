@@ -100,7 +100,8 @@ pub(crate) struct Net {
     /// (`cycle & spawn_mask`), each in launch order. A flit is booked at
     /// most the program's largest result latency plus its largest route
     /// surcharge ahead, and the ring is longer than that, so the live
-    /// buckets never alias.
+    /// buckets never alias. A slot is one `Vec` header, so the ring's
+    /// memory follows the timing model's largest latencies.
     spawn_ring: Vec<Vec<(u32, Value)>>,
     spawn_mask: u64,
     /// The last cycle whose bucket went on the mesh (a firing in that
